@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize, minimize_scalar
 
 from .errors import InputFormatError
 from .fisher import UNBOUNDED, _Unbounded
@@ -40,8 +40,6 @@ __all__ = [
 
 # Above this argument cosh overflows float64; switch to the asymptotic branch.
 _ASYMPTOTIC_X = 700.0
-_GOLDEN = 0.3819660112501051  # 2 - golden ratio
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 def _validate_ratio(x: float, name: str = "x") -> float:
@@ -117,89 +115,13 @@ class MinimumResult:
     refined_argmin: tuple[float, float] | None = None
 
 
-def _brent_min(f, a: float, b: float, xtol: float, max_iter: int = 500):
-    """Golden-section / parabolic-interpolation hybrid minimizer on [a, b].
-
-    Returns (x, f(x), evaluations). Resolves x to about
-    sqrt(eps)*|x| + xtol, the floor for function-value-only search.
-    """
-    x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = f(x)
-    d = e = 0.0
-    nev = 1
-    for _ in range(max_iter):
-        m = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + xtol
-        tol2 = 2.0 * tol1
-        if abs(x - m) <= tol2 - 0.5 * (b - a):
-            break
-        golden = True
-        if abs(e) > tol1:
-            # trial parabola through (x, fx), (w, fw), (v, fv)
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            e_prev, e = e, d
-            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
-                d = p / q
-                u = x + d
-                if (u - a) < tol2 or (b - u) < tol2:
-                    d = tol1 if x < m else -tol1
-                golden = False
-        if golden:
-            e = (b - x) if x < m else (a - x)
-            d = _GOLDEN * e
-        u = x + d if abs(d) >= tol1 else x + (tol1 if d > 0.0 else -tol1)
-        fu = f(u)
-        nev += 1
-        if fu <= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, w, x = w, x, u
-            fv, fw, fx = fw, fx, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, w = w, u
-                fv, fw = fw, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return x, fx, nev
-
-
-def _bisect_increasing(f, lo: float, hi: float, xtol: float, max_iter: int = 200):
-    """Bisection root of an increasing function with f(lo) < 0 < f(hi).
-
-    Returns (root, iterations, converged); converged means the bracket
-    reached ``xtol`` or the float resolution floor.
-    """
-    it = 0
-    floor_hit = False
-    while hi - lo > xtol and it < max_iter:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # float resolution floor
-            floor_hit = True
-            break
-        if f(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        it += 1
-    return 0.5 * (lo + hi), it, (hi - lo <= xtol or floor_hit)
-
-
 def _two_level_stationarity(x: float) -> float:
-    """x sinh x - 2 (1 + cosh x); increasing on (0, inf), zero at the factor minimum."""
-    return x * math.sinh(x) - 2.0 * (1.0 + math.cosh(x))
+    """x tanh(x/2) - 2; increasing on (0, inf), zero at the factor minimum.
+
+    f2'(x) has the sign of x sinh x - 2 (1 + cosh x), which factors as
+    (1 + cosh x) (x tanh(x/2) - 2).
+    """
+    return x * math.tanh(0.5 * x) - 2.0
 
 
 def minimize_two_level_factor(
@@ -208,9 +130,8 @@ def minimize_two_level_factor(
 ) -> MinimumResult:
     """Locate the minimum of the two-level bound factor within ``bracket``.
 
-    The hybrid minimizer localizes the minimum, then bisection on the
-    monotone stationarity equation x sinh x = 2 (1 + cosh x) sharpens the
-    abscissa to ``tol`` (value-only search bottoms out near sqrt(eps)).
+    The minimum is the single root of x tanh(x/2) = 2, found by Brent's
+    root finder to ``tol`` in x.
     """
     a, b = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or a >= b:
@@ -219,22 +140,12 @@ def minimize_two_level_factor(
         raise ValueError(f"tol must be > 0, got {tol!r}")
     if _two_level_stationarity(a) >= 0.0 or _two_level_stationarity(b) <= 0.0:
         raise ValueError(f"bracket {bracket!r} does not contain an interior minimum")
-
-    x0, _, nev = _brent_min(two_level_factor, a, b, xtol=tol)
-    lo, hi, width = x0, x0, 1e-6
-    while _two_level_stationarity(lo) >= 0.0 and lo > a:
-        lo = max(a, x0 - width)
-        width *= 8.0
-    width = 1e-6
-    while _two_level_stationarity(hi) <= 0.0 and hi < b:
-        hi = min(b, x0 + width)
-        width *= 8.0
-    xm, nit, ok = _bisect_increasing(_two_level_stationarity, lo, hi, xtol=tol)
+    xm, info = brentq(_two_level_stationarity, a, b, xtol=tol, full_output=True, disp=False)
     return MinimumResult(
         argmin=xm,
         value=two_level_factor(xm),
-        converged=ok,
-        iterations=nev + nit,
+        converged=info.converged,
+        iterations=info.iterations,
     )
 
 
@@ -247,19 +158,14 @@ def minimize_three_level_factor(tol: float = 1e-10) -> MinimumResult:
     """Global minimum of the three-level bound factor over (0, 50]^2.
 
     The factor is symmetric, so the search restricts to the diagonal
-    (closed form (2 + e^x)^2 / (2 x^2 e^x), minimized by the hybrid plus
-    a stationarity bisection) and then confirms with an off-diagonal
-    Nelder-Mead polish that the diagonal point is a genuine 2-D minimum.
+    (closed form (2 + e^x)^2 / (2 x^2 e^x), whose minimum is the root of
+    its monotone stationarity equation on [0.5, 10]) and then confirms
+    with an off-diagonal Nelder-Mead polish that the diagonal point is a
+    genuine 2-D minimum.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
-    a, b = 0.5, 10.0
-    x0, _, nev = _brent_min(three_level_factor_diagonal, a, b, xtol=tol)
-    lo = max(a, x0 - 1e-5)
-    hi = min(b, x0 + 1e-5)
-    if not (_diagonal_stationarity(lo) < 0.0 < _diagonal_stationarity(hi)):
-        lo, hi = a, b
-    xd, nit, bisect_ok = _bisect_increasing(_diagonal_stationarity, lo, hi, xtol=tol)
+    xd, info = brentq(_diagonal_stationarity, 0.5, 10.0, xtol=tol, full_output=True, disp=False)
     value = three_level_factor(xd, xd)
 
     def objective(v):
@@ -275,12 +181,12 @@ def minimize_three_level_factor(tol: float = 1e-10) -> MinimumResult:
     )
     drift = max(abs(polish.x[0] - xd), abs(polish.x[1] - xd))
     improved = value - float(polish.fun)
-    converged = bisect_ok and bool(polish.success) and drift <= 1e-6 and improved <= 1e-9 * value
+    converged = info.converged and bool(polish.success) and drift <= 1e-6 and improved <= 1e-9 * value
     return MinimumResult(
         argmin=(xd, xd),
         value=value,
         converged=converged,
-        iterations=nev + nit + int(polish.nfev),
+        iterations=info.iterations + int(polish.nfev),
         refined_argmin=(float(polish.x[0]), float(polish.x[1])),
     )
 
@@ -325,9 +231,12 @@ class GapFamily:
 
     ``evaluate`` maps a control value in [lambda_min, lambda_max] to a
     single gap, or to a pair (gap1, gap2) with gap2 >= gap1 when
-    ``pair_valued``. ``kind`` is an optimizer dispatch hint: objectives of
-    ``linear`` families are unimodal, ``quadratic`` ones are unimodal on
-    each side of ``split_at``, anything else is searched by grid-then-refine.
+    ``pair_valued``. ``kind`` is a descriptive label. ``breaks`` are
+    increasing control values, starting at lambda_min and ending at
+    lambda_max, between which a single gap is monotone: (lo, hi) for a
+    linear family, (lo, clipped centre, hi) for a quadratic one, the data
+    points for a table. ``tune_gap`` solves for the optimal gap on each
+    such piece; without ``breaks`` it searches by grid-then-refine.
     """
 
     evaluate: Callable[[float], float | tuple[float, float]]
@@ -336,7 +245,7 @@ class GapFamily:
     description: str = ""
     kind: str = "custom"
     pair_valued: bool = False
-    split_at: float | None = None
+    breaks: tuple[float, ...] | None = None
 
     def __post_init__(self):
         lo, hi = float(self.lambda_min), float(self.lambda_max)
@@ -344,6 +253,9 @@ class GapFamily:
             raise ValueError(
                 f"control range must satisfy lambda_min < lambda_max, got [{lo!r}, {hi!r}]"
             )
+        b = self.breaks
+        if b is not None and (b[0] != lo or b[-1] != hi or any(np.diff(b) <= 0.0)):
+            raise ValueError(f"breaks must increase from lambda_min to lambda_max, got {b!r}")
 
     def gap_at(self, lam: float):
         """Evaluate and validate the gap(s) at one control value."""
@@ -377,6 +289,7 @@ class GapFamily:
             lambda_max=float(lambda_max),
             description=description or f"linear gap {slope}*lambda + {intercept}",
             kind="linear",
+            breaks=(float(lambda_min), float(lambda_max)),
         )
 
     @classmethod
@@ -387,13 +300,14 @@ class GapFamily:
             raise ValueError(f"curvature must be >= 0, got {curvature!r}")
         if gap_min < 0.0:
             raise ValueError(f"gap_min must be >= 0, got {gap_min!r}")
+        lo, hi = float(lambda_min), float(lambda_max)
         return cls(
             evaluate=lambda lam: curvature * (lam - center) ** 2 + gap_min,
-            lambda_min=float(lambda_min),
-            lambda_max=float(lambda_max),
+            lambda_min=lo,
+            lambda_max=hi,
             description=description or f"quadratic gap, minimum {gap_min} at {center}",
             kind="quadratic",
-            split_at=min(max(center, float(lambda_min)), float(lambda_max)),
+            breaks=tuple(dict.fromkeys((lo, min(max(center, lo), hi), hi))),
         )
 
     @classmethod
@@ -408,13 +322,15 @@ class GapFamily:
             raise ValueError("table family control values must be distinct")
         if np.any(gaps < 0.0) or not np.all(np.isfinite(gaps)):
             raise ValueError("table family gaps must be finite and >= 0")
-        interp = PchipInterpolator(lams, gaps)  # shape-preserving: stays >= 0
+        # shape-preserving: stays >= 0 and is monotone between data points
+        interp = PchipInterpolator(lams, gaps)
         return cls(
             evaluate=lambda lam: float(interp(lam)),
             lambda_min=float(lams[0]),
             lambda_max=float(lams[-1]),
             description=description or f"tabulated gap ({len(pts)} points)",
             kind="table",
+            breaks=tuple(float(l) for l in lams),
         )
 
     @classmethod
@@ -460,11 +376,12 @@ def _family_objective(family: GapFamily, T: float) -> Callable[[float], float]:
 def tune_gap(family: GapFamily, T: float, tol: float = 1e-10) -> TuneResult:
     """Control value minimizing the variance floor of ``family`` at temperature ``T``.
 
-    Linear families give a unimodal objective and are minimized directly;
-    quadratic ones are minimized on each monotone side of the gap minimum;
-    tabulated/custom/pair families are scanned on a 1000-point grid and
-    refined in the winning cell. Endpoints always compete, so boundary
-    optima are exact.
+    The two-level floor is unimodal in the gap with its minimum at
+    gap = x_m T, so on each monotone piece of a single-gap family with
+    ``breaks`` the optimum is the root of gap(lambda) = x_m T or an end of
+    the piece. Pair-valued and custom families are scanned on a 1000-point
+    grid and refined in the winning cell. Endpoints always compete, so
+    boundary optima are exact.
     """
     T = _validate_temperature(T)
     if tol <= 0.0:
@@ -472,25 +389,28 @@ def tune_gap(family: GapFamily, T: float, tol: float = 1e-10) -> TuneResult:
     objective = _family_objective(family, T)
     lo, hi = family.lambda_min, family.lambda_max
 
-    candidates = [lo, hi]
-    if family.kind == "linear":
-        candidates.append(_brent_min(objective, lo, hi, xtol=tol)[0])
-    elif family.kind == "quadratic":
-        split = family.split_at if family.split_at is not None else 0.5 * (lo + hi)
-        candidates.append(split)
-        if split - lo > tol:
-            candidates.append(_brent_min(objective, lo, split, xtol=tol)[0])
-        if hi - split > tol:
-            candidates.append(_brent_min(objective, split, hi, xtol=tol)[0])
+    if family.breaks is not None and not family.pair_valued:
+        target = T * brentq(_two_level_stationarity, 0.5, 10.0, xtol=tol)
+
+        def excess(lam: float) -> float:
+            return family.gap_at(lam) - target
+
+        candidates = list(family.breaks)
+        for a, b in zip(family.breaks[:-1], family.breaks[1:]):
+            if excess(a) * excess(b) < 0.0:
+                candidates.append(brentq(excess, a, b, xtol=tol))
     else:
         grid = np.linspace(lo, hi, 1000)
         values = [objective(lam) for lam in grid]
         i = int(np.argmin(values))
-        candidates.append(grid[i])
+        candidates = [lo, hi, grid[i]]
         a = grid[max(i - 1, 0)]
         b = grid[min(i + 1, len(grid) - 1)]
         if b > a:
-            candidates.append(_brent_min(objective, a, b, xtol=tol)[0])
+            refined = minimize_scalar(
+                objective, bounds=(a, b), method="bounded", options={"xatol": tol}
+            )
+            candidates.append(refined.x)
 
     best_lam = min(candidates, key=objective)
     best = objective(best_lam)

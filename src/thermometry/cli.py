@@ -23,7 +23,7 @@ from .bounds import (
     two_level_factor,
 )
 from .errors import DegenerateExperimentError, InputFormatError
-from .estimation import bayes_posterior, mle_temperature, sample_from_dict
+from .estimation import bayes_posterior, default_bracket, mle_temperature, sample_from_dict
 from .fisher import UNBOUNDED, fisher_report
 from .montecarlo import (
     config_from_dict,
@@ -31,7 +31,7 @@ from .montecarlo import (
     run_experiment,
     sweep_saturation,
 )
-from .thermal import load_spectrum
+from .thermal import load_json, load_spectrum
 
 __all__ = ["main", "run"]
 
@@ -48,16 +48,6 @@ def _at_least(value: int, minimum: int, flag: str) -> int:
     if value < minimum:
         raise ValueError(f"invalid {flag}: must be >= {minimum}, got {value}")
     return value
-
-
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def _crb_value(crb):
@@ -138,8 +128,9 @@ def _cmd_minima(args) -> str:
     return "".join(
         [
             "# minima of the low-temperature bound factors\n",
-            "# two-level: hybrid minimizer on [0.5, 10] + stationarity bisection, tol 1e-10\n",
-            "# three-level: diagonal search + off-diagonal Nelder-Mead polish, tol 1e-10\n",
+            "# two-level: Brent root of x tanh(x/2) = 2 on [0.5, 10], tol 1e-10\n",
+            "# three-level: Brent root of the diagonal stationarity on [0.5, 10]"
+            " + off-diagonal Nelder-Mead polish, tol 1e-10\n",
             f"two_level_xm = {two.argmin:.8f}\n",
             f"two_level_min = {two.value:.8f}\n",
             f"three_level_xh = {three.argmin[0]:.8f}\n",
@@ -181,14 +172,14 @@ def _cmd_sweep(args) -> str:
 
 
 def _cmd_simulate(args) -> str:
-    cfg = config_from_dict(_load_json(args.config))
+    cfg = config_from_dict(load_json(args.config))
     report = run_experiment(cfg)
     return _json_text(report_to_dict(report, cfg))
 
 
 def _cmd_tune(args) -> str:
     T = _positive(args.temperature, "--temperature")
-    family = family_from_dict(_load_json(args.family))
+    family = family_from_dict(load_json(args.family))
     tol = 1e-10
     result = tune_gap(family, T, tol=tol)
     gap = list(result.gap) if isinstance(result.gap, tuple) else result.gap
@@ -208,15 +199,13 @@ def _cmd_tune(args) -> str:
 
 def _cmd_estimate(args) -> str:
     spectrum = load_spectrum(args.spectrum)
-    sample = sample_from_dict(_load_json(args.sample), spectrum)
+    sample = sample_from_dict(load_json(args.sample), spectrum)
     if args.bracket is not None:
         lo = _positive(args.bracket[0], "--bracket")
         hi = _positive(args.bracket[1], "--bracket")
         bracket = (lo, hi)
-    elif spectrum.spread > 0.0:
-        bracket = (1e-4 * spectrum.spread, 1e4 * spectrum.spread)
     else:
-        raise ValueError("single-level spectrum: pass an explicit --bracket")
+        bracket = default_bracket(spectrum)
     result = mle_temperature(sample, bracket=bracket)
     out = {
         "spectrum_label": spectrum.label,

@@ -29,6 +29,7 @@ __all__ = [
     "SampleSet",
     "EstimateResult",
     "Posterior",
+    "default_bracket",
     "mle_temperature",
     "bayes_posterior",
     "sample_to_dict",
@@ -96,6 +97,16 @@ def _uniform_limit_mean(spectrum: Spectrum) -> float:
     return float((m @ e) / m.sum())
 
 
+def default_bracket(spectrum: Spectrum) -> tuple[float, float]:
+    """MLE search bracket: ``BRACKET_SPAN`` times the spectrum spread E_max - E_0."""
+    span = spectrum.spread
+    if span <= 0.0:
+        raise ValueError(
+            "default bracket undefined for a single-level spectrum; pass an explicit bracket"
+        )
+    return (BRACKET_SPAN[0] * span, BRACKET_SPAN[1] * span)
+
+
 def mle_temperature(
     sample: SampleSet,
     bracket: tuple[float, float] | None = None,
@@ -103,17 +114,14 @@ def mle_temperature(
     """Maximum-likelihood temperature from outcome counts.
 
     Solves <H>_T = Ebar by bisection on the monotone moment-matching
-    equation; the default bracket spans [1e-4, 1e4] times the spectrum
-    spread. Returns AT_LOWER_BOUND / AT_UPPER_BOUND when the solution
-    falls outside the bracket and NON_INVERTIBLE when the sample mean
-    reaches the infinite-temperature mean (no positive-T solution).
+    equation; the default bracket is :func:`default_bracket`. Returns
+    AT_LOWER_BOUND / AT_UPPER_BOUND when the solution falls outside the
+    bracket and NON_INVERTIBLE when the sample mean reaches the
+    infinite-temperature mean (no positive-T solution).
     """
     spectrum = sample.spectrum
     if bracket is None:
-        span = spectrum.spread
-        if span <= 0.0:
-            raise ValueError("default bracket undefined for a single-level spectrum")
-        bracket = (BRACKET_SPAN[0] * span, BRACKET_SPAN[1] * span)
+        bracket = default_bracket(spectrum)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0.0 or lo >= hi:
         raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket!r}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .thermal import Spectrum, _shifted_mean, _validate_temperature, gibbs_state
+from .thermal import Spectrum, _shifted_mean, _validate_temperature, energy_variance, gibbs_state
 
 __all__ = [
     "UNBOUNDED",
@@ -55,11 +55,7 @@ def sld_eigenvalues(spectrum: Spectrum, T: float) -> np.ndarray:
 def fisher_information(spectrum: Spectrum, T: float) -> float:
     """Fisher information of energy measurement, F = <dH^2>/T^4."""
     T = _validate_temperature(T)
-    state = gibbs_state(spectrum, T)
-    de = spectrum._shifted
-    mu = _shifted_mean(state)
-    var = float(state.probs @ (de - mu) ** 2)
-    return var / T**4
+    return energy_variance(gibbs_state(spectrum, T)) / T**4
 
 
 @dataclass(frozen=True)
@@ -88,11 +84,9 @@ def fisher_report(spectrum: Spectrum, T: float) -> FisherReport:
     """Evaluate the full estimation-precision report for ``spectrum`` at ``T``."""
     T = _validate_temperature(T)
     state = gibbs_state(spectrum, T)
-    de = spectrum._shifted
-    mu = _shifted_mean(state)
-    var = float(state.probs @ (de - mu) ** 2)
+    var = energy_variance(state)
     fisher = var / T**4
-    sld = (de - mu) / (T * T)
+    sld = (spectrum._shifted - _shifted_mean(state)) / (T * T)
     sld.flags.writeable = False
     crb = 1.0 / fisher if fisher > 0.0 else UNBOUNDED
     return FisherReport(

@@ -246,44 +246,48 @@ def _require(data: dict, key: str):
     return data[key]
 
 
+def _number(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputFormatError(f"'{key}' must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputFormatError(f"'{key}' must be an integer, got {value!r}")
+    return int(value)
+
+
+def _optional_pair(data: dict, key: str) -> tuple[float, float] | None:
+    pair = data.get(key)
+    if pair is None:
+        return None
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise InputFormatError(f"'{key}' must be a [low, high] pair, got {pair!r}")
+    return (_number(pair[0], key), _number(pair[1], key))
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise InputFormatError("experiment config must be an object")
     spectrum = spectrum_from_dict(_require(data, "spectrum"))
-    T = _require(data, "true_temperature")
-    if isinstance(T, bool) or not isinstance(T, numbers.Real):
-        raise InputFormatError(f"'true_temperature' must be a number, got {T!r}")
-    ints = {}
-    for key in ("shots_per_trial", "trials", "seed"):
-        value = _require(data, key)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise InputFormatError(f"'{key}' must be an integer, got {value!r}")
-        ints[key] = int(value)
-    prior = data.get("bayes_prior")
-    if prior is not None:
-        if not isinstance(prior, (list, tuple)) or len(prior) != 2:
-            raise InputFormatError(f"'bayes_prior' must be a [low, high] pair, got {prior!r}")
-        prior = (float(prior[0]), float(prior[1]))
-    bracket = data.get("mle_bracket")
-    if bracket is not None:
-        if not isinstance(bracket, (list, tuple)) or len(bracket) != 2:
-            raise InputFormatError(f"'mle_bracket' must be a [low, high] pair, got {bracket!r}")
-        bracket = (float(bracket[0]), float(bracket[1]))
     try:
         return ExperimentConfig(
             spectrum=spectrum,
-            true_temperature=float(T),
-            shots_per_trial=ints["shots_per_trial"],
-            trials=ints["trials"],
+            true_temperature=_number(_require(data, "true_temperature"), "true_temperature"),
+            shots_per_trial=_integer(_require(data, "shots_per_trial"), "shots_per_trial"),
+            trials=_integer(_require(data, "trials"), "trials"),
             estimator=data.get("estimator", MLE),
-            seed=ints["seed"],
+            seed=_integer(_require(data, "seed"), "seed"),
             degenerate_sample_policy=data.get(
                 "degenerate_sample_policy", EXCLUDE_AND_REPORT
             ),
-            bayes_prior=prior,
-            bayes_grid_size=int(data.get("bayes_grid_size", 1024)),
-            mle_bracket=bracket,
+            bayes_prior=_optional_pair(data, "bayes_prior"),
+            bayes_grid_size=_integer(data.get("bayes_grid_size", 1024), "bayes_grid_size"),
+            mle_bracket=_optional_pair(data, "mle_bracket"),
         )
+    except InputFormatError:
+        raise
     except ValueError as exc:
         raise InputFormatError(f"invalid experiment config: {exc}") from exc
 

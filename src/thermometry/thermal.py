@@ -32,6 +32,7 @@ __all__ = [
     "specific_heat",
     "spectrum_to_dict",
     "spectrum_from_dict",
+    "load_json",
     "load_spectrum",
     "save_spectrum",
 ]
@@ -260,15 +261,19 @@ def spectrum_from_dict(data: dict) -> Spectrum:
         raise InputFormatError(f"invalid spectrum: {exc}") from exc
 
 
-def load_spectrum(path) -> Spectrum:
+def load_json(path):
+    """Parse a JSON input file; unreadable or invalid files raise InputFormatError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: not valid JSON ({exc})") from exc
-    return spectrum_from_dict(data)
+
+
+def load_spectrum(path) -> Spectrum:
+    return spectrum_from_dict(load_json(path))
 
 
 def save_spectrum(spectrum: Spectrum, path) -> None:

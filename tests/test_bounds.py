@@ -309,6 +309,16 @@ def test_tune_linear_reaches_optimal_ratio():
     brute_force_certificate(family, 1.0, res)
 
 
+def test_tune_linear_fixed_range_low_temperature():
+    # the objective overflows to inf over most of this range
+    family = GapFamily.linear(1.0, 0.0, 1e-3, 1e2)
+    T = 1e-3
+    res = tune_gap(family, T)
+    assert res.bound / T**2 == pytest.approx(G_MIN, rel=1e-9)
+    assert res.lambda_star == pytest.approx(X_M * T, rel=1e-6)
+    brute_force_certificate(family, T, res)
+
+
 def test_tune_linear_boundary_optimum():
     family = GapFamily.linear(1.0, 0.0, 5.0, 10.0)
     res = tune_gap(family, 1.0)
@@ -347,7 +357,7 @@ def test_tune_quadratic_bimodal_objective():
 def test_tune_table_family():
     family = GapFamily.from_table([(0.0, 0.5), (5.0, 2.4), (10.0, 9.0)])
     res = tune_gap(family, 1.0)
-    assert res.bound == pytest.approx(G_MIN, rel=1e-6)
+    assert res.bound == pytest.approx(G_MIN, rel=1e-12)
     brute_force_certificate(family, 1.0, res)
 
 
@@ -386,6 +396,8 @@ def test_gap_family_validation():
     bad_pair = GapFamily.three_level(lambda lam: (2.0, 1.0), 0.0, 1.0)
     with pytest.raises(ValueError):
         bad_pair.gap_at(0.5)
+    with pytest.raises(ValueError):
+        GapFamily(evaluate=lambda lam: lam, lambda_min=0.0, lambda_max=1.0, breaks=(0.0, 2.0))
 
 
 def test_family_from_dict_round_trips():

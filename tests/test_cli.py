@@ -249,6 +249,27 @@ def test_simulate_malformed_config_exits_2(capsys, tmp_path):
     assert "true_temperature" in err
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"bayes_prior": [None, 1.0]},
+        {"bayes_grid_size": None},
+        {"mle_bracket": ["a", 1.0]},
+        {"bayes_grid_size": 100.7},
+    ],
+)
+def test_simulate_malformed_config_field_one_line_exit_2(capsys, tmp_path, field):
+    config = {"spectrum": TWO_LEVEL_SPECTRUM, "true_temperature": 0.4,
+              "shots_per_trial": 10, "trials": 5, "seed": 0, **field}
+    path = tmp_path / "bad.cfg"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert next(iter(field)) in err
+
+
 # ---------------------------------------------------------------------------
 # tune
 # ---------------------------------------------------------------------------

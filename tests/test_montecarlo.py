@@ -223,6 +223,10 @@ def test_config_round_trip_with_options():
         lambda d: d.update(true_temperature=-2.0),
         lambda d: d.update(estimator="map"),
         lambda d: d.update(bayes_prior=[1.0]),
+        lambda d: d.update(bayes_prior=[None, 1.0]),
+        lambda d: d.update(bayes_grid_size=None),
+        lambda d: d.update(mle_bracket=["a", 1.0]),
+        lambda d: d.update(bayes_grid_size=100.7),
     ],
 )
 def test_config_from_dict_rejects(mutate):
