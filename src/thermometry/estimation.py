@@ -8,6 +8,13 @@ strictly increasing in T, so a bracketed bisection always converges.
 Samples whose mean energy falls at or below the ground energy, or at or
 above the infinite-temperature mean, admit no positive-T maximizer and
 are surfaced as explicit statuses instead of being clamped.
+
+Both estimators work on a batch: a (trials, levels) array of counts.
+:func:`mle_batch` runs one bisection over every row at once and
+:func:`bayes_batch` builds the posterior grid once for all rows; the
+single-sample functions :func:`mle_temperature` and :func:`bayes_posterior`
+are batches of one. Energies enter only through E - E_0, so shifting the
+whole spectrum by a constant leaves every estimate unchanged.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputFormatError
-from .thermal import Spectrum, gibbs_log_probs, gibbs_state, mean_energy
+from .thermal import Spectrum, gibbs_log_probs, shifted_means
 
 __all__ = [
     "INTERIOR",
@@ -71,9 +78,9 @@ class SampleSet:
 
     @property
     def mean_energy(self) -> float:
-        e = np.asarray(self.spectrum.energies)
+        """Sample mean energy, E_0 plus the mean of E - E_0 (exact under a shift)."""
         k = np.asarray(self.counts, dtype=float)
-        return float((k @ e) / self.total)
+        return self.spectrum.ground_energy + float((k @ self.spectrum._shifted) / self.total)
 
 
 @dataclass(frozen=True)
@@ -90,13 +97,6 @@ class EstimateResult:
     posterior_sd: float | None = None
 
 
-def _uniform_limit_mean(spectrum: Spectrum) -> float:
-    """Mean energy in the T -> infinity limit, sum(m_n E_n)/sum(m_n)."""
-    e = np.asarray(spectrum.energies)
-    m = np.asarray(spectrum.multiplicities, dtype=float)
-    return float((m @ e) / m.sum())
-
-
 def default_bracket(spectrum: Spectrum) -> tuple[float, float]:
     """MLE search bracket: ``BRACKET_SPAN`` times the spectrum spread E_max - E_0."""
     span = spectrum.spread
@@ -107,47 +107,101 @@ def default_bracket(spectrum: Spectrum) -> tuple[float, float]:
     return (BRACKET_SPAN[0] * span, BRACKET_SPAN[1] * span)
 
 
+def _positive_interval(interval, what: str) -> tuple[float, float]:
+    lo, hi = float(interval[0]), float(interval[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0.0 or lo >= hi:
+        raise ValueError(f"{what} must satisfy 0 < lo < hi, got {interval!r}")
+    return lo, hi
+
+
+def _counts_matrix(spectrum: Spectrum, counts) -> np.ndarray:
+    counts = np.asarray(counts)
+    if counts.ndim != 2 or counts.shape[1] != spectrum.n_levels:
+        raise ValueError(
+            f"counts must have shape (trials, {spectrum.n_levels}), got {counts.shape}"
+        )
+    return counts
+
+
+def _moment_problem(spectrum: Spectrum, counts, bracket):
+    """Bracket, shifted sample means and each row's status before any bisection.
+
+    Bisection never changes a status, so this is also the final status.
+    """
+    if bracket is None:
+        bracket = default_bracket(spectrum)
+    bracket = _positive_interval(bracket, "bracket")
+    counts = _counts_matrix(spectrum, counts)
+    de = spectrum._shifted
+    m = spectrum._weights
+    ebar = np.vecdot(counts.astype(float), de) / counts.sum(axis=1)
+    edges = shifted_means(spectrum, np.array(bracket))
+    # later masks win: all-ground, then non-invertible, then the bracket ends
+    status = np.full(len(ebar), INTERIOR, dtype=object)
+    status[edges[1] <= ebar] = AT_UPPER_BOUND
+    status[edges[0] >= ebar] = AT_LOWER_BOUND
+    status[ebar >= (m @ de) / m.sum()] = NON_INVERTIBLE
+    status[ebar <= 0.0] = AT_LOWER_BOUND
+    return bracket, ebar, status
+
+
+def mle_status(
+    spectrum: Spectrum,
+    counts,
+    bracket: tuple[float, float] | None = None,
+) -> np.ndarray:
+    """Status of every row's MLE (see :func:`mle_batch`), found without bisecting."""
+    return _moment_problem(spectrum, counts, bracket)[2]
+
+
+def mle_batch(
+    spectrum: Spectrum,
+    counts,
+    bracket: tuple[float, float] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maximum-likelihood temperatures for every row of a (trials, levels) count array.
+
+    Solves <H - E_0>_T = (shifted sample mean) by one bisection over all rows
+    on the monotone moment-matching equation; the default bracket is
+    :func:`default_bracket`. Each row stops when its bracket is narrower
+    than ``BISECT_RTOL`` times its midpoint or the midpoint stops moving.
+    Returns ``(status, estimate)``: status per row (object array of
+    INTERIOR / AT_LOWER_BOUND / AT_UPPER_BOUND / NON_INVERTIBLE) and the
+    estimate, NaN wherever the status is not INTERIOR.
+    """
+    (lo0, hi0), ebar, status = _moment_problem(spectrum, counts, bracket)
+    estimate = np.full(len(ebar), np.nan)
+    rows = np.flatnonzero(status == INTERIOR)
+    target = ebar[rows]
+    lo = np.full(len(rows), lo0)
+    hi = np.full(len(rows), hi0)
+    while len(rows):
+        total = lo + hi
+        mid = 0.5 * total
+        active = (hi - lo > BISECT_RTOL * 0.5 * total) & (mid > lo) & (mid < hi)
+        if np.count_nonzero(active) < len(rows):
+            estimate[rows[~active]] = mid[~active]
+            rows, target, lo, hi, mid = (a[active] for a in (rows, target, lo, hi, mid))
+        above = shifted_means(spectrum, mid) > target
+        np.copyto(hi, mid, where=above)
+        np.copyto(lo, mid, where=~above)
+    return status, estimate
+
+
 def mle_temperature(
     sample: SampleSet,
     bracket: tuple[float, float] | None = None,
 ) -> EstimateResult:
-    """Maximum-likelihood temperature from outcome counts.
+    """Maximum-likelihood temperature from outcome counts: :func:`mle_batch` of one.
 
-    Solves <H>_T = Ebar by bisection on the monotone moment-matching
-    equation; the default bracket is :func:`default_bracket`. Returns
-    AT_LOWER_BOUND / AT_UPPER_BOUND when the solution falls outside the
-    bracket and NON_INVERTIBLE when the sample mean reaches the
+    Returns AT_LOWER_BOUND / AT_UPPER_BOUND when the solution falls outside
+    the bracket and NON_INVERTIBLE when the sample mean reaches the
     infinite-temperature mean (no positive-T solution).
     """
-    spectrum = sample.spectrum
-    if bracket is None:
-        bracket = default_bracket(spectrum)
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0.0 or lo >= hi:
-        raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket!r}")
-
-    ebar = sample.mean_energy
-    if ebar <= spectrum.ground_energy:
-        return EstimateResult(status=AT_LOWER_BOUND)
-    if ebar >= _uniform_limit_mean(spectrum):
-        return EstimateResult(status=NON_INVERTIBLE)
-
-    def moment_gap(T: float) -> float:
-        return mean_energy(gibbs_state(spectrum, T)) - ebar
-
-    if moment_gap(lo) >= 0.0:
-        return EstimateResult(status=AT_LOWER_BOUND)
-    if moment_gap(hi) <= 0.0:
-        return EstimateResult(status=AT_UPPER_BOUND)
-    while (hi - lo) > BISECT_RTOL * 0.5 * (lo + hi):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if moment_gap(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return EstimateResult(status=INTERIOR, estimate=0.5 * (lo + hi))
+    status, estimate = mle_batch(sample.spectrum, [sample.counts], bracket)
+    if status[0] != INTERIOR:
+        return EstimateResult(status=status[0])
+    return EstimateResult(status=INTERIOR, estimate=float(estimate[0]))
 
 
 def log_likelihood(sample: SampleSet, T: float) -> float:
@@ -166,42 +220,70 @@ class Posterior:
     density: np.ndarray
 
 
-def bayes_posterior(
-    sample: SampleSet,
-    prior: tuple[float, float],
-    grid_size: int = 2048,
-) -> Posterior:
-    """Posterior mean/sd under a flat prior on ``prior``.
-
-    The unnormalized log posterior is shifted by its maximum before
-    exponentiation; the density is normalized by trapezoid quadrature on
-    a uniform grid (``grid_size`` >= 64 points).
-    """
-    lo, hi = float(prior[0]), float(prior[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0.0 or lo >= hi:
-        raise ValueError(f"prior interval must satisfy 0 < lo < hi, got {prior!r}")
+def _bayes_grid(spectrum: Spectrum, prior: tuple[float, float], grid_size: int):
+    """Uniform temperature grid, log weights log(m_n) - (E_n - E_0)/T on it, and log Z'."""
+    lo, hi = _positive_interval(prior, "prior interval")
     if grid_size < 64:
         raise ValueError(f"grid_size must be >= 64, got {grid_size}")
-
-    spectrum = sample.spectrum
-    counts = np.asarray(sample.counts, dtype=float)
     temps = np.linspace(lo, hi, grid_size)
-    de = np.asarray(spectrum.gaps)
-    logm = np.log(np.asarray(spectrum.multiplicities, dtype=float))
     # log p_n(T) on the grid: shape (grid, levels)
-    logw = -np.outer(1.0 / temps, de) + logm
+    logw = -np.outer(1.0 / temps, spectrum._shifted) + np.log(spectrum._weights)
     top = logw.max(axis=1, keepdims=True)
     logz = top[:, 0] + np.log(np.exp(logw - top).sum(axis=1))
-    loglik = logw @ counts - sample.total * logz
+    temps.flags.writeable = False
+    return temps, logw, logz
 
+
+def _posterior_row(grid, counts: np.ndarray, total: int):
+    """(mean, sd, density) for one float count vector on a prebuilt grid."""
+    temps, logw, logz = grid
+    loglik = logw @ counts - total * logz
     loglik -= loglik.max()
     density = np.exp(loglik)
     density /= np.trapezoid(density, temps)
     mean = float(np.trapezoid(temps * density, temps))
     sd = math.sqrt(max(float(np.trapezoid((temps - mean) ** 2 * density, temps)), 0.0))
+    return mean, sd, density
+
+
+def bayes_batch(
+    spectrum: Spectrum,
+    counts,
+    prior: tuple[float, float],
+    grid_size: int = 2048,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat-prior posterior (mean, sd) for every row of a (trials, levels) count array.
+
+    The grid is built once; each row's unnormalized log posterior is shifted
+    by its maximum before exponentiation and normalized by trapezoid
+    quadrature on the uniform grid (``grid_size`` >= 64 points). Only one
+    grid-sized density is alive at a time.
+    """
+    grid = _bayes_grid(spectrum, prior, grid_size)
+    counts = _counts_matrix(spectrum, counts)
+    totals = counts.sum(axis=1).tolist()
+    rows = counts.astype(float)
+    means = np.empty(len(rows))
+    sds = np.empty(len(rows))
+    for i, total in enumerate(totals):
+        means[i], sds[i], _ = _posterior_row(grid, rows[i], total)
+    return means, sds
+
+
+def bayes_posterior(
+    sample: SampleSet,
+    prior: tuple[float, float],
+    grid_size: int = 2048,
+) -> Posterior:
+    """Posterior mean/sd and density under a flat prior on ``prior``.
+
+    The posterior of one sample on the grid of :func:`bayes_batch`.
+    """
+    grid = _bayes_grid(sample.spectrum, prior, grid_size)
+    counts = np.asarray(sample.counts, dtype=float)
+    mean, sd, density = _posterior_row(grid, counts, sample.total)
     density.flags.writeable = False
-    temps.flags.writeable = False
-    return Posterior(mean=mean, sd=sd, temperatures=temps, density=density)
+    return Posterior(mean=mean, sd=sd, temperatures=grid[0], density=density)
 
 
 # ---------------------------------------------------------------------------

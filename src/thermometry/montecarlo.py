@@ -3,25 +3,30 @@
 Each trial owns an RNG stream derived from (seed, trial index) only, so
 reports are bitwise reproducible for a given config and trials could run
 in any order; the reduction below iterates in trial order, which fixes
-the float accumulation order as well.
+the float accumulation order as well. A run draws every trial's counts
+into one (trials, levels) array and hands it to the batched estimators
+in :mod:`thermometry.estimation`.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DegenerateExperimentError, InputFormatError
 from .estimation import (
+    AT_LOWER_BOUND,
+    AT_UPPER_BOUND,
     INTERIOR,
-    EstimateResult,
+    NON_INVERTIBLE,
     SampleSet,
-    bayes_posterior,
-    mle_temperature,
+    bayes_batch,
+    mle_batch,
+    mle_status,
 )
 from .fisher import fisher_information
 from .thermal import Spectrum, gibbs_state, spectrum_from_dict, spectrum_to_dict
@@ -49,6 +54,10 @@ MLE = "mle"
 BAYES = "bayes"
 EXCLUDE_AND_REPORT = "exclude_and_report"
 ABORT = "abort"
+
+# Uniforms are drawn per trial in chunks of at most this many, so memory does
+# not grow with the shot count; consecutive draws continue one PCG64 stream.
+DRAW_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -101,6 +110,8 @@ class SaturationReport:
     excluded_trials: int
     trials_used: int
     generator: str = GENERATOR_ID
+    # status -> number of excluded trials; not part of the serialized report
+    excluded_by_status: dict[str, int] = field(default_factory=dict, hash=False)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -108,35 +119,37 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(trial,))))
 
 
-def draw_sample(
-    spectrum: Spectrum, T: float, shots: int, rng: np.random.Generator
-) -> SampleSet:
-    """Multinomial counts of ``shots`` energy outcomes at temperature ``T``.
+def draw_counts(
+    spectrum: Spectrum, T: float, shots: int, rngs: Iterable[np.random.Generator]
+) -> np.ndarray:
+    """Multinomial counts of ``shots`` energy outcomes at ``T``, one row per stream.
 
     Inverse-CDF sampling: each uniform is placed in the cumulative
-    occupation distribution; the final clip guards against the cumulative
-    sum landing a few ulp below 1.
+    occupation distribution; the clip guards against the cumulative sum
+    landing a few ulp below 1. Each stream's uniforms are drawn in chunks
+    of ``DRAW_CHUNK``, which continue the stream exactly as one draw would.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    probs = gibbs_state(spectrum, T).probs
-    cum = np.cumsum(probs)
-    u = rng.random(shots)
-    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
-    counts = np.bincount(idx, minlength=len(cum))
-    return SampleSet(spectrum=spectrum, counts=tuple(int(c) for c in counts))
+    cum = np.cumsum(gibbs_state(spectrum, T).probs)
+    n = len(cum)
+    rows = []
+    for rng in rngs:
+        counts = np.zeros(n, dtype=np.int64)
+        for start in range(0, shots, DRAW_CHUNK):
+            u = rng.random(min(DRAW_CHUNK, shots - start))
+            counts += np.bincount(np.minimum(np.searchsorted(cum, u, side="right"), n - 1),
+                                  minlength=n)
+        rows.append(counts)
+    return np.array(rows, dtype=np.int64).reshape(-1, n)
 
 
-def _estimate(cfg: ExperimentConfig, sample: SampleSet) -> EstimateResult:
-    if cfg.estimator == MLE:
-        return mle_temperature(sample, bracket=cfg.mle_bracket)
-    post = bayes_posterior(sample, cfg.effective_prior(), cfg.bayes_grid_size)
-    return EstimateResult(
-        status=INTERIOR,
-        estimate=post.mean,
-        posterior_mean=post.mean,
-        posterior_sd=post.sd,
-    )
+def draw_sample(
+    spectrum: Spectrum, T: float, shots: int, rng: np.random.Generator
+) -> SampleSet:
+    """One sample of ``shots`` outcomes from ``rng``: :func:`draw_counts` of one stream."""
+    counts = draw_counts(spectrum, T, shots, [rng])[0]
+    return SampleSet(spectrum=spectrum, counts=tuple(counts.tolist()))
 
 
 def run_experiment(cfg: ExperimentConfig) -> SaturationReport:
@@ -145,7 +158,8 @@ def run_experiment(cfg: ExperimentConfig) -> SaturationReport:
     The error is the mean of (estimate - true T)^2 over usable trials,
     i.e. squared error about the truth, not about the sample mean.
     Degenerate (boundary / non-invertible) trials are excluded and
-    counted, or abort the run, per the configured policy.
+    counted, or abort the run at the first one in trial order, per the
+    configured policy.
     """
     T = cfg.true_temperature
     fisher = fisher_information(cfg.spectrum, T)
@@ -155,26 +169,37 @@ def run_experiment(cfg: ExperimentConfig) -> SaturationReport:
         )
     crb = 1.0 / (cfg.shots_per_trial * fisher)
 
-    sum_sq = 0.0
-    sum_est = 0.0
-    used = 0
-    excluded = 0
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, trial)
-        sample = draw_sample(cfg.spectrum, T, cfg.shots_per_trial, rng)
-        result = _estimate(cfg, sample)
-        if result.status != INTERIOR:
-            if cfg.degenerate_sample_policy == ABORT:
+    counts = draw_counts(
+        cfg.spectrum, T, cfg.shots_per_trial,
+        (trial_rng(cfg.seed, trial) for trial in range(cfg.trials)),
+    )
+    if cfg.estimator == MLE:
+        if cfg.degenerate_sample_policy == ABORT:
+            # statuses are known before bisecting, so an aborting run skips it
+            status = mle_status(cfg.spectrum, counts, bracket=cfg.mle_bracket)
+            degenerate = np.flatnonzero(status != INTERIOR)
+            if len(degenerate):
+                trial = int(degenerate[0])
                 raise DegenerateExperimentError(
                     f"trial {trial} produced a degenerate sample "
-                    f"(status {result.status}, counts {sample.counts})"
+                    f"(status {status[trial]}, counts {tuple(counts[trial].tolist())})"
                 )
-            excluded += 1
-            continue
-        err = result.estimate - T
+        status, estimate = mle_batch(cfg.spectrum, counts, bracket=cfg.mle_bracket)
+    else:
+        estimate, _ = bayes_batch(
+            cfg.spectrum, counts, cfg.effective_prior(), cfg.bayes_grid_size
+        )
+        status = np.full(cfg.trials, INTERIOR, dtype=object)
+
+    usable = status == INTERIOR
+    usable_estimates = estimate[usable].tolist()
+    sum_sq = 0.0
+    sum_est = 0.0
+    for est in usable_estimates:
+        err = est - T
         sum_sq += err * err
-        sum_est += result.estimate
-        used += 1
+        sum_est += est
+    used = len(usable_estimates)
     if used == 0:
         raise DegenerateExperimentError(
             f"all {cfg.trials} trials were degenerate; no usable estimates"
@@ -185,8 +210,12 @@ def run_experiment(cfg: ExperimentConfig) -> SaturationReport:
         crb=crb,
         ratio=mse / crb,
         mean_estimate=sum_est / used,
-        excluded_trials=excluded,
+        excluded_trials=cfg.trials - used,
         trials_used=used,
+        excluded_by_status={
+            s: int(np.count_nonzero(status == s))
+            for s in (AT_LOWER_BOUND, AT_UPPER_BOUND, NON_INVERTIBLE)
+        },
     )
 
 

@@ -162,25 +162,36 @@ def make_spectrum(
     return Spectrum(tuple(merged_e), tuple(merged_m), label=label)
 
 
-def gibbs_state(spectrum: Spectrum, T: float) -> ThermalState:
-    """Canonical Gibbs state of ``spectrum`` at temperature ``T > 0``.
+def gibbs_probs(spectrum: Spectrum, temps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gibbs occupations at each of ``temps`` (one row per temperature) and each Z'.
 
     Occupations are m_n exp(-(E_n - E_0)/T) / Z' with
     Z' = sum_k m_k exp(-(E_k - E_0)/T); the ground shift leaves the
     probabilities identical to the unshifted definition while keeping
-    every exponent <= 0.
+    every exponent <= 0. Each row is computed alone, so its bits do not
+    depend on the other temperatures. ``temps`` must be positive and finite.
     """
+    w = spectrum._weights * np.exp(-spectrum._shifted / temps[:, None])
+    z = w.sum(axis=1, keepdims=True)  # >= m_0 >= 1, so the log is always safe
+    return w / z, z[:, 0]
+
+
+def shifted_means(spectrum: Spectrum, temps: np.ndarray) -> np.ndarray:
+    """<H - E_0> at each of ``temps``; row for row equal to :func:`mean_energy` - E_0."""
+    return np.vecdot(gibbs_probs(spectrum, temps)[0], spectrum._shifted)
+
+
+def gibbs_state(spectrum: Spectrum, T: float) -> ThermalState:
+    """Canonical Gibbs state of ``spectrum`` at ``T > 0``: one row of :func:`gibbs_probs`."""
     T = _validate_temperature(T)
-    de = spectrum._shifted
-    w = spectrum._weights * np.exp(-de / T)
-    z = w.sum()  # >= m_0 >= 1, so the log is always safe
-    probs = w / z
+    probs, z = gibbs_probs(spectrum, np.array([T]))
+    probs = probs[0]
     probs.flags.writeable = False
     return ThermalState(
         spectrum=spectrum,
         temperature=T,
         probs=probs,
-        log_partition=float(np.log(z)),
+        log_partition=float(np.log(z[0])),
         energy_shift=spectrum.ground_energy,
     )
 
@@ -197,7 +208,7 @@ def gibbs_log_probs(spectrum: Spectrum, T: float) -> np.ndarray:
 
 def _shifted_mean(state: ThermalState) -> float:
     """Mean of E - E_0 under the state (no cancellation: all terms >= 0)."""
-    return float(state.probs @ state.spectrum._shifted)
+    return float(np.vecdot(state.probs, state.spectrum._shifted))
 
 
 def mean_energy(state: ThermalState) -> float:

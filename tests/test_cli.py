@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from thermometry import two_level_factor
+from thermometry import GENERATOR_ID, two_level_factor
 from thermometry.cli import main
 
 TWO_LEVEL_SPECTRUM = {"label": "qubit", "levels": [{"energy": 0.0}, {"energy": 1.0}]}
@@ -239,6 +240,70 @@ def test_simulate_abort_policy_exits_4(capsys, tmp_path):
     code, _, err = run_cli(capsys, "simulate", "--config", str(path))
     assert code == 4
     assert "degenerate" in err
+    # the first degenerate trial in trial order, with its counts
+    assert err == (
+        "error: trial 3 produced a degenerate sample (status non_invertible, counts (3, 6))\n"
+    )
+
+
+FIVE_LEVEL_SPECTRUM = {
+    "label": "five",
+    "levels": [
+        {"energy": 0.0, "degeneracy": 1},
+        {"energy": 0.5, "degeneracy": 2},
+        {"energy": 1.0, "degeneracy": 3},
+        {"energy": 1.5, "degeneracy": 2},
+        {"energy": 2.0, "degeneracy": 1},
+    ],
+}
+
+
+def _report_digest(out: str) -> str:
+    # the generator line names the numpy version; the report bits are what is pinned
+    return hashlib.sha256(out.replace(GENERATOR_ID, "<generator>").encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "config,digest",
+    [
+        (
+            {"spectrum": TWO_LEVEL_SPECTRUM, "true_temperature": 1.0 / 2.4,
+             "shots_per_trial": 200, "trials": 300, "estimator": "mle", "seed": 11,
+             "degenerate_sample_policy": "exclude_and_report"},
+            "bbd0814df08e43dc0243f714ae5d7e1c27db00628bef6e3655797ac48eefb975",
+        ),
+        (
+            {"spectrum": FIVE_LEVEL_SPECTRUM, "true_temperature": 0.4,
+             "shots_per_trial": 500, "trials": 100, "estimator": "bayes", "seed": 5,
+             "degenerate_sample_policy": "exclude_and_report", "bayes_grid_size": 1024},
+            "df279f5b975563a1b0eefc3e5f53e56d65457475a8eb818d1b4fd4b27fb34734",
+        ),
+    ],
+    ids=["mle", "bayes"],
+)
+def test_simulate_report_bytes_pinned(capsys, tmp_path, config, digest):
+    # digests of the reports written by the one-trial-at-a-time implementation
+    path = tmp_path / "run.cfg"
+    path.write_text(json.dumps(config))
+    code, out, _ = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 0
+    assert _report_digest(out) == digest
+
+
+def test_sweep_csv_bytes_pinned(capsys, spectrum_file):
+    code, out, _ = run_cli(
+        capsys,
+        "sweep",
+        "--spectrum", spectrum_file,
+        "--temperatures", str(1.0 / 1.2), str(1.0 / 2.4), str(1.0 / 4.8),
+        "--shots", "50",
+        "--trials", "40",
+        "--seed", "7",
+    )
+    assert code == 0
+    assert _report_digest(out) == (
+        "24d3c9a430690c9c7a3440356ffc83493405cb86f6eba0946a273dddbe430842"
+    )
 
 
 def test_simulate_malformed_config_exits_2(capsys, tmp_path):

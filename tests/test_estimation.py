@@ -22,7 +22,7 @@ from thermometry import (
     trial_rng,
     two_level_factor,
 )
-from thermometry.estimation import log_likelihood
+from thermometry.estimation import bayes_batch, log_likelihood, mle_batch, mle_status
 
 QUBIT = make_spectrum([(0.0, 1), (1.0, 1)], label="qubit")
 
@@ -171,6 +171,93 @@ def test_mle_likelihood_certificate(k0, k1):
     peak = log_likelihood(sample, that)
     assert peak >= log_likelihood(sample, that * (1 + 1e-4))
     assert peak >= log_likelihood(sample, that * (1 - 1e-4))
+
+
+def test_mle_batch_exact_two_level_oracle():
+    # m0 = m1 = 1: the moment equation inverts to T(k) = gap / ln((M - k)/k)
+    gap, shots = 0.7, 1000
+    spectrum = make_spectrum([(0.0, 1), (gap, 1)])
+    k = np.arange(shots + 1)
+    status, estimate = mle_batch(spectrum, np.column_stack([shots - k, k]))
+    assert status[0] == AT_LOWER_BOUND and math.isnan(estimate[0])
+    for j in range(1, shots // 2):
+        assert status[j] == INTERIOR
+        assert estimate[j] == pytest.approx(gap / math.log((shots - j) / j), rel=1e-11)
+    assert all(s == NON_INVERTIBLE for s in status[shots // 2:])
+    assert np.isnan(estimate[shots // 2:]).all()
+
+
+def test_batch_rows_equal_single_sample_calls():
+    # a row's result must not depend on the rows batched with it
+    s = make_spectrum([(0.0, 1), (0.3, 2), (0.5, 1), (0.9, 3), (1.4, 1), (2.0, 2),
+                       (2.2, 1), (3.1, 1), (4.0, 2)])
+    rng = np.random.default_rng(5)
+    probs = np.array([0.3, 0.2, 0.1, 0.15, 0.05, 0.1, 0.04, 0.03, 0.03])
+    counts = rng.multinomial(40, probs, size=120)
+    status, estimate = mle_batch(s, counts)
+    assert list(mle_status(s, counts)) == list(status)
+    means, sds = bayes_batch(s, counts[:20], (0.05, 20.0), 256)
+    for i, row in enumerate(counts):
+        single = mle_temperature(SampleSet(spectrum=s, counts=tuple(row.tolist())))
+        assert single.status == status[i]
+        if single.status == INTERIOR:
+            assert single.estimate == estimate[i]
+    for i, row in enumerate(counts[:20]):
+        post = bayes_posterior(SampleSet(spectrum=s, counts=tuple(row.tolist())),
+                               (0.05, 20.0), 256)
+        assert (post.mean, post.sd) == (means[i], sds[i])
+
+
+def test_counts_at_multiplicities_are_non_invertible_in_a_batch():
+    # counts = m put the sample mean exactly at the T -> infinity mean, in every row
+    s = make_spectrum([(k * 0.01, m) for k, m in
+                       [(0, 3), (639, 3), (691, 1), (844, 1)]])
+    status, _ = mle_batch(s, np.tile(s.multiplicities, (7, 1)))
+    assert all(st_ == NON_INVERTIBLE for st_ in status)
+
+
+def test_mle_batch_rejects_wrong_shape():
+    with pytest.raises(ValueError):
+        mle_batch(QUBIT, np.array([1, 2]))
+    with pytest.raises(ValueError):
+        mle_batch(QUBIT, np.array([[1, 2, 3]]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-4096, max_value=4096), min_size=2, max_size=5, unique=True),
+    st.integers(min_value=-10**8, max_value=10**8),
+    st.data(),
+)
+def test_estimates_invariant_under_energy_shift(levels, shift, data):
+    # dyadic energies k/2^10 plus an integer shift keep E + c - c exact
+    energies = [k / 1024.0 for k in levels]
+    base = make_spectrum([(e, 1) for e in energies])
+    shifted = make_spectrum([(e + shift, 1) for e in energies])
+    assert shifted.gaps == base.gaps
+    counts = tuple(
+        data.draw(st.lists(st.integers(min_value=0, max_value=500),
+                           min_size=base.n_levels, max_size=base.n_levels)
+                  .filter(lambda c: sum(c) > 0))
+    )
+    a = mle_temperature(SampleSet(spectrum=base, counts=counts))
+    b = mle_temperature(SampleSet(spectrum=shifted, counts=counts))
+    assert (a.status, a.estimate) == (b.status, b.estimate)
+    prior = (0.05 * base.spread, 5.0 * base.spread)
+    pa = bayes_posterior(SampleSet(spectrum=base, counts=counts), prior, 256)
+    pb = bayes_posterior(SampleSet(spectrum=shifted, counts=counts), prior, 256)
+    assert (pa.mean, pa.sd) == (pb.mean, pb.sd)
+
+
+def test_mle_shift_example():
+    # a 1e-3 gap lifted by 1e8: the unshifted sample mean used to move this estimate
+    counts = (700, 300)
+    base = mle_temperature(SampleSet(spectrum=make_spectrum([(0.0, 1), (1e-3, 1)]), counts=counts))
+    lifted = make_spectrum([(1e8, 1), (1e8 + 1e-3, 1)])
+    moved = mle_temperature(SampleSet(spectrum=lifted, counts=counts))
+    assert base.estimate == pytest.approx(0.0011802225011441885, rel=1e-12)
+    # the lifted gap is 1e-3 only to the float spacing at 1e8; T scales with it
+    assert moved.estimate == pytest.approx(base.estimate * lifted.gap / 1e-3, rel=1e-10)
 
 
 @pytest.mark.parametrize("shots,tolerance", [(100, 0.03), (1000, 0.01)])

@@ -5,12 +5,15 @@ import pytest
 
 from thermometry import (
     ABORT,
+    AT_LOWER_BOUND,
+    AT_UPPER_BOUND,
     BAYES,
     DegenerateExperimentError,
     EXCLUDE_AND_REPORT,
     GENERATOR_ID,
     InputFormatError,
     MLE,
+    NON_INVERTIBLE,
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
@@ -24,6 +27,8 @@ from thermometry import (
     trial_rng,
     two_level_factor,
 )
+from thermometry import montecarlo
+from thermometry.montecarlo import DRAW_CHUNK, draw_counts
 
 QUBIT = make_spectrum([(0.0, 1), (1.0, 1)], label="qubit")
 P1_UNIT = 0.2689414213699951
@@ -78,6 +83,26 @@ def test_draw_sample_multilevel_coverage():
         assert abs(count / shots - p) < 5.0 * sigma
 
 
+def test_draw_counts_rows_equal_draw_sample():
+    s = make_spectrum([(0.0, 1), (0.2, 2), (0.5, 1), (1.0, 3)])
+    counts = draw_counts(s, 0.6, 300, (trial_rng(4, t) for t in range(25)))
+    assert counts.shape == (25, 4)
+    for t, row in enumerate(counts):
+        assert tuple(row.tolist()) == draw_sample(s, 0.6, 300, trial_rng(4, t)).counts
+
+
+def test_chunked_draw_equals_one_shot_draw():
+    # several chunks plus a remainder continue the stream exactly as one draw
+    shots = 200_000
+    assert shots > 3 * DRAW_CHUNK
+    s = make_spectrum([(0.0, 1), (0.2, 2), (0.5, 1), (1.0, 3)])
+    cum = np.cumsum(gibbs_state(s, 0.8).probs)
+    u = trial_rng(13, 2).random(shots)
+    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+    expected = tuple(np.bincount(idx, minlength=len(cum)).tolist())
+    assert draw_sample(s, 0.8, shots, trial_rng(13, 2)).counts == expected
+
+
 def test_draw_sample_validation():
     with pytest.raises(ValueError):
         draw_sample(QUBIT, 1.0, 0, trial_rng(0, 0))
@@ -129,6 +154,38 @@ def test_abort_policy_raises_quickly():
                             trials=100, degenerate_sample_policy=ABORT)
     with pytest.raises(DegenerateExperimentError):
         run_experiment(cfg)
+
+
+def test_abort_policy_raises_before_estimating(monkeypatch):
+    # statuses are known before bisection, so an aborting run never bisects
+    def no_bisection(*args, **kwargs):
+        raise AssertionError("mle_batch called on an aborting run")
+
+    monkeypatch.setattr(montecarlo, "mle_batch", no_bisection)
+    cfg = saturation_config(true_temperature=100.0, shots_per_trial=9,
+                            trials=100, degenerate_sample_policy=ABORT)
+    with pytest.raises(DegenerateExperimentError, match="produced a degenerate sample"):
+        run_experiment(cfg)
+
+
+@pytest.mark.parametrize(
+    "overrides,expected",
+    [
+        # gap/T = 6 at M = 50, as in a frozen sweep: most samples are all-ground
+        (dict(true_temperature=1.0 / 6.0, shots_per_trial=50, trials=150, seed=6),
+         {AT_LOWER_BOUND: 133, AT_UPPER_BOUND: 0, NON_INVERTIBLE: 0}),
+        # a narrow bracket produces every status
+        (dict(true_temperature=1.0, shots_per_trial=20, trials=2000, seed=9,
+              mle_bracket=(0.5, 2.0)),
+         {AT_LOWER_BOUND: 124, AT_UPPER_BOUND: 234, NON_INVERTIBLE: 60}),
+    ],
+)
+def test_excluded_by_status(overrides, expected):
+    cfg = saturation_config(**overrides)
+    report = run_experiment(cfg)
+    assert report.excluded_by_status == expected
+    assert sum(report.excluded_by_status.values()) == report.excluded_trials
+    assert "excluded_by_status" not in report_to_dict(report, cfg)
 
 
 def test_zero_usable_trials_is_an_error():

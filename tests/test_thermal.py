@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _strategies import multi_level_spectra, spectra, temperatures
@@ -19,6 +19,7 @@ from thermometry import (
     spectrum_from_dict,
     spectrum_to_dict,
 )
+from thermometry.thermal import _shifted_mean, gibbs_probs, shifted_means
 
 # e^-1 / (1 + e^-1): excited-state occupation of a unit-gap system at T = 1
 P1_UNIT = 0.2689414213699951
@@ -230,11 +231,32 @@ def test_nondegenerate_levels_are_boltzmann_ordered(s, T):
 
 
 @settings(max_examples=60, deadline=None)
+@given(spectra(), st.lists(temperatures(), min_size=1, max_size=6))
+def test_batched_gibbs_rows_equal_gibbs_state(s, temps):
+    # one arithmetic for every Gibbs state: each batched row is bitwise the
+    # single-temperature state, whatever the other temperatures in the batch
+    probs, z = gibbs_probs(s, np.array(temps))
+    means = shifted_means(s, np.array(temps))
+    for i, T in enumerate(temps):
+        state = gibbs_state(s, T)
+        assert np.array_equal(probs[i], state.probs)
+        assert float(np.log(z[i])) == state.log_partition
+        assert means[i] == _shifted_mean(state)
+
+
+@settings(max_examples=60, deadline=None)
 @given(multi_level_spectra())
+@example(make_spectrum([(-8.09, 4), (10.0, 1)]))
 def test_mean_energy_increases_with_temperature(s):
     grid = [0.2, 0.5, 1.0, 2.0, 5.0, 20.0]
+    # Measured from the ground level the mean rises strictly. Added to a
+    # nonzero E_0 the excess can fall below the float spacing of E_0 (about
+    # 1e-39 at T = 0.2 for the example), so there it need only not fall.
+    ground = make_spectrum([(e - s.ground_energy, m) for e, m in zip(s.energies, s.multiplicities)])
+    excess = [mean_energy(gibbs_state(ground, T)) for T in grid]
+    assert all(a < b for a, b in zip(excess, excess[1:]))
     means = [mean_energy(gibbs_state(s, T)) for T in grid]
-    assert all(a < b for a, b in zip(means, means[1:]))
+    assert all(a <= b for a, b in zip(means, means[1:]))
 
 
 @settings(max_examples=100, deadline=None)
