@@ -19,9 +19,8 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq, minimize, minimize_scalar
 
-from .errors import InputFormatError
+from .errors import InputFormatError, number, positive, positive_interval, require
 from .fisher import UNBOUNDED, _Unbounded
-from .thermal import _validate_temperature
 
 __all__ = [
     "MinimumResult",
@@ -40,13 +39,8 @@ __all__ = [
 
 # Above this argument cosh overflows float64; switch to the asymptotic branch.
 _ASYMPTOTIC_X = 700.0
-
-
-def _validate_ratio(x: float, name: str = "x") -> float:
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"{name} must be finite and > 0, got {x!r}")
-    return x
+# Brent steps per tuning root: ~6.5 per decade of width/tol, so any float64 range fits.
+_ROOT_MAXITER = 4000
 
 
 def two_level_factor(x: float) -> float:
@@ -54,13 +48,15 @@ def two_level_factor(x: float) -> float:
 
     Diverges as 4/x^2 for x -> 0 and as e^x/x^2 for x -> infinity. Above
     x = 700 the e^x/x^2 branch is used (relative error ~ 2 e^{-x}); if even
-    that exceeds the float64 range the factor saturates to ``inf``.
+    that exceeds the float64 range, or x^2 underflows to 0, the factor
+    saturates to ``inf``.
     """
-    x = _validate_ratio(x)
+    x = positive(x, "x")
     if x > _ASYMPTOTIC_X:
         t = x - 2.0 * math.log(x)
         return math.exp(t) if t < 709.0 else math.inf
-    return 2.0 * (1.0 + math.cosh(x)) / (x * x)
+    x2 = x * x
+    return 2.0 * (1.0 + math.cosh(x)) / x2 if x2 > 0.0 else math.inf
 
 
 def three_level_factor(x: float, y: float) -> float:
@@ -79,8 +75,8 @@ def three_level_factor(x: float, y: float) -> float:
     can only vanish by underflow (x, y beyond ~745), which is reported
     as an explicit error rather than returned as inf/NaN.
     """
-    x = _validate_ratio(x, "x")
-    y = _validate_ratio(y, "y")
+    x = positive(x, "x")
+    y = positive(y, "y")
     ex = math.exp(-x)
     ey = math.exp(-y)
     num = (1.0 + ex + ey) ** 2
@@ -93,10 +89,11 @@ def three_level_factor(x: float, y: float) -> float:
 
 
 def three_level_factor_diagonal(x: float) -> float:
-    """Closed form (2 + e^x)^2 / (2 x^2 e^x) of the factor on the x = y diagonal."""
-    x = _validate_ratio(x)
+    """Closed form (2 + e^x)^2 / (2 x^2 e^x) on the diagonal; inf where x^2 underflows."""
+    x = positive(x, "x")
     half = math.exp(0.5 * x) if x < 1400.0 else math.inf
-    return (2.0 / half + half) ** 2 / (2.0 * x * x)
+    den = 2.0 * x * x
+    return (2.0 / half + half) ** 2 / den if den > 0.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -133,11 +130,8 @@ def minimize_two_level_factor(
     The minimum is the single root of x tanh(x/2) = 2, found by Brent's
     root finder to ``tol`` in x.
     """
-    a, b = float(bracket[0]), float(bracket[1])
-    if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or a >= b:
-        raise ValueError(f"bracket must satisfy 0 < a < b, got {bracket!r}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+    a, b = positive_interval(bracket, "bracket")
+    tol = positive(tol, "tol")
     if _two_level_stationarity(a) >= 0.0 or _two_level_stationarity(b) <= 0.0:
         raise ValueError(f"bracket {bracket!r} does not contain an interior minimum")
     xm, info = brentq(_two_level_stationarity, a, b, xtol=tol, full_output=True, disp=False)
@@ -163,8 +157,7 @@ def minimize_three_level_factor(tol: float = 1e-10) -> MinimumResult:
     with an off-diagonal Nelder-Mead polish that the diagonal point is a
     genuine 2-D minimum.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+    tol = positive(tol, "tol")
     xd, info = brentq(_diagonal_stationarity, 0.5, 10.0, xtol=tol, full_output=True, disp=False)
     value = three_level_factor(xd, xd)
 
@@ -197,7 +190,7 @@ def two_level_crb(T: float, gap: float) -> float | _Unbounded:
     A zero gap carries no temperature information, so the floor is
     :data:`UNBOUNDED` there (the factor diverges as 4/x^2).
     """
-    T = _validate_temperature(T)
+    T = positive(T, "temperature")
     gap = float(gap)
     if not math.isfinite(gap) or gap < 0.0:
         raise ValueError(f"gap must be finite and >= 0, got {gap!r}")
@@ -213,11 +206,8 @@ def gapped_divergence_factor(T: float, gap: float) -> float:
     = 2 (1 + cosh x) e^{-x} = (1 + e^{-x})^2 at x = gap/T; the shifted
     form is used so no intermediate can overflow. Tends to 1 as T -> 0.
     """
-    T = _validate_temperature(T)
-    gap = float(gap)
-    if not math.isfinite(gap) or gap <= 0.0:
-        raise ValueError(f"gap must be finite and > 0, got {gap!r}")
-    ex = math.exp(-gap / T)
+    T = positive(T, "temperature")
+    ex = math.exp(-positive(gap, "gap") / T)
     return (1.0 + ex) ** 2
 
 
@@ -383,9 +373,10 @@ def tune_gap(family: GapFamily, T: float, tol: float = 1e-10) -> TuneResult:
     grid and refined in the winning cell. Endpoints always compete, so
     boundary optima are exact.
     """
-    T = _validate_temperature(T)
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+    T = positive(T, "temperature")
+    if not 0.0 < T * T < math.inf:  # the floor is T^2 times a factor
+        raise ValueError(f"temperature {T!r} is out of range: T^2 under- or overflows")
+    tol = positive(tol, "tol")
     objective = _family_objective(family, T)
     lo, hi = family.lambda_min, family.lambda_max
 
@@ -398,7 +389,7 @@ def tune_gap(family: GapFamily, T: float, tol: float = 1e-10) -> TuneResult:
         candidates = list(family.breaks)
         for a, b in zip(family.breaks[:-1], family.breaks[1:]):
             if excess(a) * excess(b) < 0.0:
-                candidates.append(brentq(excess, a, b, xtol=tol))
+                candidates.append(brentq(excess, a, b, xtol=tol, maxiter=_ROOT_MAXITER))
     else:
         grid = np.linspace(lo, hi, 1000)
         values = [objective(lam) for lam in grid]
@@ -429,15 +420,6 @@ def tune_gap(family: GapFamily, T: float, tol: float = 1e-10) -> TuneResult:
 # Gap-family configuration block
 # ---------------------------------------------------------------------------
 
-def _require_number(data: dict, key: str) -> float:
-    if key not in data:
-        raise InputFormatError(f"gap family is missing the '{key}' field")
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputFormatError(f"'{key}' must be a number, got {value!r}")
-    return float(value)
-
-
 def family_from_dict(data: dict) -> GapFamily:
     """Parse a gap-family configuration block.
 
@@ -449,32 +431,38 @@ def family_from_dict(data: dict) -> GapFamily:
         raise InputFormatError("gap family must be an object with a 'kind' field")
     kind = data.get("kind")
     description = data.get("description", "")
+
+    def field(key: str) -> float:
+        return number(require(data, key, "gap family"), key)
+
     try:
         if kind == "linear":
             return GapFamily.linear(
-                _require_number(data, "slope"),
-                _require_number(data, "intercept"),
-                _require_number(data, "lambda_min"),
-                _require_number(data, "lambda_max"),
+                field("slope"),
+                field("intercept"),
+                field("lambda_min"),
+                field("lambda_max"),
                 description=description,
             )
         if kind == "quadratic":
             return GapFamily.quadratic(
-                _require_number(data, "curvature"),
-                _require_number(data, "center"),
-                _require_number(data, "gap_min"),
-                _require_number(data, "lambda_min"),
-                _require_number(data, "lambda_max"),
+                field("curvature"),
+                field("center"),
+                field("gap_min"),
+                field("lambda_min"),
+                field("lambda_max"),
                 description=description,
             )
         if kind == "table":
             points = data.get("points")
             if not isinstance(points, list) or not points:
                 raise InputFormatError("table family needs a non-empty 'points' array")
+            pairs = []
             for i, pt in enumerate(points):
                 if not isinstance(pt, (list, tuple)) or len(pt) != 2:
                     raise InputFormatError(f"points[{i}] must be a [lambda, gap] pair")
-            return GapFamily.from_table(points, description=description)
+                pairs.append((number(pt[0], f"points[{i}][0]"), number(pt[1], f"points[{i}][1]")))
+            return GapFamily.from_table(pairs, description=description)
     except ValueError as exc:
         if isinstance(exc, InputFormatError):
             raise

@@ -22,7 +22,13 @@ from .bounds import (
     tune_gap,
     two_level_factor,
 )
-from .errors import DegenerateExperimentError, InputFormatError
+from .errors import (
+    DegenerateExperimentError,
+    InputFormatError,
+    at_least,
+    positive,
+    positive_interval,
+)
 from .estimation import bayes_posterior, default_bracket, mle_temperature, sample_from_dict
 from .fisher import UNBOUNDED, fisher_report
 from .montecarlo import (
@@ -36,20 +42,6 @@ from .thermal import load_json, load_spectrum
 __all__ = ["main", "run"]
 
 
-def _positive(value: float, flag: str) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValueError(f"invalid {flag}: must be finite and > 0, got {value!r}")
-    return value
-
-
-def _at_least(value: int, minimum: int, flag: str) -> int:
-    value = int(value)
-    if value < minimum:
-        raise ValueError(f"invalid {flag}: must be >= {minimum}, got {value}")
-    return value
-
-
 def _crb_value(crb):
     return "unbounded" if crb is UNBOUNDED else crb
 
@@ -58,9 +50,12 @@ def _json_text(data: dict) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
-def _grid(lo: float, hi: float, step: float, flag: str) -> list[float]:
+def _axis(args) -> list[float]:
+    """Grid from ``--min`` to ``--max`` in steps of ``--step`` (shared by gfun and hfun)."""
+    lo, hi = positive_interval((args.min, args.max), "--min/--max")
+    step = positive(args.step, "--step")
     if step > hi - lo:
-        raise ValueError(f"invalid {flag}: step {step!r} exceeds the range [{lo!r}, {hi!r}]")
+        raise ValueError(f"--step {step!r} exceeds the range [{lo!r}, {hi!r}]")
     n = int(math.floor((hi - lo) / step + 1e-9))
     return [lo + i * step for i in range(n + 1)]
 
@@ -70,8 +65,8 @@ def _grid(lo: float, hi: float, step: float, flag: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def _cmd_bound(args) -> str:
-    T = _positive(args.temperature, "--temperature")
-    shots = _at_least(args.shots, 1, "--shots")
+    T = positive(args.temperature, "--temperature")
+    shots = at_least(args.shots, 1, "--shots")
     spectrum = load_spectrum(args.spectrum)
     report = fisher_report(spectrum, T)
     return _json_text(
@@ -89,33 +84,24 @@ def _cmd_bound(args) -> str:
 
 
 def _cmd_gfun(args) -> str:
-    lo = _positive(args.min, "--min")
-    hi = _positive(args.max, "--max")
-    step = _positive(args.step, "--step")
-    if lo >= hi:
-        raise ValueError(f"invalid range: --min {lo!r} must be below --max {hi!r}")
+    axis = _axis(args)
     lines = [
         "# two-level bound factor 2(1+cosh x)/x^2",
-        f"# x from {lo!r} to {hi!r} step {step!r}",
+        f"# x from {args.min!r} to {args.max!r} step {args.step!r}",
         "x,g",
     ]
-    for x in _grid(lo, hi, step, "--step"):
+    for x in axis:
         lines.append(f"{x!r},{two_level_factor(x)!r}")
     return "\n".join(lines) + "\n"
 
 
 def _cmd_hfun(args) -> str:
-    lo = _positive(args.min, "--min")
-    hi = _positive(args.max, "--max")
-    step = _positive(args.step, "--step")
-    if lo >= hi:
-        raise ValueError(f"invalid range: --min {lo!r} must be below --max {hi!r}")
+    axis = _axis(args)
     lines = [
         "# three-level bound factor on a square grid",
-        f"# x and y from {lo!r} to {hi!r} step {step!r}",
+        f"# x and y from {args.min!r} to {args.max!r} step {args.step!r}",
         "x,y,h",
     ]
-    axis = _grid(lo, hi, step, "--step")
     for x in axis:
         for y in axis:
             lines.append(f"{x!r},{y!r},{three_level_factor(x, y)!r}")
@@ -145,9 +131,9 @@ def _cmd_minima(args) -> str:
 
 
 def _cmd_sweep(args) -> str:
-    temps = [_positive(T, "--temperatures") for T in args.temperatures]
-    shots = _at_least(args.shots, 1, "--shots")
-    trials = _at_least(args.trials, 1, "--trials")
+    temps = [positive(T, "--temperatures") for T in args.temperatures]
+    shots = at_least(args.shots, 1, "--shots")
+    trials = at_least(args.trials, 1, "--trials")
     spectrum = load_spectrum(args.spectrum)
     reports = sweep_saturation(
         spectrum,
@@ -178,7 +164,7 @@ def _cmd_simulate(args) -> str:
 
 
 def _cmd_tune(args) -> str:
-    T = _positive(args.temperature, "--temperature")
+    T = positive(args.temperature, "--temperature")
     family = family_from_dict(load_json(args.family))
     tol = 1e-10
     result = tune_gap(family, T, tol=tol)
@@ -201,9 +187,7 @@ def _cmd_estimate(args) -> str:
     spectrum = load_spectrum(args.spectrum)
     sample = sample_from_dict(load_json(args.sample), spectrum)
     if args.bracket is not None:
-        lo = _positive(args.bracket[0], "--bracket")
-        hi = _positive(args.bracket[1], "--bracket")
-        bracket = (lo, hi)
+        bracket = positive_interval(args.bracket, "--bracket")
     else:
         bracket = default_bracket(spectrum)
     result = mle_temperature(sample, bracket=bracket)
@@ -215,8 +199,8 @@ def _cmd_estimate(args) -> str:
         "estimate": result.estimate,
     }
     if args.prior is not None:
-        prior = (_positive(args.prior[0], "--prior"), _positive(args.prior[1], "--prior"))
-        grid = _at_least(args.grid, 64, "--grid")
+        prior = positive_interval(args.prior, "--prior")
+        grid = at_least(args.grid, 64, "--grid")
         post = bayes_posterior(sample, prior, grid)
         out["posterior_mean"] = post.mean
         out["posterior_sd"] = post.sd

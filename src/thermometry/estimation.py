@@ -20,12 +20,11 @@ whole spectrum by a constant leaves every estimate unchanged.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputFormatError
+from .errors import InputFormatError, at_least, integer, positive_interval
 from .thermal import Spectrum, gibbs_log_probs, shifted_means
 
 __all__ = [
@@ -93,8 +92,6 @@ class EstimateResult:
 
     status: str
     estimate: float | None = None
-    posterior_mean: float | None = None
-    posterior_sd: float | None = None
 
 
 def default_bracket(spectrum: Spectrum) -> tuple[float, float]:
@@ -105,13 +102,6 @@ def default_bracket(spectrum: Spectrum) -> tuple[float, float]:
             "default bracket undefined for a single-level spectrum; pass an explicit bracket"
         )
     return (BRACKET_SPAN[0] * span, BRACKET_SPAN[1] * span)
-
-
-def _positive_interval(interval, what: str) -> tuple[float, float]:
-    lo, hi = float(interval[0]), float(interval[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0.0 or lo >= hi:
-        raise ValueError(f"{what} must satisfy 0 < lo < hi, got {interval!r}")
-    return lo, hi
 
 
 def _counts_matrix(spectrum: Spectrum, counts) -> np.ndarray:
@@ -130,7 +120,7 @@ def _moment_problem(spectrum: Spectrum, counts, bracket):
     """
     if bracket is None:
         bracket = default_bracket(spectrum)
-    bracket = _positive_interval(bracket, "bracket")
+    bracket = positive_interval(bracket, "bracket")
     counts = _counts_matrix(spectrum, counts)
     de = spectrum._shifted
     m = spectrum._weights
@@ -222,9 +212,8 @@ class Posterior:
 
 def _bayes_grid(spectrum: Spectrum, prior: tuple[float, float], grid_size: int):
     """Uniform temperature grid, log weights log(m_n) - (E_n - E_0)/T on it, and log Z'."""
-    lo, hi = _positive_interval(prior, "prior interval")
-    if grid_size < 64:
-        raise ValueError(f"grid_size must be >= 64, got {grid_size}")
+    lo, hi = positive_interval(prior, "prior interval")
+    at_least(grid_size, 64, "grid_size")
     temps = np.linspace(lo, hi, grid_size)
     # log p_n(T) on the grid: shape (grid, levels)
     logw = -np.outer(1.0 / temps, spectrum._shifted) + np.log(spectrum._weights)
@@ -305,9 +294,7 @@ def sample_from_dict(data: dict, spectrum: Spectrum) -> SampleSet:
     counts = data.get("counts")
     if not isinstance(counts, list) or not counts:
         raise InputFormatError("sample is missing a non-empty 'counts' array")
-    for i, c in enumerate(counts):
-        if isinstance(c, bool) or not isinstance(c, numbers.Integral):
-            raise InputFormatError(f"counts[{i}] must be an integer, got {c!r}")
+    counts = [integer(c, f"counts[{i}]") for i, c in enumerate(counts)]
     label = data.get("spectrum_label")
     if label is not None and label != spectrum.label:
         raise InputFormatError(
@@ -315,7 +302,7 @@ def sample_from_dict(data: dict, spectrum: Spectrum) -> SampleSet:
             f"{spectrum.label!r}"
         )
     try:
-        sample = SampleSet(spectrum=spectrum, counts=tuple(int(c) for c in counts))
+        sample = SampleSet(spectrum=spectrum, counts=tuple(counts))
     except ValueError as exc:
         raise InputFormatError(f"invalid sample: {exc}") from exc
     declared = data.get("M")

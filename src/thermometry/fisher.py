@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .thermal import Spectrum, _shifted_mean, _validate_temperature, energy_variance, gibbs_state
+from .errors import at_least
+from .thermal import Spectrum, ThermalState, _shifted_mean, energy_variance, gibbs_state
 
 __all__ = [
     "UNBOUNDED",
@@ -44,18 +45,32 @@ class _Unbounded:
 UNBOUNDED = _Unbounded()
 
 
+def _sld(state: ThermalState) -> np.ndarray:
+    """(E_n - <H>)/T^2 under ``state``, computed in shifted coordinates."""
+    T = state.temperature
+    return (state.spectrum._shifted - _shifted_mean(state)) / (T * T)
+
+
 def sld_eigenvalues(spectrum: Spectrum, T: float) -> np.ndarray:
     """Eigenvalues (E_n - <H>)/T^2 of the logarithmic derivative, in level order."""
-    T = _validate_temperature(T)
-    state = gibbs_state(spectrum, T)
-    de = spectrum._shifted
-    return (de - _shifted_mean(state)) / (T * T)
+    return _sld(gibbs_state(spectrum, T))
+
+
+def _fourth_power(T: float) -> float:
+    """T^4, the Fisher denominator; ValueError where it leaves the float range."""
+    try:
+        t4 = T**4
+    except OverflowError:
+        t4 = 0.0
+    if t4 == 0.0:
+        raise ValueError(f"temperature {T!r} is out of range: T^4 under- or overflows")
+    return t4
 
 
 def fisher_information(spectrum: Spectrum, T: float) -> float:
     """Fisher information of energy measurement, F = <dH^2>/T^4."""
-    T = _validate_temperature(T)
-    return energy_variance(gibbs_state(spectrum, T)) / T**4
+    state = gibbs_state(spectrum, T)
+    return energy_variance(state) / _fourth_power(state.temperature)
 
 
 @dataclass(frozen=True)
@@ -73,8 +88,7 @@ class FisherReport:
 
     def crb_m_shots(self, shots: int) -> float | _Unbounded:
         """Variance floor after ``shots`` independent measurements (1/(M F))."""
-        if shots < 1:
-            raise ValueError(f"shots must be >= 1, got {shots}")
+        at_least(shots, 1, "shots")
         if self.crb_single_shot is UNBOUNDED:
             return UNBOUNDED
         return self.crb_single_shot / shots
@@ -82,11 +96,11 @@ class FisherReport:
 
 def fisher_report(spectrum: Spectrum, T: float) -> FisherReport:
     """Evaluate the full estimation-precision report for ``spectrum`` at ``T``."""
-    T = _validate_temperature(T)
     state = gibbs_state(spectrum, T)
+    T = state.temperature
     var = energy_variance(state)
-    fisher = var / T**4
-    sld = (spectrum._shifted - _shifted_mean(state)) / (T * T)
+    fisher = var / _fourth_power(T)
+    sld = _sld(state)
     sld.flags.writeable = False
     crb = 1.0 / fisher if fisher > 0.0 else UNBOUNDED
     return FisherReport(

@@ -10,14 +10,20 @@ in :mod:`thermometry.estimation`.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateExperimentError, InputFormatError
+from .errors import (
+    DegenerateExperimentError,
+    InputFormatError,
+    at_least,
+    integer,
+    number,
+    positive,
+    require,
+)
 from .estimation import (
     AT_LOWER_BOUND,
     AT_UPPER_BOUND,
@@ -76,13 +82,10 @@ class ExperimentConfig:
     mle_bracket: tuple[float, float] | None = None
 
     def __post_init__(self):
-        T = self.true_temperature
-        if not (isinstance(T, numbers.Real) and math.isfinite(T) and T > 0.0):
-            raise ValueError(f"true_temperature must be finite and > 0, got {T!r}")
-        if self.shots_per_trial < 1:
-            raise ValueError(f"shots_per_trial must be >= 1, got {self.shots_per_trial}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        positive(number(self.true_temperature, "true_temperature"), "true_temperature")
+        at_least(self.shots_per_trial, 1, "shots_per_trial")
+        at_least(self.trials, 1, "trials")
+        at_least(self.seed, 0, "seed")
         if self.estimator not in (MLE, BAYES):
             raise ValueError(f"estimator must be '{MLE}' or '{BAYES}', got {self.estimator!r}")
         if self.degenerate_sample_policy not in (EXCLUDE_AND_REPORT, ABORT):
@@ -129,8 +132,7 @@ def draw_counts(
     landing a few ulp below 1. Each stream's uniforms are drawn in chunks
     of ``DRAW_CHUNK``, which continue the stream exactly as one draw would.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    at_least(shots, 1, "shots")
     cum = np.cumsum(gibbs_state(spectrum, T).probs)
     n = len(cum)
     rows = []
@@ -231,6 +233,7 @@ def sweep_saturation(
     """One report per temperature; each gets a child seed derived from (seed, index)."""
     if len(temperatures) == 0:
         raise ValueError("temperature list must not be empty")
+    at_least(seed, 0, "seed")
     reports = []
     for i, T in enumerate(temperatures):
         child_seed = int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1)[0])
@@ -269,50 +272,33 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return data
 
 
-def _require(data: dict, key: str):
-    if key not in data:
-        raise InputFormatError(f"experiment config is missing the '{key}' field")
-    return data[key]
-
-
-def _number(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InputFormatError(f"'{key}' must be a number, got {value!r}")
-    return float(value)
-
-
-def _integer(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InputFormatError(f"'{key}' must be an integer, got {value!r}")
-    return int(value)
-
-
 def _optional_pair(data: dict, key: str) -> tuple[float, float] | None:
     pair = data.get(key)
     if pair is None:
         return None
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise InputFormatError(f"'{key}' must be a [low, high] pair, got {pair!r}")
-    return (_number(pair[0], key), _number(pair[1], key))
+        raise InputFormatError(f"{key} must be a [low, high] pair, got {pair!r}")
+    return (number(pair[0], f"{key}[0]"), number(pair[1], f"{key}[1]"))
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise InputFormatError("experiment config must be an object")
-    spectrum = spectrum_from_dict(_require(data, "spectrum"))
+    what = "experiment config"
+    spectrum = spectrum_from_dict(require(data, "spectrum", what))
     try:
         return ExperimentConfig(
             spectrum=spectrum,
-            true_temperature=_number(_require(data, "true_temperature"), "true_temperature"),
-            shots_per_trial=_integer(_require(data, "shots_per_trial"), "shots_per_trial"),
-            trials=_integer(_require(data, "trials"), "trials"),
+            true_temperature=number(require(data, "true_temperature", what), "true_temperature"),
+            shots_per_trial=integer(require(data, "shots_per_trial", what), "shots_per_trial"),
+            trials=integer(require(data, "trials", what), "trials"),
             estimator=data.get("estimator", MLE),
-            seed=_integer(_require(data, "seed"), "seed"),
+            seed=integer(require(data, "seed", what), "seed"),
             degenerate_sample_policy=data.get(
                 "degenerate_sample_policy", EXCLUDE_AND_REPORT
             ),
             bayes_prior=_optional_pair(data, "bayes_prior"),
-            bayes_grid_size=_integer(data.get("bayes_grid_size", 1024), "bayes_grid_size"),
+            bayes_grid_size=integer(data.get("bayes_grid_size", 1024), "bayes_grid_size"),
             mle_bracket=_optional_pair(data, "mle_bracket"),
         )
     except InputFormatError:

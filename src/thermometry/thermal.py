@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputFormatError
+from .errors import InputFormatError, at_least, integer, number, positive, require
 
 __all__ = [
     "MERGE_RTOL",
@@ -37,8 +36,9 @@ __all__ = [
     "save_spectrum",
 ]
 
-# Energies closer than this (relatively) are treated as one degenerate level;
-# avoids spurious near-zero gaps from noisy input.
+# Energies closer than this fraction of the spectrum's spread (max - min) are
+# treated as one degenerate level; avoids spurious near-zero gaps from noisy
+# input. The spread, unlike |E|, does not change when every energy is shifted.
 MERGE_RTOL = 1e-12
 
 
@@ -110,27 +110,20 @@ class ThermalState:
     energy_shift: float = 0.0
 
 
-def _validate_temperature(T: float) -> float:
-    T = float(T)
-    if not math.isfinite(T) or T <= 0.0:
-        raise ValueError(f"temperature must be finite and > 0, got {T!r}")
-    return T
-
-
 def make_spectrum(
     levels: Iterable[tuple[float, int]] | Iterable[Sequence],
     label: str = "",
 ) -> Spectrum:
     """Build a normalized :class:`Spectrum` from (energy, multiplicity) pairs.
 
-    Levels are sorted by energy; energies equal within ``MERGE_RTOL``
-    (relative) are merged and their multiplicities added. The merged level
-    keeps the smallest energy of its cluster.
+    Levels are sorted by energy; energies within ``MERGE_RTOL`` times the spread
+    (max - min energy) of a cluster's lowest energy are merged and their
+    multiplicities added; the merged level keeps that lowest energy.
 
     Raises
     ------
     ValueError
-        On an empty sequence, a non-finite energy, or a multiplicity < 1.
+        On an empty sequence, a non-finite energy or spread, or a multiplicity < 1.
     """
     entries = []
     for item in levels:
@@ -141,20 +134,19 @@ def make_spectrum(
         energy = float(energy)
         if not math.isfinite(energy):
             raise ValueError(f"energy must be finite, got {energy!r}")
-        if not isinstance(mult, numbers.Integral):
-            raise ValueError(f"multiplicity must be an integer, got {mult!r}")
-        mult = int(mult)
-        if mult < 1:
-            raise ValueError(f"multiplicity must be >= 1, got {mult}")
+        mult = at_least(integer(mult, "multiplicity"), 1, "multiplicity")
         entries.append((energy, mult))
     if not entries:
         raise ValueError("spectrum needs at least one level")
 
     entries.sort(key=lambda em: em[0])
+    spread = entries[-1][0] - entries[0][0]
+    if not math.isfinite(spread):
+        raise ValueError(f"energies must span a finite range, got spread {spread!r}")
     merged_e = [entries[0][0]]
     merged_m = [entries[0][1]]
     for energy, mult in entries[1:]:
-        if abs(energy - merged_e[-1]) <= MERGE_RTOL * max(abs(energy), abs(merged_e[-1])):
+        if energy - merged_e[-1] <= MERGE_RTOL * spread:
             merged_m[-1] += mult
         else:
             merged_e.append(energy)
@@ -183,7 +175,7 @@ def shifted_means(spectrum: Spectrum, temps: np.ndarray) -> np.ndarray:
 
 def gibbs_state(spectrum: Spectrum, T: float) -> ThermalState:
     """Canonical Gibbs state of ``spectrum`` at ``T > 0``: one row of :func:`gibbs_probs`."""
-    T = _validate_temperature(T)
+    T = positive(T, "temperature")
     probs, z = gibbs_probs(spectrum, np.array([T]))
     probs = probs[0]
     probs.flags.writeable = False
@@ -198,7 +190,7 @@ def gibbs_state(spectrum: Spectrum, T: float) -> ThermalState:
 
 def gibbs_log_probs(spectrum: Spectrum, T: float) -> np.ndarray:
     """Log occupation probabilities, finite even where the probability underflows."""
-    T = _validate_temperature(T)
+    T = positive(T, "temperature")
     de = spectrum._shifted
     logw = -de / T + np.log(spectrum._weights)
     # max exponent is log(m_0) at the ground level; shift for the sum only
@@ -225,8 +217,8 @@ def energy_variance(state: ThermalState) -> float:
 
 def specific_heat(spectrum: Spectrum, T: float) -> float:
     """Specific heat c_V = <dH^2>/T^2 (canonical-ensemble identity, k_B = 1)."""
-    T = _validate_temperature(T)
-    return energy_variance(gibbs_state(spectrum, T)) / (T * T)
+    state = gibbs_state(spectrum, T)
+    return energy_variance(state) / (state.temperature * state.temperature)
 
 
 # ---------------------------------------------------------------------------
@@ -247,22 +239,18 @@ def spectrum_from_dict(data: dict) -> Spectrum:
     """Parse the spectrum object notation; ``degeneracy`` defaults to 1."""
     if not isinstance(data, dict):
         raise InputFormatError("spectrum must be an object with a 'levels' array")
-    if "levels" not in data:
-        raise InputFormatError("spectrum object is missing the 'levels' field")
-    raw_levels = data["levels"]
+    raw_levels = require(data, "levels", "spectrum object")
     if not isinstance(raw_levels, list) or not raw_levels:
         raise InputFormatError("'levels' must be a non-empty array")
     levels = []
     for i, entry in enumerate(raw_levels):
         if not isinstance(entry, dict) or "energy" not in entry:
             raise InputFormatError(f"levels[{i}] must be an object with an 'energy' field")
-        energy = entry["energy"]
-        if not isinstance(energy, numbers.Real) or isinstance(energy, bool):
-            raise InputFormatError(f"levels[{i}].energy must be a number, got {energy!r}")
-        degeneracy = entry.get("degeneracy", 1)
-        if not isinstance(degeneracy, numbers.Integral) or isinstance(degeneracy, bool):
-            raise InputFormatError(f"levels[{i}].degeneracy must be an integer, got {degeneracy!r}")
-        levels.append((float(energy), int(degeneracy)))
+        try:  # the level is named only on failure: this loop runs once per level
+            energy = number(entry["energy"], "energy")
+            levels.append((energy, integer(entry.get("degeneracy", 1), "degeneracy")))
+        except (InputFormatError, OverflowError) as exc:
+            raise type(exc)(f"levels[{i}].{exc}") from None
     label = data.get("label", "")
     if not isinstance(label, str):
         raise InputFormatError(f"'label' must be a string, got {label!r}")

@@ -58,6 +58,10 @@ def test_two_level_factor_cross_checks_fisher():
 
 def test_two_level_factor_small_x_law():
     assert two_level_factor(1e-3) * 1e-6 / 4.0 == pytest.approx(1.0, abs=1e-6)
+    # 4/x^2 beyond the float range: saturate, also where x^2 underflows to 0
+    assert math.isinf(two_level_factor(1e-160))
+    assert math.isinf(two_level_factor(1e-200))
+    assert math.isinf(three_level_factor_diagonal(1e-200))
 
 
 def test_two_level_factor_large_x_law():
@@ -371,6 +375,12 @@ def test_tune_pair_family():
     brute_force_certificate(family, 1.0, res)
 
 
+@pytest.mark.parametrize("T", [1e-200, 1e300])
+def test_tune_rejects_temperature_whose_square_leaves_float_range(T):
+    with pytest.raises(ValueError, match="temperature"):
+        tune_gap(GapFamily.linear(1.0, 0.0, 0.01, 10.0), T)
+
+
 def test_tune_rejects_vanishing_gap_family():
     family = GapFamily.linear(0.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="vanishes"):
@@ -435,6 +445,8 @@ def test_family_from_dict_round_trips():
         {"kind": "table", "points": []},
         {"kind": "table", "points": [[0.0, 1.0], [1.0]]},
         {"kind": "table", "points": [[0.0, 1.0]]},
+        {"kind": "table", "points": [[None, 1], [1, 2]]},
+        {"kind": "table", "points": [[0, 1], [1, [2]]]},
     ],
 )
 def test_family_from_dict_rejects(data):

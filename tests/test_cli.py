@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import math
@@ -5,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from thermometry import GENERATOR_ID, two_level_factor
 from thermometry.cli import main
@@ -381,6 +384,16 @@ def test_tune_table_family(capsys, tmp_path):
     assert report["bound_over_T2"] == pytest.approx(2.2767175312280727, rel=1e-6)
 
 
+@pytest.mark.parametrize("points", [[[None, 1], [1, 2]], [[0, 1], [1, [2]]]])
+def test_tune_malformed_table_point_one_line_exit_2(capsys, tmp_path, points):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"kind": "table", "points": points}))
+    code, out, err = run_cli(capsys, "tune", "--family", str(path), "-T", "1.0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: points[") and err.count("\n") == 1
+
+
 def test_tune_rejects_unknown_kind(capsys, tmp_path):
     path = tmp_path / "family.json"
     path.write_text(json.dumps({"kind": "spline"}))
@@ -436,6 +449,16 @@ def test_estimate_boundary_sample(capsys, tmp_path, spectrum_file):
     assert report["estimate"] is None
 
 
+def test_sweep_rejects_negative_seed(capsys, spectrum_file):
+    code, out, err = run_cli(
+        capsys, "sweep", "--spectrum", spectrum_file, "--temperatures", "0.5",
+        "--shots", "10", "--trials", "5", "--seed", "-1",
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
 def test_estimate_label_mismatch_exits_2(capsys, tmp_path, spectrum_file):
     sample_path = tmp_path / "sample.json"
     sample_path.write_text(json.dumps({"spectrum_label": "other", "counts": [7, 3]}))
@@ -477,3 +500,98 @@ def test_unknown_subcommand_exits_2():
         text=True,
     )
     assert proc.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# input fuzz: every CLI file input, one location of a valid file replaced
+# ---------------------------------------------------------------------------
+
+QUBIT_SAMPLE = {"spectrum_label": "qubit", "counts": [731, 269], "M": 1000}
+BASE_CONFIG = {"spectrum": TWO_LEVEL_SPECTRUM, "true_temperature": 0.4, "shots_per_trial": 10,
+               "trials": 5, "seed": 0, "estimator": "mle", "mle_bracket": [0.01, 10.0],
+               "bayes_prior": [0.1, 2.0], "bayes_grid_size": 64,
+               "degenerate_sample_policy": "exclude_and_report"}
+
+
+def _json_values(integers):
+    scalars = st.none() | st.booleans() | integers | st.floats() | st.text(max_size=4)
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6,
+    )
+
+
+# Configs draw only small integers: a mutated trial or shot count is run, not parsed.
+SMALL_VALUES = _json_values(st.integers(-3, 1000))
+ANY_VALUES = _json_values(st.integers(-3, 1000) | st.just(10**400))
+
+
+def _paths(doc, path=()):
+    """Every location in a JSON document, the root included."""
+    yield path
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _mutants(draw, base, values):
+    """``base`` with one location deleted or replaced by an arbitrary JSON value."""
+    path = draw(st.sampled_from(list(_paths(base))))
+    if not path:
+        return draw(values)
+    doc = copy.deepcopy(base)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(values)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "argv,base,values",
+    [
+        (["bound", "-T", "1.0", "--spectrum", "{doc}"], TWO_LEVEL_SPECTRUM, ANY_VALUES),
+        (["tune", "-T", "1.0", "--family", "{doc}"],
+         {"kind": "linear", "slope": 1.0, "intercept": 0.0, "lambda_min": 0.01,
+          "lambda_max": 10.0}, ANY_VALUES),
+        (["tune", "-T", "1.0", "--family", "{doc}"],
+         {"kind": "quadratic", "curvature": 1.0, "center": 3.0, "gap_min": 0.5,
+          "lambda_min": 0.0, "lambda_max": 6.0}, ANY_VALUES),
+        (["tune", "-T", "1.0", "--family", "{doc}"],
+         {"kind": "table", "points": [[0.0, 0.5], [5.0, 2.4], [10.0, 9.0]]}, ANY_VALUES),
+        (["simulate", "--config", "{doc}"], BASE_CONFIG, SMALL_VALUES),
+        (["simulate", "--config", "{doc}"], {**BASE_CONFIG, "estimator": "bayes"}, SMALL_VALUES),
+        (["estimate", "--spectrum", "{spectrum}", "--sample", "{doc}",
+          "--prior", "0.2", "5.0", "--grid", "64"], QUBIT_SAMPLE, ANY_VALUES),
+        (["estimate", "--sample", "{sample}", "--spectrum", "{doc}",
+          "--prior", "0.2", "5.0", "--grid", "64"], TWO_LEVEL_SPECTRUM, ANY_VALUES),
+    ],
+    ids=["bound", "tune-linear", "tune-quadratic", "tune-table", "simulate-mle",
+         "simulate-bayes", "estimate-sample", "estimate-spectrum"],
+)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_file_inputs_exit_cleanly(capsys, tmp_path, argv, base, values, data):
+    files = {"doc": data.draw(_mutants(base, values)), "spectrum": TWO_LEVEL_SPECTRUM,
+             "sample": QUBIT_SAMPLE}
+    paths = {}
+    for name, content in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump(content, fh)
+    code, _, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -14,7 +14,6 @@ from thermometry import (
     InputFormatError,
     SampleSet,
     bayes_posterior,
-    draw_sample,
     make_spectrum,
     mle_temperature,
     sample_from_dict,
@@ -23,6 +22,7 @@ from thermometry import (
     two_level_factor,
 )
 from thermometry.estimation import bayes_batch, log_likelihood, mle_batch, mle_status
+from thermometry.montecarlo import draw_counts
 
 QUBIT = make_spectrum([(0.0, 1), (1.0, 1)], label="qubit")
 
@@ -264,12 +264,9 @@ def test_mle_shift_example():
 def test_mle_consistency(shots, tolerance):
     # median over 10^4 simulated samples at gap/T = 2.4 approaches the truth
     true_T = 1.0 / 2.4
-    estimates = []
-    for trial in range(10_000):
-        sample = draw_sample(QUBIT, true_T, shots, trial_rng(987, trial))
-        result = mle_temperature(sample)
-        if result.status == INTERIOR:
-            estimates.append(result.estimate)
+    counts = draw_counts(QUBIT, true_T, shots, (trial_rng(987, t) for t in range(10_000)))
+    status, estimate = mle_batch(QUBIT, counts)
+    estimates = estimate[status == INTERIOR].tolist()
     assert len(estimates) >= 9990
     median = statistics.median(estimates)
     assert abs(median - true_T) / true_T <= tolerance

@@ -211,6 +211,8 @@ def test_config_validation():
         saturation_config(estimator="map")
     with pytest.raises(ValueError):
         saturation_config(degenerate_sample_policy="ignore")
+    with pytest.raises(ValueError, match="seed"):
+        saturation_config(seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +251,8 @@ def test_sweep_excluded_fraction_grows_past_gap():
 def test_sweep_rejects_empty():
     with pytest.raises(ValueError):
         sweep_saturation(QUBIT, [], shots=10, trials=10)
+    with pytest.raises(ValueError, match="seed"):
+        sweep_saturation(QUBIT, [1.0], shots=10, trials=10, seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +288,7 @@ def test_config_round_trip_with_options():
         lambda d: d.update(bayes_grid_size=None),
         lambda d: d.update(mle_bracket=["a", 1.0]),
         lambda d: d.update(bayes_grid_size=100.7),
+        lambda d: d.update(seed=-1),
     ],
 )
 def test_config_from_dict_rejects(mutate):

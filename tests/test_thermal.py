@@ -56,6 +56,14 @@ def test_merge_uses_relative_tolerance():
     assert make_spectrum([(1.0, 1), (1.0 + 1e-9, 1)]).n_levels == 2
 
 
+def test_merge_tolerance_ignores_offset():
+    # the tolerance scales with the spread, not |E|: a 1e-3 gap at 1e12 stays
+    s = make_spectrum([(1e12, 1), (1e12 + 1e-3, 1)])
+    assert s.n_levels == 2
+    assert s.gap == pytest.approx(1e-3, rel=0.05)  # 1e-3 up to the float spacing at 1e12
+    assert make_spectrum([(1e12, 1), (1e12, 2), (1e12 + 1e-3, 1)]).multiplicities == (3, 1)
+
+
 def test_gap_accessors():
     s = make_spectrum([(0.5, 1), (1.5, 2), (4.0, 1)])
     assert s.gap == 1.0
@@ -73,6 +81,7 @@ def test_gap_accessors():
         [(0.0, 0)],
         [(0.0, -2)],
         [(0.0, 1.5)],
+        [(-1e308, 1), (1e308, 1)],  # the spread overflows
     ],
 )
 def test_construction_errors(levels):
@@ -329,6 +338,11 @@ def test_degeneracy_defaults_to_one():
 def test_malformed_spectrum_dicts(data):
     with pytest.raises(InputFormatError):
         spectrum_from_dict(data)
+
+
+def test_energy_beyond_float_range_names_the_field():
+    with pytest.raises(OverflowError, match=r"levels\[1\]\.energy"):
+        spectrum_from_dict({"levels": [{"energy": 0.0}, {"energy": 10**400}]})
 
 
 def test_load_rejects_invalid_json(tmp_path):
