@@ -19,7 +19,14 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq, minimize, minimize_scalar
 
-from .errors import InputFormatError, number, positive, positive_interval, require
+from .errors import (
+    InputFormatError,
+    number,
+    positive,
+    positive_interval,
+    require,
+    temperature_power,
+)
 from .fisher import UNBOUNDED, _Unbounded
 
 __all__ = [
@@ -196,7 +203,7 @@ def two_level_crb(T: float, gap: float) -> float | _Unbounded:
         raise ValueError(f"gap must be finite and >= 0, got {gap!r}")
     if gap == 0.0:
         return UNBOUNDED
-    return T * T * two_level_factor(gap / T)
+    return temperature_power(T, 2) * two_level_factor(gap / T)
 
 
 def gapped_divergence_factor(T: float, gap: float) -> float:
@@ -374,8 +381,7 @@ def tune_gap(family: GapFamily, T: float, tol: float = 1e-10) -> TuneResult:
     boundary optima are exact.
     """
     T = positive(T, "temperature")
-    if not 0.0 < T * T < math.inf:  # the floor is T^2 times a factor
-        raise ValueError(f"temperature {T!r} is out of range: T^2 under- or overflows")
+    temperature_power(T, 2)  # the floor is T^2 times a factor
     tol = positive(tol, "tol")
     objective = _family_objective(family, T)
     lo, hi = family.lambda_min, family.lambda_max

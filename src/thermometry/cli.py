@@ -1,7 +1,7 @@
 """Command-line surface: bounds, bound-factor tables, minima, simulations, tuning.
 
 Exit codes: 0 success, 2 malformed input file / bad usage, 3 invalid
-numeric argument, 4 degenerate experiment. User errors print a one-line
+numeric argument or a size beyond memory, 4 degenerate experiment. User errors print a one-line
 message naming the offending input, never a stack trace. All numeric
 output is written with repr precision, so tables and reports parse back
 losslessly at 17 significant digits.
@@ -10,6 +10,7 @@ losslessly at 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -47,7 +48,30 @@ def _crb_value(crb):
 
 
 def _json_text(data: dict) -> str:
-    return json.dumps(data, indent=2) + "\n"
+    """``json.dumps(data, indent=2) + "\\n"`` for a report (a dict with str keys)."""
+    return _layout(data, "\n") + "\n"
+
+
+_SCALAR_TYPES = {float, int, str, bool, type(None)}
+
+
+def _layout(value, newline: str) -> str:
+    """``value`` as the indenting encoder writes it after ``newline`` (a newline + indent).
+
+    ``json.dumps`` with ``indent`` runs its pure-Python encoder; a flat list instead
+    goes through the C encoder in one call, with the indenter's item separator.
+    """
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{json.dumps(key)}: {_layout(item, inner)}" for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)) and value:
+        if set(map(type, value)) <= _SCALAR_TYPES:
+            flat = json.dumps(value, separators=("," + inner, ": "))
+            return "[" + inner + flat[1:-1] + newline + "]"
+        items = [_layout(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(value)
 
 
 def _axis(args) -> list[float]:
@@ -78,7 +102,7 @@ def _cmd_bound(args) -> str:
             "crb_single_shot": _crb_value(report.crb_single_shot),
             "shots": shots,
             "crb_m_shots": _crb_value(report.crb_m_shots(shots)),
-            "sld_eigenvalues": [float(v) for v in report.sld_eigenvalues],
+            "sld_eigenvalues": report.sld_eigenvalues.tolist(),
         }
     )
 
@@ -213,7 +237,9 @@ def _cmd_estimate(args) -> str:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="thermometry",
         description=(
@@ -292,6 +318,9 @@ def main(argv=None) -> int:
     except DegenerateExperimentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:  # e.g. a grid size far beyond memory
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
+        return 3
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -30,6 +30,8 @@ def require(data: dict, key: str, what: str):
 
 def number(value, name: str) -> float:
     """A JSON number (not bool) as float, else InputFormatError; OverflowError past floats."""
+    if type(value) is float:  # what JSON gives; skips the costly numbers.Real check
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InputFormatError(f"{name} must be a number, got {value!r}")
     try:
@@ -40,6 +42,8 @@ def number(value, name: str) -> float:
 
 def integer(value, name: str) -> int:
     """A JSON integer (not bool) as int, else InputFormatError."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InputFormatError(f"{name} must be an integer, got {value!r}")
     return int(value)
@@ -66,3 +70,17 @@ def positive_interval(pair, name: str) -> tuple[float, float]:
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0.0 or lo >= hi:
         raise ValueError(f"{name} must satisfy 0 < lo < hi, got {pair!r}")
     return lo, hi
+
+
+def temperature_power(T: float, n: int) -> float:
+    """T^n for n = 2 or 4 (the scale of an SLD, a floor or F); ValueError off the float range.
+
+    T^2 is ``T * T`` and T^4 is ``T**4``, as the formulas had them, so results keep their bits.
+    """
+    try:
+        power = T * T if n == 2 else T**n
+    except OverflowError:
+        power = math.inf
+    if not 0.0 < power < math.inf:
+        raise ValueError(f"temperature {T!r} is out of range: T^{n} under- or overflows")
+    return power

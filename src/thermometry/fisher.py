@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import at_least
+from .errors import at_least, temperature_power
 from .thermal import Spectrum, ThermalState, _shifted_mean, energy_variance, gibbs_state
 
 __all__ = [
@@ -47,8 +47,8 @@ UNBOUNDED = _Unbounded()
 
 def _sld(state: ThermalState) -> np.ndarray:
     """(E_n - <H>)/T^2 under ``state``, computed in shifted coordinates."""
-    T = state.temperature
-    return (state.spectrum._shifted - _shifted_mean(state)) / (T * T)
+    t2 = temperature_power(state.temperature, 2)
+    return (state.spectrum._shifted - _shifted_mean(state)) / t2
 
 
 def sld_eigenvalues(spectrum: Spectrum, T: float) -> np.ndarray:
@@ -56,21 +56,10 @@ def sld_eigenvalues(spectrum: Spectrum, T: float) -> np.ndarray:
     return _sld(gibbs_state(spectrum, T))
 
 
-def _fourth_power(T: float) -> float:
-    """T^4, the Fisher denominator; ValueError where it leaves the float range."""
-    try:
-        t4 = T**4
-    except OverflowError:
-        t4 = 0.0
-    if t4 == 0.0:
-        raise ValueError(f"temperature {T!r} is out of range: T^4 under- or overflows")
-    return t4
-
-
 def fisher_information(spectrum: Spectrum, T: float) -> float:
     """Fisher information of energy measurement, F = <dH^2>/T^4."""
     state = gibbs_state(spectrum, T)
-    return energy_variance(state) / _fourth_power(state.temperature)
+    return energy_variance(state) / temperature_power(state.temperature, 4)
 
 
 @dataclass(frozen=True)
@@ -99,7 +88,7 @@ def fisher_report(spectrum: Spectrum, T: float) -> FisherReport:
     state = gibbs_state(spectrum, T)
     T = state.temperature
     var = energy_variance(state)
-    fisher = var / _fourth_power(T)
+    fisher = var / temperature_power(T, 4)
     sld = _sld(state)
     sld.flags.writeable = False
     crb = 1.0 / fisher if fisher > 0.0 else UNBOUNDED

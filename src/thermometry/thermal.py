@@ -13,11 +13,20 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice, zip_longest
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputFormatError, at_least, integer, number, positive, require
+from .errors import (
+    InputFormatError,
+    at_least,
+    integer,
+    number,
+    positive,
+    require,
+    temperature_power,
+)
 
 __all__ = [
     "MERGE_RTOL",
@@ -82,7 +91,7 @@ class Spectrum:
 
     @cached_property
     def _shifted(self) -> np.ndarray:
-        de = np.asarray(self.gaps, dtype=float)
+        de = np.asarray(self.energies, dtype=float) - self.energies[0]  # == gaps, bit for bit
         de.flags.writeable = False
         return de
 
@@ -125,28 +134,52 @@ def make_spectrum(
     ValueError
         On an empty sequence, a non-finite energy or spread, or a multiplicity < 1.
     """
-    entries = []
+    energies: list[float] = []
+    mults: list[int] = []
     for item in levels:
         try:
             energy, mult = item
         except (TypeError, ValueError):
             energy, mult = item, 1  # bare energy, multiplicity defaults to 1
-        energy = float(energy)
+        try:
+            energies.append(float(energy))
+            mults.append(integer(mult, "multiplicity"))
+        except (TypeError, ValueError, OverflowError):
+            _check_levels(energies, mults)  # an earlier level's problem is reported first
+            raise
+    return _normalized(energies, mults, label)
+
+
+def _check_levels(energies: list[float], mults: list[int]) -> None:
+    """ValueError naming the first level with a non-finite energy or a multiplicity < 1.
+
+    Within a level the energy is checked first; ``mults`` may be one entry short.
+    """
+    if all(map(math.isfinite, energies)) and min(mults, default=1) >= 1:
+        return
+    for energy, mult in zip_longest(energies, mults, fillvalue=1):
         if not math.isfinite(energy):
             raise ValueError(f"energy must be finite, got {energy!r}")
-        mult = at_least(integer(mult, "multiplicity"), 1, "multiplicity")
-        entries.append((energy, mult))
-    if not entries:
-        raise ValueError("spectrum needs at least one level")
+        at_least(mult, 1, "multiplicity")
 
-    entries.sort(key=lambda em: em[0])
-    spread = entries[-1][0] - entries[0][0]
+
+def _normalized(energies: list[float], mults: list[int], label: str) -> Spectrum:
+    """The checked, sorted and merged :class:`Spectrum` of parallel level lists."""
+    _check_levels(energies, mults)
+    if not energies:
+        raise ValueError("spectrum needs at least one level")
+    e = np.array(energies, dtype=float)
+    order = np.argsort(e, kind="stable")  # ties keep their input order, as sorted() does
+    sorted_e = e[order].tolist()
+    spread = sorted_e[-1] - sorted_e[0]
     if not math.isfinite(spread):
         raise ValueError(f"energies must span a finite range, got spread {spread!r}")
-    merged_e = [entries[0][0]]
-    merged_m = [entries[0][1]]
-    for energy, mult in entries[1:]:
-        if energy - merged_e[-1] <= MERGE_RTOL * spread:
+    tol = MERGE_RTOL * spread
+    sorted_m = map(mults.__getitem__, order.tolist())  # Python ints: sums cannot wrap
+    merged_e = [sorted_e[0]]
+    merged_m = [next(sorted_m)]
+    for energy, mult in zip(islice(sorted_e, 1, None), sorted_m):
+        if energy - merged_e[-1] <= tol:
             merged_m[-1] += mult
         else:
             merged_e.append(energy)
@@ -218,7 +251,7 @@ def energy_variance(state: ThermalState) -> float:
 def specific_heat(spectrum: Spectrum, T: float) -> float:
     """Specific heat c_V = <dH^2>/T^2 (canonical-ensemble identity, k_B = 1)."""
     state = gibbs_state(spectrum, T)
-    return energy_variance(state) / (state.temperature * state.temperature)
+    return energy_variance(state) / temperature_power(state.temperature, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -242,20 +275,21 @@ def spectrum_from_dict(data: dict) -> Spectrum:
     raw_levels = require(data, "levels", "spectrum object")
     if not isinstance(raw_levels, list) or not raw_levels:
         raise InputFormatError("'levels' must be a non-empty array")
-    levels = []
+    energies: list[float] = []
+    mults: list[int] = []
     for i, entry in enumerate(raw_levels):
         if not isinstance(entry, dict) or "energy" not in entry:
             raise InputFormatError(f"levels[{i}] must be an object with an 'energy' field")
         try:  # the level is named only on failure: this loop runs once per level
-            energy = number(entry["energy"], "energy")
-            levels.append((energy, integer(entry.get("degeneracy", 1), "degeneracy")))
+            energies.append(number(entry["energy"], "energy"))
+            mults.append(integer(entry.get("degeneracy", 1), "degeneracy"))
         except (InputFormatError, OverflowError) as exc:
             raise type(exc)(f"levels[{i}].{exc}") from None
     label = data.get("label", "")
     if not isinstance(label, str):
         raise InputFormatError(f"'label' must be a string, got {label!r}")
     try:
-        return make_spectrum(levels, label=label)
+        return _normalized(energies, mults, label)
     except ValueError as exc:
         raise InputFormatError(f"invalid spectrum: {exc}") from exc
 
@@ -269,6 +303,8 @@ def load_json(path):
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: not valid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def load_spectrum(path) -> Spectrum:

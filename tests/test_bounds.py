@@ -226,6 +226,12 @@ def test_two_level_crb_values():
         two_level_crb(1.0, -0.5)
 
 
+@pytest.mark.parametrize("T", [1e-200, 1e200])
+def test_two_level_crb_rejects_temperature_whose_square_leaves_float_range(T):
+    with pytest.raises(ValueError, match=r"temperature .* T\^2 under- or overflows"):
+        two_level_crb(T, 1.0)
+
+
 def test_two_level_crb_matches_fisher_grid():
     for T in (0.1, 0.5, 1.0, 3.0):
         for gap in (0.1, 1.0, 2.4, 10.0):

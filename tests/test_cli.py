@@ -5,11 +5,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from thermometry import GENERATOR_ID, two_level_factor
+from thermometry import GENERATOR_ID, cli, two_level_factor
 from thermometry.cli import main
 
 TWO_LEVEL_SPECTRUM = {"label": "qubit", "levels": [{"energy": 0.0}, {"energy": 1.0}]}
@@ -89,6 +90,53 @@ def test_bound_malformed_file_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "bound", "--spectrum", str(missing), "-T", "1.0")
     assert code == 2
     assert "levels" in err
+
+
+def test_bound_report_bytes_pinned(capsys, tmp_path):
+    # 300 levels on a 1/64 lattice, 89 energies repeated exactly (merged on load);
+    # the digest is that of the report written by json.dumps(report, indent=2)
+    levels = [{"energy": (i * 37 % 211) / 64, "degeneracy": 1 + i % 3} for i in range(300)]
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps({"label": "lattice-300", "levels": levels}))
+    code, out, _ = run_cli(capsys, "bound", "--spectrum", str(path), "-T", "1.7", "-M", "250")
+    assert code == 0
+    assert len(json.loads(out)["sld_eigenvalues"]) == 211
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6191f2c811bed6bb7c2c01d463a61b32f7a6cb61fb40fc582b1fbde48d13dc40"
+    )
+
+
+def test_bound_overflowing_sld_eigenvalue_prints_infinity(capsys, tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"label": "wide", "levels": [{"energy": 0.0}, {"energy": 1e300}]}))
+    with np.errstate(all="ignore"):
+        code, out, _ = run_cli(capsys, "bound", "--spectrum", str(path), "-T", "1e-10")
+    assert code == 0
+    report = json.loads(out)
+    assert report["sld_eigenvalues"] == [0.0, math.inf]
+    assert out == json.dumps(report, indent=2) + "\n"
+    assert out.endswith('  "sld_eigenvalues": [\n    0.0,\n    Infinity\n  ]\n}\n')
+
+
+_report_floats = st.floats() | st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324])
+_report_scalars = (
+    _report_floats | st.integers(-(10**20), 10**20) | st.text(max_size=6) | st.none()
+    | st.booleans()
+)
+_report_lists = st.lists(_report_floats | st.integers(-(10**6), 10**6), max_size=40) | st.lists(
+    _report_scalars, max_size=3
+)
+_report_nested = st.lists(_report_lists | _report_scalars, max_size=3) | st.dictionaries(
+    st.text(max_size=4), _report_scalars | _report_lists, max_size=3
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(
+    st.text(max_size=8), _report_scalars | _report_lists | _report_nested, max_size=8
+))
+def test_json_text_matches_the_indenting_encoder(report):
+    assert cli._json_text(report) == json.dumps(report, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +520,81 @@ def test_estimate_label_mismatch_exits_2(capsys, tmp_path, spectrum_file):
 # ---------------------------------------------------------------------------
 # shared behavior
 # ---------------------------------------------------------------------------
+
+def test_main_reuses_one_parser(capsys, tmp_path, spectrum_file):
+    sample = tmp_path / "sample.json"
+    sample.write_text(json.dumps(QUBIT_SAMPLE))
+    estimate = ["estimate", "--sample", str(sample), "--spectrum", spectrum_file]
+    argvs = [
+        ["gfun", "--min", "1", "--max", "2", "--step", "0.5"],
+        ["bound", "--spectrum", spectrum_file, "-T", "0.5", "-M", "3"],
+        ["gfun", "--min", "1", "--max", "2", "--step", "0.5", "--out", str(tmp_path / "g.csv")],
+        [*estimate, "--prior", "0.2", "5.0", "--grid", "64"],
+        ["minima"],
+        ["bound", "--spectrum", spectrum_file, "-T", "0.5"],
+        estimate,
+        ["hfun", "--min", "1", "--max", "2", "--step", "0.5"],
+        ["gfun", "--min", "1", "--max", "3", "--step", "0.5"],
+    ]
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert [code for code, _, _ in fresh] == [0] * len(argvs)
+    assert fresh[2][1] == "" and (tmp_path / "g.csv").read_text() == fresh[0][1]
+    assert cli.build_parser() is cli.build_parser()
+    for _ in range(2):
+        for argv, expected in zip(argvs, fresh):
+            assert run_cli(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "-T", "1.0", "--spectrum", "{bad}"],
+        ["tune", "-T", "1.0", "--family", "{bad}"],
+        ["simulate", "--config", "{bad}"],
+        ["estimate", "--spectrum", "{spectrum}", "--sample", "{bad}"],
+    ],
+    ids=["bound", "tune", "simulate", "estimate"],
+)
+def test_non_utf8_input_file_exits_2(capsys, tmp_path, spectrum_file, argv):
+    bad = tmp_path / "latin.json"
+    bad.write_bytes(b'{"label": "caf\xff", "levels": [{"energy": 0.0}]}')
+    code, out, err = run_cli(capsys, *(a.format(bad=bad, spectrum=spectrum_file) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {bad}: not UTF-8 text") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["estimate", "simulate"])
+def test_grid_beyond_memory_exits_3(tmp_path, spectrum_file, kind):
+    # a 10^13-point grid (73 TiB); the child's address space is capped so that the
+    # allocation fails at once whatever the host's overcommit policy
+    if kind == "estimate":
+        sample = tmp_path / "sample.json"
+        sample.write_text(json.dumps(QUBIT_SAMPLE))
+        argv = ["estimate", "--sample", str(sample), "--spectrum", spectrum_file,
+                "--prior", "1", "2", "--grid", str(10**13)]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text(json.dumps({**BASE_CONFIG, "estimator": "bayes",
+                                      "bayes_grid_size": 10**13}))
+        argv = ["simulate", "--config", str(config)]
+    child = (
+        "import resource, sys\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "cap = 16 << 30 if hard == resource.RLIM_INFINITY else min(16 << 30, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "from thermometry.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "allocate" in proc.stderr
+
 
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "table.csv"

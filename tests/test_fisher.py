@@ -59,6 +59,12 @@ def test_sld_rejects_bad_temperature():
         sld_eigenvalues(TWO_LEVEL, -1.0)
 
 
+@pytest.mark.parametrize("T", [1e-200, 1e200])
+def test_sld_rejects_temperature_whose_square_leaves_float_range(T):
+    with pytest.raises(ValueError, match=r"temperature .* T\^2 under- or overflows"):
+        sld_eigenvalues(TWO_LEVEL, T)
+
+
 @pytest.mark.parametrize("T", [1e-100, 1e100])
 def test_fisher_rejects_temperature_whose_fourth_power_leaves_float_range(T):
     with pytest.raises(ValueError, match="temperature"):

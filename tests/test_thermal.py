@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -188,6 +189,12 @@ def test_specific_heat_single_level():
         assert specific_heat(make_spectrum([(1.0, 2)]), T) == 0.0
 
 
+@pytest.mark.parametrize("T", [1e-200, 1e200])
+def test_specific_heat_rejects_temperature_whose_square_leaves_float_range(T):
+    with pytest.raises(ValueError, match=r"temperature .* T\^2 under- or overflows"):
+        specific_heat(make_spectrum([(0.0, 1), (1.0, 1)]), T)
+
+
 def test_specific_heat_two_level_closed_form():
     T = 1.0 / 2.4  # gap/T = 2.4
     st_ = gibbs_state(make_spectrum([(0.0, 1), (1.0, 1)]), T)
@@ -350,3 +357,121 @@ def test_load_rejects_invalid_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(InputFormatError):
         load_spectrum(path)
+
+
+# ---------------------------------------------------------------------------
+# error messages on large spectra and non-float numbers
+# ---------------------------------------------------------------------------
+
+def _large_levels(n=20001):
+    return [{"energy": (i * 37 % 9973) / 64.0, "degeneracy": 1 + i % 3} for i in range(n)]
+
+
+def _with_levels(replacements, label="large"):
+    levels = _large_levels()
+    for i, level in replacements.items():
+        levels[i] = level
+    return {"label": label, "levels": levels}
+
+
+@pytest.mark.parametrize(
+    "replacements,label,error,message",
+    [
+        ({20000: {"energy": "x"}}, "large", InputFormatError,
+         "levels[20000].energy must be a number, got 'x'"),
+        ({20000: {"energy": True}}, "large", InputFormatError,
+         "levels[20000].energy must be a number, got True"),
+        ({20000: {"energy": 10**400}}, "large", OverflowError,
+         "levels[20000].energy is beyond the float range"),
+        ({20000: {"energy": 1.0, "degeneracy": 2.0}}, "large", InputFormatError,
+         "levels[20000].degeneracy must be an integer, got 2.0"),
+        ({20000: {"degeneracy": 1}}, "large", InputFormatError,
+         "levels[20000] must be an object with an 'energy' field"),
+        ({20000: [1.0]}, "large", InputFormatError,
+         "levels[20000] must be an object with an 'energy' field"),
+        ({20000: {"energy": math.inf}}, "large", InputFormatError,
+         "invalid spectrum: energy must be finite, got inf"),
+        ({20000: {"energy": 1.0, "degeneracy": 0}}, "large", InputFormatError,
+         "invalid spectrum: multiplicity must be >= 1, got 0"),
+        # format problems anywhere come before value problems, then the label
+        ({5: {"energy": math.inf}, 20000: {"energy": "x"}}, "large", InputFormatError,
+         "levels[20000].energy must be a number, got 'x'"),
+        ({5: {"energy": math.inf}}, 7, InputFormatError, "'label' must be a string, got 7"),
+        # value problems: the first failing level, energy before multiplicity
+        ({5: {"energy": 1.0, "degeneracy": 0}, 20000: {"energy": math.nan}}, "large",
+         InputFormatError, "invalid spectrum: multiplicity must be >= 1, got 0"),
+        ({5: {"energy": math.nan, "degeneracy": -1}}, "large", InputFormatError,
+         "invalid spectrum: energy must be finite, got nan"),
+    ],
+    ids=["string", "bool", "huge-int", "float-degeneracy", "no-energy", "not-object",
+         "infinite", "zero-degeneracy", "format-first", "label", "first-level",
+         "energy-first"],
+)
+def test_large_spectrum_error_messages(replacements, label, error, message):
+    with pytest.raises(error) as info:
+        spectrum_from_dict(_with_levels(replacements, label))
+    assert str(info.value) == message
+
+
+def test_non_float_numbers_load_like_floats():
+    # numpy scalars and fractions take the general number path of the checks
+    plain = make_spectrum([(0.5, 2), (0.25, 1), (0.5, 1)], label="mixed")
+    mixed = make_spectrum(
+        [(np.float64(0.5), np.int64(2)), (Fraction(1, 4), 1), (0.5, 1)], label="mixed"
+    )
+    assert mixed == plain
+    assert all(type(e) is float for e in mixed.energies)
+    loaded = spectrum_from_dict({"label": "mixed", "levels": [
+        {"energy": np.float64(0.5), "degeneracy": np.int64(2)},
+        {"energy": Fraction(1, 4)},
+        {"energy": 0.5},
+    ]})
+    assert loaded == plain
+    assert all(type(m) is int for m in loaded.multiplicities)
+
+
+@pytest.mark.parametrize(
+    "level,error,message",
+    [
+        ({"energy": np.float64("nan")}, InputFormatError,
+         "invalid spectrum: energy must be finite, got nan"),
+        ({"energy": Fraction(10**400)}, OverflowError,
+         "levels[1].energy is beyond the float range"),
+        ({"energy": 1.0, "degeneracy": np.int64(0)}, InputFormatError,
+         "invalid spectrum: multiplicity must be >= 1, got 0"),
+        ({"energy": np.bool_(True)}, InputFormatError,
+         "levels[1].energy must be a number, got np.True_"),
+        ({"energy": 1.0, "degeneracy": np.float64(2.0)}, InputFormatError,
+         "levels[1].degeneracy must be an integer, got np.float64(2.0)"),
+    ],
+    ids=["nan", "huge-fraction", "zero-degeneracy", "bool", "float-degeneracy"],
+)
+def test_non_float_number_error_messages(level, error, message):
+    with pytest.raises(error) as info:
+        spectrum_from_dict({"levels": [{"energy": 0.0}, level]})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "levels,error,message",
+    [
+        ([], ValueError, "spectrum needs at least one level"),
+        ([(0.0, 1), (math.inf, 1)], ValueError, "energy must be finite, got inf"),
+        ([(0.0, 1.5)], InputFormatError, "multiplicity must be an integer, got 1.5"),
+        ([(0.0, 0)], ValueError, "multiplicity must be >= 1, got 0"),
+        # the first failing level wins, whatever its kind of problem
+        ([(math.nan, 1), (0.0, 1.5)], ValueError, "energy must be finite, got nan"),
+        ([(0.0, 0), (math.inf, 1)], ValueError, "multiplicity must be >= 1, got 0"),
+        ([(0.0, 1.5), (math.inf, 1)], InputFormatError,
+         "multiplicity must be an integer, got 1.5"),
+        ([(-1e308, 1), (1e308, 1)], ValueError,
+         "energies must span a finite range, got spread inf"),
+    ],
+    ids=["empty", "infinite", "float-multiplicity", "zero-multiplicity", "energy-first",
+         "multiplicity-first", "format-first", "spread"],
+)
+def test_make_spectrum_error_messages(levels, error, message):
+    with pytest.raises(error) as info:
+        make_spectrum(levels)
+    assert type(info.value) is error
+    assert str(info.value) == message
