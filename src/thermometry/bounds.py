@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq, minimize, minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from .errors import (
     InputFormatError,
@@ -108,15 +108,13 @@ class MinimumResult:
     """Located minimum of a bound factor.
 
     ``argmin`` is the dimensionless gap/T coordinate (a pair for the
-    three-level factor); ``refined_argmin`` carries the off-diagonal
-    polish result when a 2-D refinement was run.
+    three-level factor); ``iterations`` counts the Brent root steps.
     """
 
     argmin: float | tuple[float, float]
     value: float
     converged: bool
     iterations: int
-    refined_argmin: tuple[float, float] | None = None
 
 
 def _two_level_stationarity(x: float) -> float:
@@ -151,43 +149,31 @@ def minimize_two_level_factor(
 
 
 def _diagonal_stationarity(x: float) -> float:
-    """Increasing function whose zero is the diagonal-factor minimum."""
+    """s(x), increasing; g(t) = f3(t, t) has g'(t) = s(t) (e^t + 2)^2 e^{-t} / (2 t^2)."""
     return 2.0 / (1.0 + 2.0 * math.exp(-x)) - 2.0 / x - 1.0
 
 
-def minimize_three_level_factor(tol: float = 1e-10) -> MinimumResult:
-    """Global minimum of the three-level bound factor over (0, 50]^2.
+def _cross_diagonal_curvature(t: float) -> float:
+    """a(t), with f3_xx - f3_xy = a(t) e^t / (4 t^4) at (t, t): curvature across the diagonal."""
+    e = math.exp(-t)
+    return -t * t + 4 * t - 2 + (16 * t - 12) * e + (4 * t * t + 16 * t - 24) * e * e - 16 * e**3
 
-    The factor is symmetric, so the search restricts to the diagonal
-    (closed form (2 + e^x)^2 / (2 x^2 e^x), whose minimum is the root of
-    its monotone stationarity equation on [0.5, 10]) and then confirms
-    with an off-diagonal Nelder-Mead polish that the diagonal point is a
-    genuine 2-D minimum.
+
+def minimize_three_level_factor(tol: float = 1e-10) -> MinimumResult:
+    """Strict local minimum of the three-level bound factor, on the diagonal x = y.
+
+    The factor is symmetric, so its gradient vanishes at the Brent root (to ``tol``) of
+    the diagonal stationarity on [0.5, 10]. Its Hessian there is positive definite: the
+    curvature along the diagonal because the stationarity increases, the one across it
+    where a(t) > 0, which ``converged`` checks in closed form.
     """
     tol = positive(tol, "tol")
     xd, info = brentq(_diagonal_stationarity, 0.5, 10.0, xtol=tol, full_output=True, disp=False)
-    value = three_level_factor(xd, xd)
-
-    def objective(v):
-        if v[0] <= 0.0 or v[1] <= 0.0 or v[0] > 50.0 or v[1] > 50.0:
-            return math.inf
-        return three_level_factor(v[0], v[1])
-
-    polish = minimize(
-        objective,
-        x0=np.array([xd, xd]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 2000},
-    )
-    drift = max(abs(polish.x[0] - xd), abs(polish.x[1] - xd))
-    improved = value - float(polish.fun)
-    converged = info.converged and bool(polish.success) and drift <= 1e-6 and improved <= 1e-9 * value
     return MinimumResult(
         argmin=(xd, xd),
-        value=value,
-        converged=converged,
-        iterations=info.iterations + int(polish.nfev),
-        refined_argmin=(float(polish.x[0]), float(polish.x[1])),
+        value=three_level_factor(xd, xd),
+        converged=info.converged and _cross_diagonal_curvature(xd) > 0.0,
+        iterations=info.iterations,
     )
 
 
@@ -251,7 +237,7 @@ class GapFamily:
                 f"control range must satisfy lambda_min < lambda_max, got [{lo!r}, {hi!r}]"
             )
         b = self.breaks
-        if b is not None and (b[0] != lo or b[-1] != hi or any(np.diff(b) <= 0.0)):
+        if b is not None and (b[0] != lo or b[-1] != hi or any(a >= c for a, c in zip(b, b[1:]))):
             raise ValueError(f"breaks must increase from lambda_min to lambda_max, got {b!r}")
 
     def gap_at(self, lam: float):
@@ -315,12 +301,15 @@ class GapFamily:
             raise ValueError("table family needs at least 2 points")
         lams = np.array([p[0] for p in pts])
         gaps = np.array([p[1] for p in pts])
-        if np.any(np.diff(lams) <= 0.0):
+        if np.any(lams[1:] <= lams[:-1]):  # compared, not subtracted: no overflow
             raise ValueError("table family control values must be distinct")
         if np.any(gaps < 0.0) or not np.all(np.isfinite(gaps)):
             raise ValueError("table family gaps must be finite and >= 0")
         # shape-preserving: stays >= 0 and is monotone between data points
-        interp = PchipInterpolator(lams, gaps)
+        with np.errstate(all="ignore"):  # an overflow leaves a non-finite coefficient
+            interp = PchipInterpolator(lams, gaps)
+        if not np.all(np.isfinite(interp.c)):
+            raise ValueError("table family interpolation overflows (points too close or far apart)")
         return cls(
             evaluate=lambda lam: float(interp(lam)),
             lambda_min=float(lams[0]),

@@ -140,7 +140,7 @@ def _cmd_minima(args) -> str:
             "# minima of the low-temperature bound factors\n",
             "# two-level: Brent root of x tanh(x/2) = 2 on [0.5, 10], tol 1e-10\n",
             "# three-level: Brent root of the diagonal stationarity on [0.5, 10]"
-            " + off-diagonal Nelder-Mead polish, tol 1e-10\n",
+            " + closed-form cross-diagonal Hessian check, tol 1e-10\n",
             f"two_level_xm = {two.argmin:.8f}\n",
             f"two_level_min = {two.value:.8f}\n",
             f"three_level_xh = {three.argmin[0]:.8f}\n",

@@ -72,15 +72,14 @@ def positive_interval(pair, name: str) -> tuple[float, float]:
     return lo, hi
 
 
-def temperature_power(T: float, n: int) -> float:
-    """T^n for n = 2 or 4 (the scale of an SLD, a floor or F); ValueError off the float range.
-
-    T^2 is ``T * T`` and T^4 is ``T**4``, as the formulas had them, so results keep their bits.
+def temperature_power(T: float, n: int, name: str = "temperature") -> float:
+    """T^n for n = -1, 2 or 4 (the scale of a log weight, an SLD, a floor or F); ValueError
+    naming ``name`` off the float range. ``1 / T``, ``T * T`` and ``T**4`` keep the formulas' bits.
     """
     try:
-        power = T * T if n == 2 else T**n
+        power = 1.0 / T if n == -1 else T * T if n == 2 else T**n
     except OverflowError:
         power = math.inf
     if not 0.0 < power < math.inf:
-        raise ValueError(f"temperature {T!r} is out of range: T^{n} under- or overflows")
+        raise ValueError(f"{name} {T!r} is out of range: T^{n} under- or overflows")
     return power

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputFormatError, at_least, integer, positive_interval
-from .thermal import Spectrum, gibbs_log_probs, shifted_means
+from .errors import InputFormatError, at_least, integer, positive_interval, temperature_power
+from .thermal import Spectrum, gibbs_log_weights, shifted_means
 
 __all__ = [
     "INTERIOR",
@@ -194,12 +194,6 @@ def mle_temperature(
     return EstimateResult(status=INTERIOR, estimate=float(estimate[0]))
 
 
-def log_likelihood(sample: SampleSet, T: float) -> float:
-    """Multinomial log-likelihood sum_n counts_n log p_n(T) (up to a constant)."""
-    logp = gibbs_log_probs(sample.spectrum, T)
-    return float(np.asarray(sample.counts, dtype=float) @ logp)
-
-
 @dataclass(frozen=True)
 class Posterior:
     """Flat-prior posterior over temperature on a quadrature grid."""
@@ -213,21 +207,22 @@ class Posterior:
 def _bayes_grid(spectrum: Spectrum, prior: tuple[float, float], grid_size: int):
     """Uniform temperature grid, log weights log(m_n) - (E_n - E_0)/T on it, and log Z'."""
     lo, hi = positive_interval(prior, "prior interval")
+    temperature_power(lo, -1, "prior interval lower end")
     at_least(grid_size, 64, "grid_size")
     temps = np.linspace(lo, hi, grid_size)
-    # log p_n(T) on the grid: shape (grid, levels)
-    logw = -np.outer(1.0 / temps, spectrum._shifted) + np.log(spectrum._weights)
-    top = logw.max(axis=1, keepdims=True)
-    logz = top[:, 0] + np.log(np.exp(logw - top).sum(axis=1))
     temps.flags.writeable = False
-    return temps, logw, logz
+    return (temps, *gibbs_log_weights(spectrum, temps))
 
 
 def _posterior_row(grid, counts: np.ndarray, total: int):
     """(mean, sd, density) for one float count vector on a prebuilt grid."""
     temps, logw, logz = grid
     loglik = logw @ counts - total * logz
-    loglik -= loglik.max()
+    top = loglik.max()
+    if not math.isfinite(top):
+        raise ValueError(f"prior interval {temps[[0, -1]].tolist()}: the sample's"
+                         " log-likelihood has no finite maximum on the grid")
+    loglik -= top
     density = np.exp(loglik)
     density /= np.trapezoid(density, temps)
     mean = float(np.trapezoid(temps * density, temps))
@@ -246,7 +241,8 @@ def bayes_batch(
     The grid is built once; each row's unnormalized log posterior is shifted
     by its maximum before exponentiation and normalized by trapezoid
     quadrature on the uniform grid (``grid_size`` >= 64 points). Only one
-    grid-sized density is alive at a time.
+    grid-sized density is alive at a time. A row whose log-likelihood has no
+    finite maximum on the grid raises ValueError.
     """
     grid = _bayes_grid(spectrum, prior, grid_size)
     counts = _counts_matrix(spectrum, counts)
@@ -254,8 +250,9 @@ def bayes_batch(
     rows = counts.astype(float)
     means = np.empty(len(rows))
     sds = np.empty(len(rows))
-    for i, total in enumerate(totals):
-        means[i], sds[i], _ = _posterior_row(grid, rows[i], total)
+    with np.errstate(over="ignore", invalid="ignore"):  # each row checks its maximum
+        for i, total in enumerate(totals):
+            means[i], sds[i], _ = _posterior_row(grid, rows[i], total)
     return means, sds
 
 
@@ -270,7 +267,8 @@ def bayes_posterior(
     """
     grid = _bayes_grid(sample.spectrum, prior, grid_size)
     counts = np.asarray(sample.counts, dtype=float)
-    mean, sd, density = _posterior_row(grid, counts, sample.total)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, sd, density = _posterior_row(grid, counts, sample.total)
     density.flags.writeable = False
     return Posterior(mean=mean, sd=sd, temperatures=grid[0], density=density)
 

@@ -46,9 +46,10 @@ UNBOUNDED = _Unbounded()
 
 
 def _sld(state: ThermalState) -> np.ndarray:
-    """(E_n - <H>)/T^2 under ``state``, computed in shifted coordinates."""
+    """(E_n - <H>)/T^2 under ``state``, in shifted coordinates; inf past the float range."""
     t2 = temperature_power(state.temperature, 2)
-    return (state.spectrum._shifted - _shifted_mean(state)) / t2
+    with np.errstate(over="ignore"):
+        return (state.spectrum._shifted - _shifted_mean(state)) / t2
 
 
 def sld_eigenvalues(spectrum: Spectrum, T: float) -> np.ndarray:

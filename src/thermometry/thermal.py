@@ -201,6 +201,18 @@ def gibbs_probs(spectrum: Spectrum, temps: np.ndarray) -> tuple[np.ndarray, np.n
     return w / z, z[:, 0]
 
 
+def gibbs_log_weights(spectrum: Spectrum, temps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log m_n - (E_n - E_0)/T at each of ``temps`` (one row per temperature) and each log Z'.
+
+    Finite where an occupation underflows; each 1/T must be finite.
+    """
+    with np.errstate(over="ignore"):  # a log weight of -inf is an occupation of exactly 0
+        logw = -np.outer(1.0 / temps, spectrum._shifted) + np.log(spectrum._weights)
+    # the largest entry of a row is log(m_0) at the ground level; shift by it for the sum
+    top = logw.max(axis=1, keepdims=True)
+    return logw, top[:, 0] + np.log(np.exp(logw - top).sum(axis=1))
+
+
 def shifted_means(spectrum: Spectrum, temps: np.ndarray) -> np.ndarray:
     """<H - E_0> at each of ``temps``; row for row equal to :func:`mean_energy` - E_0."""
     return np.vecdot(gibbs_probs(spectrum, temps)[0], spectrum._shifted)
@@ -209,7 +221,8 @@ def shifted_means(spectrum: Spectrum, temps: np.ndarray) -> np.ndarray:
 def gibbs_state(spectrum: Spectrum, T: float) -> ThermalState:
     """Canonical Gibbs state of ``spectrum`` at ``T > 0``: one row of :func:`gibbs_probs`."""
     T = positive(T, "temperature")
-    probs, z = gibbs_probs(spectrum, np.array([T]))
+    with np.errstate(over="ignore"):  # an exponent of -inf is an occupation of exactly 0
+        probs, z = gibbs_probs(spectrum, np.array([T]))
     probs = probs[0]
     probs.flags.writeable = False
     return ThermalState(
@@ -222,13 +235,11 @@ def gibbs_state(spectrum: Spectrum, T: float) -> ThermalState:
 
 
 def gibbs_log_probs(spectrum: Spectrum, T: float) -> np.ndarray:
-    """Log occupation probabilities, finite even where the probability underflows."""
+    """Log occupation probabilities, finite where they underflow: :func:`gibbs_log_weights`."""
     T = positive(T, "temperature")
-    de = spectrum._shifted
-    logw = -de / T + np.log(spectrum._weights)
-    # max exponent is log(m_0) at the ground level; shift for the sum only
-    top = logw.max()
-    return logw - (top + math.log(np.exp(logw - top).sum()))
+    temperature_power(T, -1)
+    logw, logz = gibbs_log_weights(spectrum, np.array([T]))
+    return logw[0] - logz[0]
 
 
 def _shifted_mean(state: ThermalState) -> float:
@@ -243,9 +254,9 @@ def mean_energy(state: ThermalState) -> float:
 
 def energy_variance(state: ThermalState) -> float:
     """Energy variance sum_n p_n (E_n - <H>)^2, computed in shifted coordinates."""
-    de = state.spectrum._shifted
-    mu = _shifted_mean(state)
-    return float(state.probs @ (de - mu) ** 2)
+    with np.errstate(over="ignore"):  # an empty level adds 0, even where its square is inf
+        sq = (state.spectrum._shifted - _shifted_mean(state)) ** 2
+    return float(state.probs @ np.where(state.probs > 0.0, sq, 0.0))
 
 
 def specific_heat(spectrum: Spectrum, T: float) -> float:

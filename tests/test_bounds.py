@@ -22,6 +22,7 @@ from thermometry import (
     two_level_crb,
     two_level_factor,
 )
+from thermometry.bounds import _cross_diagonal_curvature, _diagonal_stationarity
 
 # 30-digit stationarity roots (x sinh x = 2(1+cosh x) and its diagonal
 # analogue), rounded to float64.
@@ -190,15 +191,54 @@ def test_two_level_minimum_bracket_validation(bracket):
 def test_three_level_minimum():
     res = minimize_three_level_factor()
     xh, yh = res.argmin
-    assert xh == yh  # symmetric minimizer, by construction and by polish
+    assert xh == yh  # symmetric minimizer, by construction
     assert xh == pytest.approx(X_H, abs=1e-9)
     assert res.value == pytest.approx(H_MIN, rel=1e-12)
     assert xh == pytest.approx(2.66, abs=0.05)
     assert res.value == pytest.approx(1.31, abs=0.01)
     assert res.converged
-    assert res.refined_argmin is not None
-    assert res.refined_argmin[0] == pytest.approx(xh, abs=1e-6)
-    assert res.refined_argmin[1] == pytest.approx(xh, abs=1e-6)
+
+
+def _central_differences(f, x, y, h):
+    """Gradient and Hessian of f at (x, y) by central differences of step h."""
+    f0 = f(x, y)
+    fx = (f(x + h, y) - f(x - h, y)) / (2 * h)
+    fy = (f(x, y + h) - f(x, y - h)) / (2 * h)
+    fxx = (f(x + h, y) - 2 * f0 + f(x - h, y)) / h**2
+    fyy = (f(x, y + h) - 2 * f0 + f(x, y - h)) / h**2
+    fxy = (f(x + h, y + h) - f(x + h, y - h) - f(x - h, y + h) + f(x - h, y - h)) / (4 * h**2)
+    return (fx, fy), ((fxx, fxy), (fxy, fyy))
+
+
+def test_three_level_minimum_is_a_strict_local_minimum():
+    # independent of the closed form: the gradient vanishes and the numerical
+    # Hessian is positive definite at the returned point
+    xh, yh = minimize_three_level_factor().argmin
+    (fx, fy), hessian = _central_differences(three_level_factor, xh, yh, 1e-4 * xh)
+    assert abs(fx) <= 1e-7 and abs(fy) <= 1e-7
+    eigenvalues = np.linalg.eigvalsh(np.array(hessian))
+    assert eigenvalues.min() > 0.1
+
+
+@pytest.mark.parametrize("t", np.linspace(1.5, 3.5, 21).tolist())
+def test_cross_diagonal_curvature_matches_finite_differences(t):
+    _, ((fxx, fxy), _) = _central_differences(three_level_factor, t, t, 1e-4 * t)
+    closed = _cross_diagonal_curvature(t) * math.exp(t) / (4 * t**4)
+    assert closed == pytest.approx(fxx - fxy, rel=1e-5)
+
+
+@pytest.mark.parametrize("t", np.linspace(1.5, 3.5, 21).tolist())
+def test_diagonal_slope_matches_finite_differences(t):
+    h = 1e-4 * t
+    slope = (three_level_factor_diagonal(t + h) - three_level_factor_diagonal(t - h)) / (2 * h)
+    closed = _diagonal_stationarity(t) * (math.exp(t) + 2) ** 2 * math.exp(-t) / (2 * t**2)
+    assert closed == pytest.approx(slope, rel=1e-5, abs=1e-9)
+
+
+def test_cross_diagonal_curvature_changes_sign():
+    # the check can fail: beyond t ~ 3.777 the diagonal point is a saddle
+    assert _cross_diagonal_curvature(X_H) == pytest.approx(3.93968012457511, rel=1e-12)
+    assert _cross_diagonal_curvature(3.7) > 0.0 > _cross_diagonal_curvature(3.85)
 
 
 def test_three_level_minimum_grid_certificate():

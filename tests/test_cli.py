@@ -1,16 +1,18 @@
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
 
-import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from thermometry import GENERATOR_ID, cli, two_level_factor
+from _strategies import spectra, temperatures
+from thermometry import GENERATOR_ID, cli, make_spectrum, save_spectrum, two_level_factor
 from thermometry.cli import main
 
 TWO_LEVEL_SPECTRUM = {"label": "qubit", "levels": [{"energy": 0.0}, {"energy": 1.0}]}
@@ -109,13 +111,55 @@ def test_bound_report_bytes_pinned(capsys, tmp_path):
 def test_bound_overflowing_sld_eigenvalue_prints_infinity(capsys, tmp_path):
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"label": "wide", "levels": [{"energy": 0.0}, {"energy": 1e300}]}))
-    with np.errstate(all="ignore"):
-        code, out, _ = run_cli(capsys, "bound", "--spectrum", str(path), "-T", "1e-10")
+    code, out, _ = run_cli(capsys, "bound", "--spectrum", str(path), "-T", "1e-10")
     assert code == 0
     report = json.loads(out)
     assert report["sld_eigenvalues"] == [0.0, math.inf]
     assert out == json.dumps(report, indent=2) + "\n"
     assert out.endswith('  "sld_eigenvalues": [\n    0.0,\n    Infinity\n  ]\n}\n')
+
+
+def test_bound_empty_level_beyond_float_range_adds_no_variance(tmp_path):
+    # the empty level's squared deviation overflows: it adds 0, not 0 * inf = NaN,
+    # and no numpy warning reaches stderr
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"label": "wide", "levels": [{"energy": 0.0}, {"energy": 1e300}]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "thermometry", "bound", "--spectrum", str(path), "-T", "1e-10"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == json.dumps(
+        {
+            "spectrum_label": "wide",
+            "temperature": 1e-10,
+            "fisher": 0.0,
+            "specific_heat": 0.0,
+            "crb_single_shot": "unbounded",
+            "shots": 1,
+            "crb_m_shots": "unbounded",
+            "sld_eigenvalues": [0.0, math.inf],
+        },
+        indent=2,
+    ) + "\n"
+
+
+@settings(max_examples=50, deadline=None)
+@given(spectra(), temperatures(0.01, 100.0), st.floats(-1e8, 1e8))
+def test_bound_stdout_of_a_shifted_spectrum_is_that_of_its_gaps(tmp_path_factory, s, T, c):
+    shifted = make_spectrum([(e + c, m) for e, m in zip(s.energies, s.multiplicities)], "shifted")
+    gaps = make_spectrum(zip(shifted.gaps, shifted.multiplicities), "gaps")
+    assume(gaps.energies == shifted.gaps)  # the merge may group rounded gaps differently
+    outputs = []
+    for spectrum in (shifted, gaps):
+        path = tmp_path_factory.mktemp("spectrum") / "s.json"
+        save_spectrum(spectrum, path)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["bound", "--spectrum", str(path), "-T", repr(T), "-M", "7"]) == 0
+        outputs.append(out.getvalue())
+    assert outputs[0].replace('"shifted"', '"gaps"', 1) == outputs[1]
 
 
 _report_floats = st.floats() | st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324])
@@ -442,6 +486,26 @@ def test_tune_malformed_table_point_one_line_exit_2(capsys, tmp_path, points):
     assert err.startswith("error: points[") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "points, code, message",
+    [
+        ([[0.0, 1.0], [1e-300, 1.0000000001], [1.0, 3.0]], 2,
+         "invalid gap family: table family interpolation overflows"
+         " (points too close or far apart)"),
+        ([[3.909014152741032e154, 0.5], [5.0, 2.4], [10.0, 9.0]], 3,
+         "gap at lambda=3.909014152741032e+154 must be finite and >= 0, got nan"),
+    ],
+    ids=["coefficient-overflows", "evaluation-overflows"],
+)
+def test_tune_table_beyond_float_range_one_line(capsys, tmp_path, points, code, message):
+    # the interpolant's construction overflows; numpy's warning must not reach stderr
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"kind": "table", "points": points}))
+    assert run_cli(capsys, "tune", "--family", str(path), "-T", "1.0") == (
+        code, "", f"error: {message}\n"
+    )
+
+
 def test_tune_rejects_unknown_kind(capsys, tmp_path):
     path = tmp_path / "family.json"
     path.write_text(json.dumps({"kind": "spline"}))
@@ -483,6 +547,31 @@ def test_estimate_with_posterior(capsys, tmp_path, spectrum_file):
     report = json.loads(out)
     assert report["posterior_mean"] == pytest.approx(1.0148556037302665, rel=1e-9)
     assert report["posterior_sd"] == pytest.approx(0.07434260732264761, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "prior, message",
+    [
+        (["1e-320", "1"],
+         "prior interval lower end 1e-320 is out of range: T^-1 under- or overflows"),
+        (["1e-307", "1e-306"],
+         "prior interval [1e-307, 1e-306]: the sample's log-likelihood has no finite maximum"
+         " on the grid"),
+    ],
+    ids=["reciprocal-overflows", "likelihood-overflows"],
+)
+def test_estimate_prior_beyond_float_range_exits_3(capsys, tmp_path, spectrum_file, prior, message):
+    # 1/T overflows at the first grid point, or the log-likelihood overflows to -inf at
+    # every grid point: either would make the posterior mean NaN
+    sample_path = tmp_path / "sample.json"
+    sample_path.write_text(json.dumps(QUBIT_SAMPLE))
+    code, out, err = run_cli(
+        capsys, "estimate", "--sample", str(sample_path), "--spectrum", spectrum_file,
+        "--prior", *prior, "--grid", "64",
+    )
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_estimate_boundary_sample(capsys, tmp_path, spectrum_file):

@@ -21,8 +21,9 @@ from thermometry import (
     trial_rng,
     two_level_factor,
 )
-from thermometry.estimation import bayes_batch, log_likelihood, mle_batch, mle_status
+from thermometry.estimation import bayes_batch, mle_batch, mle_status
 from thermometry.montecarlo import draw_counts
+from thermometry.thermal import gibbs_log_weights
 
 QUBIT = make_spectrum([(0.0, 1), (1.0, 1)], label="qubit")
 
@@ -168,9 +169,11 @@ def test_mle_likelihood_certificate(k0, k1):
     result = mle_temperature(sample)
     assert result.status == INTERIOR
     that = result.estimate
-    peak = log_likelihood(sample, that)
-    assert peak >= log_likelihood(sample, that * (1 + 1e-4))
-    assert peak >= log_likelihood(sample, that * (1 - 1e-4))
+    # multinomial log-likelihood sum_n k_n log p_n(T), up to a constant, at three T
+    logw, logz = gibbs_log_weights(QUBIT, that * np.array([1.0, 1 + 1e-4, 1 - 1e-4]))
+    peak, above, below = logw @ np.array([k0, k1], dtype=float) - (k0 + k1) * logz
+    assert peak >= above
+    assert peak >= below
 
 
 def test_mle_batch_exact_two_level_oracle():

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from _strategies import spectra, temperatures
 from thermometry import (
@@ -125,6 +126,21 @@ def test_fisher_shift_invariance(s, T):
     assert fisher_information(shifted, T) == pytest.approx(
         fisher_information(s, T), rel=1e-12, abs=1e-300
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(spectra(min_levels=1), temperatures(0.01, 100.0), st.floats(-1e8, 1e8))
+@example(make_spectrum([(-8.09, 4), (0.37, 1), (10.0, 2)]), 0.05, 1e8)
+def test_fisher_report_of_a_shifted_spectrum_is_that_of_its_gaps(s, T, c):
+    # energies enter only through E - E_0, stored bit for bit as the gaps, so a shift
+    # by c changes no bit of the report against the spectrum of the shifted gaps
+    shifted = make_spectrum([(e + c, m) for e, m in zip(s.energies, s.multiplicities)])
+    gaps = make_spectrum(zip(shifted.gaps, shifted.multiplicities))
+    assume(gaps.energies == shifted.gaps)  # the merge may group rounded gaps differently
+    a, b = fisher_report(shifted, T), fisher_report(gaps, T)
+    assert a.fisher == b.fisher
+    assert a.specific_heat == b.specific_heat
+    assert np.array_equal(a.sld_eigenvalues, b.sld_eigenvalues)
 
 
 @pytest.mark.parametrize("a", [0.5, 2.0, 17.0])

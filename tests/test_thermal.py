@@ -20,7 +20,8 @@ from thermometry import (
     spectrum_from_dict,
     spectrum_to_dict,
 )
-from thermometry.thermal import _shifted_mean, gibbs_probs, shifted_means
+from thermometry.errors import temperature_power
+from thermometry.thermal import _shifted_mean, gibbs_log_weights, gibbs_probs, shifted_means
 
 # e^-1 / (1 + e^-1): excited-state occupation of a unit-gap system at T = 1
 P1_UNIT = 0.2689414213699951
@@ -147,6 +148,26 @@ def test_log_probs_finite_where_probs_underflow():
     assert logp[1] == pytest.approx(-1e6, rel=1e-10)
 
 
+@pytest.mark.parametrize("T", [1e-310, 5e-324])
+def test_log_probs_reject_temperature_whose_reciprocal_overflows(T):
+    s = make_spectrum([(0.0, 1), (1.0, 1)])
+    with pytest.raises(ValueError, match=r"temperature .* T\^-1 under- or overflows"):
+        gibbs_log_probs(s, T)
+
+
+def test_temperature_reciprocal_range():
+    assert temperature_power(2.0**-1000, -1) == 2.0**1000
+    assert temperature_power(4.0, -1, "prior") == 0.25
+    with pytest.raises(ValueError, match=r"^prior 1e-310 is out of range: T\^-1"):
+        temperature_power(1e-310, -1, "prior")
+
+
+def test_log_probs_at_tiny_temperature():
+    s = make_spectrum([(0.0, 2), (1e-300, 1)])
+    logz = math.log(2 + math.exp(-1))
+    assert gibbs_log_probs(s, 1e-300) == pytest.approx([math.log(2) - logz, -1 - logz])
+
+
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------
@@ -253,11 +274,19 @@ def test_batched_gibbs_rows_equal_gibbs_state(s, temps):
     # single-temperature state, whatever the other temperatures in the batch
     probs, z = gibbs_probs(s, np.array(temps))
     means = shifted_means(s, np.array(temps))
+    logw, logz = gibbs_log_weights(s, np.array(temps))
     for i, T in enumerate(temps):
         state = gibbs_state(s, T)
         assert np.array_equal(probs[i], state.probs)
         assert float(np.log(z[i])) == state.log_partition
         assert means[i] == _shifted_mean(state)
+        logp = logw[i] - logz[i]
+        assert np.array_equal(logp, gibbs_log_probs(s, T))
+        # 1e-13 relative, wider where |log p| > 100: the exponent's rounding (up to about
+        # 3 ulp of |log p|) becomes relative error in exp; subnormal occupations carry fewer bits
+        normal = probs[i] >= np.finfo(float).tiny
+        p, lp = probs[i][normal], logp[normal]
+        assert np.all(abs(np.exp(lp) - p) <= 1e-13 * np.maximum(1.0, abs(lp) / 100.0) * p)
 
 
 @settings(max_examples=60, deadline=None)
