@@ -5,66 +5,15 @@ Fisher information of energy measurement and its Cramér-Rao variance
 floor, provides the closed-form low-temperature bound factors with their
 minima and gap tuning, and verifies by Monte Carlo that maximum-likelihood
 and Bayesian processing of energy outcomes attains the floor.
+
+The public API is the ``__all__`` of each layer module, republished here.
 """
 
-from .bounds import (
-    GapFamily,
-    MinimumResult,
-    TuneResult,
-    family_from_dict,
-    gapped_divergence_factor,
-    minimize_three_level_factor,
-    minimize_two_level_factor,
-    three_level_factor,
-    three_level_factor_diagonal,
-    tune_gap,
-    two_level_crb,
-    two_level_factor,
-)
+from .bounds import *
 from .errors import DegenerateExperimentError, InputFormatError
-from .estimation import (
-    AT_LOWER_BOUND,
-    AT_UPPER_BOUND,
-    INTERIOR,
-    NON_INVERTIBLE,
-    EstimateResult,
-    Posterior,
-    SampleSet,
-    bayes_posterior,
-    mle_temperature,
-    sample_from_dict,
-    sample_to_dict,
-)
-from .fisher import UNBOUNDED, FisherReport, fisher_information, fisher_report, sld_eigenvalues
-from .montecarlo import (
-    ABORT,
-    BAYES,
-    EXCLUDE_AND_REPORT,
-    GENERATOR_ID,
-    MLE,
-    ExperimentConfig,
-    SaturationReport,
-    config_from_dict,
-    config_to_dict,
-    draw_sample,
-    report_to_dict,
-    run_experiment,
-    sweep_saturation,
-    trial_rng,
-)
-from .thermal import (
-    Spectrum,
-    ThermalState,
-    energy_variance,
-    gibbs_log_probs,
-    gibbs_state,
-    load_spectrum,
-    make_spectrum,
-    mean_energy,
-    save_spectrum,
-    specific_heat,
-    spectrum_from_dict,
-    spectrum_to_dict,
-)
+from .estimation import *
+from .fisher import *
+from .montecarlo import *
+from .thermal import *
 
 __version__ = "0.1.0"

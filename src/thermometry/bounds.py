@@ -30,6 +30,8 @@ from .errors import (
 from .fisher import UNBOUNDED, _Unbounded
 
 __all__ = [
+    "ROOT_TOL",
+    "ROOT_BRACKET",
     "MinimumResult",
     "GapFamily",
     "TuneResult",
@@ -44,9 +46,13 @@ __all__ = [
     "family_from_dict",
 ]
 
+# Absolute tolerance of every Brent root and bounded minimization in this module.
+ROOT_TOL = 1e-10
+# Interval in gap/T that holds both stationarity roots (x_m ~ 2.4, x_h ~ 2.65).
+ROOT_BRACKET = (0.5, 10.0)
 # Above this argument cosh overflows float64; switch to the asymptotic branch.
 _ASYMPTOTIC_X = 700.0
-# Brent steps per tuning root: ~6.5 per decade of width/tol, so any float64 range fits.
+# Brent steps per tuning root: ~6.5 per decade of width/ROOT_TOL, so any float64 range fits.
 _ROOT_MAXITER = 4000
 
 
@@ -126,20 +132,16 @@ def _two_level_stationarity(x: float) -> float:
     return x * math.tanh(0.5 * x) - 2.0
 
 
-def minimize_two_level_factor(
-    bracket: tuple[float, float] = (0.5, 10.0),
-    tol: float = 1e-10,
-) -> MinimumResult:
+def minimize_two_level_factor(bracket: tuple[float, float] = ROOT_BRACKET) -> MinimumResult:
     """Locate the minimum of the two-level bound factor within ``bracket``.
 
     The minimum is the single root of x tanh(x/2) = 2, found by Brent's
-    root finder to ``tol`` in x.
+    root finder to ``ROOT_TOL`` in x.
     """
     a, b = positive_interval(bracket, "bracket")
-    tol = positive(tol, "tol")
     if _two_level_stationarity(a) >= 0.0 or _two_level_stationarity(b) <= 0.0:
         raise ValueError(f"bracket {bracket!r} does not contain an interior minimum")
-    xm, info = brentq(_two_level_stationarity, a, b, xtol=tol, full_output=True, disp=False)
+    xm, info = brentq(_two_level_stationarity, a, b, xtol=ROOT_TOL, full_output=True, disp=False)
     return MinimumResult(
         argmin=xm,
         value=two_level_factor(xm),
@@ -159,16 +161,17 @@ def _cross_diagonal_curvature(t: float) -> float:
     return -t * t + 4 * t - 2 + (16 * t - 12) * e + (4 * t * t + 16 * t - 24) * e * e - 16 * e**3
 
 
-def minimize_three_level_factor(tol: float = 1e-10) -> MinimumResult:
+def minimize_three_level_factor() -> MinimumResult:
     """Strict local minimum of the three-level bound factor, on the diagonal x = y.
 
-    The factor is symmetric, so its gradient vanishes at the Brent root (to ``tol``) of
-    the diagonal stationarity on [0.5, 10]. Its Hessian there is positive definite: the
-    curvature along the diagonal because the stationarity increases, the one across it
-    where a(t) > 0, which ``converged`` checks in closed form.
+    The factor is symmetric, so its gradient vanishes at the Brent root (to ``ROOT_TOL``)
+    of the diagonal stationarity on ``ROOT_BRACKET``. Its Hessian there is positive
+    definite: the curvature along the diagonal because the stationarity increases, the one
+    across it where a(t) > 0, which ``converged`` checks in closed form.
     """
-    tol = positive(tol, "tol")
-    xd, info = brentq(_diagonal_stationarity, 0.5, 10.0, xtol=tol, full_output=True, disp=False)
+    xd, info = brentq(
+        _diagonal_stationarity, *ROOT_BRACKET, xtol=ROOT_TOL, full_output=True, disp=False
+    )
     return MinimumResult(
         argmin=(xd, xd),
         value=three_level_factor(xd, xd),
@@ -359,7 +362,7 @@ def _family_objective(family: GapFamily, T: float) -> Callable[[float], float]:
     return objective
 
 
-def tune_gap(family: GapFamily, T: float, tol: float = 1e-10) -> TuneResult:
+def tune_gap(family: GapFamily, T: float) -> TuneResult:
     """Control value minimizing the variance floor of ``family`` at temperature ``T``.
 
     The two-level floor is unimodal in the gap with its minimum at
@@ -367,16 +370,16 @@ def tune_gap(family: GapFamily, T: float, tol: float = 1e-10) -> TuneResult:
     ``breaks`` the optimum is the root of gap(lambda) = x_m T or an end of
     the piece. Pair-valued and custom families are scanned on a 1000-point
     grid and refined in the winning cell. Endpoints always compete, so
-    boundary optima are exact.
+    boundary optima are exact. Every root and the refinement stop at
+    ``ROOT_TOL`` in the control value.
     """
     T = positive(T, "temperature")
     temperature_power(T, 2)  # the floor is T^2 times a factor
-    tol = positive(tol, "tol")
     objective = _family_objective(family, T)
     lo, hi = family.lambda_min, family.lambda_max
 
     if family.breaks is not None and not family.pair_valued:
-        target = T * brentq(_two_level_stationarity, 0.5, 10.0, xtol=tol)
+        target = T * brentq(_two_level_stationarity, *ROOT_BRACKET, xtol=ROOT_TOL)
 
         def excess(lam: float) -> float:
             return family.gap_at(lam) - target
@@ -384,7 +387,7 @@ def tune_gap(family: GapFamily, T: float, tol: float = 1e-10) -> TuneResult:
         candidates = list(family.breaks)
         for a, b in zip(family.breaks[:-1], family.breaks[1:]):
             if excess(a) * excess(b) < 0.0:
-                candidates.append(brentq(excess, a, b, xtol=tol, maxiter=_ROOT_MAXITER))
+                candidates.append(brentq(excess, a, b, xtol=ROOT_TOL, maxiter=_ROOT_MAXITER))
     else:
         grid = np.linspace(lo, hi, 1000)
         values = [objective(lam) for lam in grid]
@@ -394,7 +397,7 @@ def tune_gap(family: GapFamily, T: float, tol: float = 1e-10) -> TuneResult:
         b = grid[min(i + 1, len(grid) - 1)]
         if b > a:
             refined = minimize_scalar(
-                objective, bounds=(a, b), method="bounded", options={"xatol": tol}
+                objective, bounds=(a, b), method="bounded", options={"xatol": ROOT_TOL}
             )
             candidates.append(refined.x)
 

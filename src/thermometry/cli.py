@@ -16,6 +16,8 @@ import math
 import sys
 
 from .bounds import (
+    ROOT_BRACKET,
+    ROOT_TOL,
     family_from_dict,
     minimize_three_level_factor,
     minimize_two_level_factor,
@@ -33,6 +35,10 @@ from .errors import (
 from .estimation import bayes_posterior, default_bracket, mle_temperature, sample_from_dict
 from .fisher import UNBOUNDED, fisher_report
 from .montecarlo import (
+    ABORT,
+    BAYES,
+    EXCLUDE_AND_REPORT,
+    MLE,
     config_from_dict,
     report_to_dict,
     run_experiment,
@@ -135,12 +141,13 @@ def _cmd_hfun(args) -> str:
 def _cmd_minima(args) -> str:
     two = minimize_two_level_factor()
     three = minimize_three_level_factor()
+    lo, hi = ROOT_BRACKET
     return "".join(
         [
             "# minima of the low-temperature bound factors\n",
-            "# two-level: Brent root of x tanh(x/2) = 2 on [0.5, 10], tol 1e-10\n",
-            "# three-level: Brent root of the diagonal stationarity on [0.5, 10]"
-            " + closed-form cross-diagonal Hessian check, tol 1e-10\n",
+            f"# two-level: Brent root of x tanh(x/2) = 2 on [{lo:g}, {hi:g}], tol {ROOT_TOL!r}\n",
+            f"# three-level: Brent root of the diagonal stationarity on [{lo:g}, {hi:g}]"
+            f" + closed-form cross-diagonal Hessian check, tol {ROOT_TOL!r}\n",
             f"two_level_xm = {two.argmin:.8f}\n",
             f"two_level_min = {two.value:.8f}\n",
             f"three_level_xh = {three.argmin[0]:.8f}\n",
@@ -190,15 +197,14 @@ def _cmd_simulate(args) -> str:
 def _cmd_tune(args) -> str:
     T = positive(args.temperature, "--temperature")
     family = family_from_dict(load_json(args.family))
-    tol = 1e-10
-    result = tune_gap(family, T, tol=tol)
+    result = tune_gap(family, T)
     gap = list(result.gap) if isinstance(result.gap, tuple) else result.gap
     return _json_text(
         {
             "family": family.description,
             "control_range": [family.lambda_min, family.lambda_max],
             "temperature": T,
-            "tolerance": tol,
+            "tolerance": ROOT_TOL,
             "lambda_star": result.lambda_star,
             "gap": gap,
             "bound": result.bound,
@@ -276,11 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperatures", type=float, nargs="+", required=True)
     p.add_argument("--shots", "-M", type=int, required=True)
     p.add_argument("--trials", "-R", type=int, required=True)
-    p.add_argument("--estimator", choices=["mle", "bayes"], default="mle")
+    p.add_argument("--estimator", choices=[MLE, BAYES], default=MLE)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--policy", choices=["exclude_and_report", "abort"], default="exclude_and_report"
-    )
+    p.add_argument("--policy", choices=[EXCLUDE_AND_REPORT, ABORT], default=EXCLUDE_AND_REPORT)
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("simulate", help="run one experiment config file")

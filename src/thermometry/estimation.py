@@ -51,6 +51,9 @@ NON_INVERTIBLE = "non_invertible"
 BRACKET_SPAN = (1e-4, 1e4)
 # Bisection stops when the bracket width falls below this fraction of T.
 BISECT_RTOL = 1e-12
+# Floor of the Bayes log weights: a level whose weight underflows to log 0 = -inf and whose
+# count is 0 then adds 0 to the log-likelihood, not -inf * 0 = NaN.
+_LOG_ZERO = -np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -141,7 +144,8 @@ def mle_status(
     bracket: tuple[float, float] | None = None,
 ) -> np.ndarray:
     """Status of every row's MLE (see :func:`mle_batch`), found without bisecting."""
-    return _moment_problem(spectrum, counts, bracket)[2]
+    with np.errstate(over="ignore"):  # as in mle_batch
+        return _moment_problem(spectrum, counts, bracket)[2]
 
 
 def mle_batch(
@@ -159,22 +163,24 @@ def mle_batch(
     INTERIOR / AT_LOWER_BOUND / AT_UPPER_BOUND / NON_INVERTIBLE) and the
     estimate, NaN wherever the status is not INTERIOR.
     """
-    (lo0, hi0), ebar, status = _moment_problem(spectrum, counts, bracket)
-    estimate = np.full(len(ebar), np.nan)
-    rows = np.flatnonzero(status == INTERIOR)
-    target = ebar[rows]
-    lo = np.full(len(rows), lo0)
-    hi = np.full(len(rows), hi0)
-    while len(rows):
-        total = lo + hi
-        mid = 0.5 * total
-        active = (hi - lo > BISECT_RTOL * 0.5 * total) & (mid > lo) & (mid < hi)
-        if np.count_nonzero(active) < len(rows):
-            estimate[rows[~active]] = mid[~active]
-            rows, target, lo, hi, mid = (a[active] for a in (rows, target, lo, hi, mid))
-        above = shifted_means(spectrum, mid) > target
-        np.copyto(hi, mid, where=above)
-        np.copyto(lo, mid, where=~above)
+    # -(E_n - E_0)/T past the float range at a tiny T is an occupation of exactly 0
+    with np.errstate(over="ignore"):
+        (lo0, hi0), ebar, status = _moment_problem(spectrum, counts, bracket)
+        estimate = np.full(len(ebar), np.nan)
+        rows = np.flatnonzero(status == INTERIOR)
+        target = ebar[rows]
+        lo = np.full(len(rows), lo0)
+        hi = np.full(len(rows), hi0)
+        while len(rows):
+            total = lo + hi
+            mid = 0.5 * total
+            active = (hi - lo > BISECT_RTOL * 0.5 * total) & (mid > lo) & (mid < hi)
+            if np.count_nonzero(active) < len(rows):
+                estimate[rows[~active]] = mid[~active]
+                rows, target, lo, hi, mid = (a[active] for a in (rows, target, lo, hi, mid))
+            above = shifted_means(spectrum, mid) > target
+            np.copyto(hi, mid, where=above)
+            np.copyto(lo, mid, where=~above)
     return status, estimate
 
 
@@ -205,29 +211,38 @@ class Posterior:
 
 
 def _bayes_grid(spectrum: Spectrum, prior: tuple[float, float], grid_size: int):
-    """Uniform temperature grid, log weights log(m_n) - (E_n - E_0)/T on it, and log Z'."""
+    """Uniform temperature grid, the same grid in units of ``unit``, ``unit``, log weights
+    log(m_n) - (E_n - E_0)/T on the grid and log Z'.
+
+    ``unit`` is the power of two at or below the prior's upper end. Scaling by a power of
+    two is exact, so the posterior moments keep their bits wherever the unscaled sums
+    neither over- nor underflow, and stay finite and nonzero where T^2 would.
+    """
     lo, hi = positive_interval(prior, "prior interval")
     temperature_power(lo, -1, "prior interval lower end")
     at_least(grid_size, 64, "grid_size")
     temps = np.linspace(lo, hi, grid_size)
     temps.flags.writeable = False
-    return (temps, *gibbs_log_weights(spectrum, temps))
+    unit = math.ldexp(1.0, math.frexp(hi)[1] - 1)
+    logw, logz = gibbs_log_weights(spectrum, temps)
+    np.maximum(logw, _LOG_ZERO, out=logw)
+    return temps, temps / unit, unit, logw, logz
 
 
 def _posterior_row(grid, counts: np.ndarray, total: int):
-    """(mean, sd, density) for one float count vector on a prebuilt grid."""
-    temps, logw, logz = grid
+    """(mean, sd, density per ``unit``) for one float count vector on a prebuilt grid."""
+    temps, t, unit, logw, logz = grid
     loglik = logw @ counts - total * logz
     top = loglik.max()
-    if not math.isfinite(top):
+    if not top > _LOG_ZERO:  # the sample is impossible (has likelihood 0) at every grid point
         raise ValueError(f"prior interval {temps[[0, -1]].tolist()}: the sample's"
                          " log-likelihood has no finite maximum on the grid")
     loglik -= top
     density = np.exp(loglik)
-    density /= np.trapezoid(density, temps)
-    mean = float(np.trapezoid(temps * density, temps))
-    sd = math.sqrt(max(float(np.trapezoid((temps - mean) ** 2 * density, temps)), 0.0))
-    return mean, sd, density
+    density /= np.trapezoid(density, t)
+    mean = float(np.trapezoid(t * density, t))
+    sd = math.sqrt(max(float(np.trapezoid((t - mean) ** 2 * density, t)), 0.0))
+    return mean * unit, sd * unit, density
 
 
 def bayes_batch(
@@ -250,7 +265,7 @@ def bayes_batch(
     rows = counts.astype(float)
     means = np.empty(len(rows))
     sds = np.empty(len(rows))
-    with np.errstate(over="ignore", invalid="ignore"):  # each row checks its maximum
+    with np.errstate(over="ignore"):  # each row checks its maximum
         for i, total in enumerate(totals):
             means[i], sds[i], _ = _posterior_row(grid, rows[i], total)
     return means, sds
@@ -267,8 +282,9 @@ def bayes_posterior(
     """
     grid = _bayes_grid(sample.spectrum, prior, grid_size)
     counts = np.asarray(sample.counts, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):  # a density beyond the float range is inf
         mean, sd, density = _posterior_row(grid, counts, sample.total)
+        density /= grid[2]  # per unit temperature, not per ``unit``
     density.flags.writeable = False
     return Posterior(mean=mean, sd=sd, temperatures=grid[0], density=density)
 

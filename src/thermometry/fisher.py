@@ -58,9 +58,8 @@ def sld_eigenvalues(spectrum: Spectrum, T: float) -> np.ndarray:
 
 
 def fisher_information(spectrum: Spectrum, T: float) -> float:
-    """Fisher information of energy measurement, F = <dH^2>/T^4."""
-    state = gibbs_state(spectrum, T)
-    return energy_variance(state) / temperature_power(state.temperature, 4)
+    """Fisher information of energy measurement, F = <dH^2>/T^4, as in :func:`fisher_report`."""
+    return fisher_report(spectrum, T).fisher
 
 
 @dataclass(frozen=True)

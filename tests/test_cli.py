@@ -574,6 +574,23 @@ def test_estimate_prior_beyond_float_range_exits_3(capsys, tmp_path, spectrum_fi
     assert err == f"error: {message}\n"
 
 
+def test_estimate_empty_level_beyond_float_range_adds_nothing_to_the_posterior(capsys, tmp_path):
+    # the empty level's log weight is -inf on the whole grid: it adds 0, not -inf * 0 = NaN,
+    # so the posterior is the flat prior
+    spectrum = tmp_path / "wide.json"
+    spectrum.write_text(json.dumps({"label": "wide", "levels": [{"energy": 0.0},
+                                                                {"energy": 1e300}]}))
+    sample = tmp_path / "sample.json"
+    sample.write_text(json.dumps({"spectrum_label": "wide", "counts": [1000, 0]}))
+    code, out, err = run_cli(
+        capsys, "estimate", "--sample", str(sample), "--spectrum", str(spectrum),
+        "--prior", "1e-10", "1e-9", "--grid", "64",
+    )
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["posterior_mean"] == pytest.approx(5.5e-10, rel=1e-12)
+
+
 def test_estimate_boundary_sample(capsys, tmp_path, spectrum_file):
     sample_path = tmp_path / "sample.json"
     sample_path.write_text(json.dumps({"spectrum_label": "qubit", "counts": [500, 500]}))
@@ -723,6 +740,12 @@ BASE_CONFIG = {"spectrum": TWO_LEVEL_SPECTRUM, "true_temperature": 0.4, "shots_p
                "trials": 5, "seed": 0, "estimator": "mle", "mle_bracket": [0.01, 10.0],
                "bayes_prior": [0.1, 2.0], "bayes_grid_size": 64,
                "degenerate_sample_policy": "exclude_and_report"}
+FAMILIES = [
+    {"kind": "linear", "slope": 1.0, "intercept": 0.0, "lambda_min": 0.01, "lambda_max": 10.0},
+    {"kind": "quadratic", "curvature": 1.0, "center": 3.0, "gap_min": 0.5, "lambda_min": 0.0,
+     "lambda_max": 6.0},
+    {"kind": "table", "points": [[0.0, 0.5], [5.0, 2.4], [10.0, 9.0]]},
+]
 
 
 def _json_values(integers):
@@ -774,14 +797,7 @@ def _mutants(draw, base, values):
     "argv,base,values",
     [
         (["bound", "-T", "1.0", "--spectrum", "{doc}"], TWO_LEVEL_SPECTRUM, ANY_VALUES),
-        (["tune", "-T", "1.0", "--family", "{doc}"],
-         {"kind": "linear", "slope": 1.0, "intercept": 0.0, "lambda_min": 0.01,
-          "lambda_max": 10.0}, ANY_VALUES),
-        (["tune", "-T", "1.0", "--family", "{doc}"],
-         {"kind": "quadratic", "curvature": 1.0, "center": 3.0, "gap_min": 0.5,
-          "lambda_min": 0.0, "lambda_max": 6.0}, ANY_VALUES),
-        (["tune", "-T", "1.0", "--family", "{doc}"],
-         {"kind": "table", "points": [[0.0, 0.5], [5.0, 2.4], [10.0, 9.0]]}, ANY_VALUES),
+        *[(["tune", "-T", "1.0", "--family", "{doc}"], family, ANY_VALUES) for family in FAMILIES],
         (["simulate", "--config", "{doc}"], BASE_CONFIG, SMALL_VALUES),
         (["simulate", "--config", "{doc}"], {**BASE_CONFIG, "estimator": "bayes"}, SMALL_VALUES),
         (["estimate", "--spectrum", "{spectrum}", "--sample", "{doc}",
@@ -807,3 +823,77 @@ def test_malformed_file_inputs_exit_cleanly(capsys, tmp_path, argv, base, values
     assert code in (0, 2, 3, 4)
     if code:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# numeric fuzz: every numeric flag of bound, tune, estimate, sweep, gfun and hfun
+# ---------------------------------------------------------------------------
+
+# NaN, the infinities, signed zeros, subnormals and values near the float64 maximum
+EDGE_FLOATS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-320, 1e-310, 1e300, 1.7e308]
+)
+FLOATS = EDGE_FLOATS | st.floats() | st.floats(0.01, 100.0)
+# The program caps no size; these stay small so that every run fits in memory.
+SIZES = st.integers(-3, 3000)
+TABLE_ROWS = 5000
+
+
+def _floats(draw, n):
+    return [repr(draw(FLOATS)) for _ in range(n)]
+
+
+@st.composite
+def _numeric_argv(draw, command):
+    """``command`` with every numeric flag drawn; ``{spectrum}`` etc. name input files."""
+    if command == "bound":
+        return ["bound", "--spectrum", "{spectrum}", f"--temperature={draw(FLOATS)!r}",
+                f"--shots={draw(SIZES)}"]
+    if command == "tune":
+        return ["tune", "--family", f"{{family{draw(st.integers(0, len(FAMILIES) - 1))}}}",
+                f"--temperature={draw(FLOATS)!r}"]
+    if command == "estimate":
+        argv = ["estimate", "--spectrum", "{spectrum}", "--sample", "{sample}",
+                f"--grid={draw(SIZES)}"]
+        for flag in ("--bracket", "--prior"):
+            if draw(st.booleans()):
+                argv += [flag, *_floats(draw, 2)]
+        return argv
+    if command == "sweep":
+        return ["sweep", "--spectrum", "{spectrum}",
+                "--temperatures", *_floats(draw, draw(st.integers(1, 2))),
+                f"--shots={draw(SIZES)}", f"--trials={draw(SIZES)}",
+                f"--seed={draw(st.integers(-3, 2**64))}",
+                f"--estimator={draw(st.sampled_from(['mle', 'bayes']))}"]
+    lo, hi, step = draw(FLOATS), draw(FLOATS), draw(FLOATS)
+    if 0.0 < lo < hi < math.inf and 0.0 < step < math.inf:
+        per_axis = TABLE_ROWS if command == "gfun" else math.isqrt(TABLE_ROWS)
+        assume((hi - lo) / step < per_axis)
+    return [command, f"--min={lo!r}", f"--max={hi!r}", f"--step={step!r}"]
+
+
+@pytest.mark.parametrize("command", ["bound", "tune", "estimate", "sweep", "gfun", "hfun"])
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_numeric_flags_exit_cleanly(capsys, tmp_path, spectrum_file, command, data):
+    files = {"sample": QUBIT_SAMPLE} | {f"family{i}": f for i, f in enumerate(FAMILIES)}
+    paths = {"spectrum": spectrum_file}
+    for name, content in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump(content, fh)
+    argv = [arg.format(**paths) for arg in data.draw(_numeric_argv(command))]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # an argparse usage error, e.g. "-inf" read as an option
+        assert exc.code == 2
+        capsys.readouterr()
+        return
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3, 4)
+    assert "NaN" not in out
+    if code:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == ""

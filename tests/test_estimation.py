@@ -126,6 +126,16 @@ def test_narrow_bracket_boundary_statuses():
     assert mle_temperature(sample, bracket=(1.1, 5.0)).status == AT_LOWER_BOUND
 
 
+def test_mle_bracket_beyond_float_range_warns_nothing():
+    # -1/T overflows at the lower bracket end and near it during the bisection; with
+    # RuntimeWarnings raised as errors, a warning fails this test
+    status, estimate = mle_batch(QUBIT, [[731, 269]], bracket=(1e-320, 1.0))
+    assert status.tolist() == [AT_UPPER_BOUND] and math.isnan(estimate[0])
+    assert mle_status(QUBIT, [[1000, 0]], bracket=(1e-320, 1.0)).tolist() == [AT_LOWER_BOUND]
+    assert mle_temperature(SampleSet(spectrum=QUBIT, counts=(999_999, 1)),
+                           bracket=(1e-320, 1.0)).status == INTERIOR
+
+
 def test_mle_bracket_validation():
     sample = SampleSet(spectrum=QUBIT, counts=(7, 3))
     with pytest.raises(ValueError):
@@ -315,6 +325,25 @@ def test_posterior_handles_heavy_underflow():
     post = bayes_posterior(sample, (0.05, 10.0), 1024)
     assert math.isfinite(post.mean) and math.isfinite(post.sd)
     assert post.mean == pytest.approx(closed_form_two_level(99_000, 1_000), rel=0.05)
+
+
+@pytest.mark.parametrize("gap", [1e-300, 1e-150, 1e150, 1e300])
+def test_posterior_scales_with_the_gap(gap):
+    # in units of the gap the posterior is the qubit's, also where T^2 under- or overflows
+    counts = (731, 269)
+    ref = bayes_posterior(SampleSet(spectrum=QUBIT, counts=counts), (0.2, 5.0), 256)
+    scaled = make_spectrum([(0.0, 1), (gap, 1)])
+    post = bayes_posterior(SampleSet(spectrum=scaled, counts=counts), (0.2 * gap, 5.0 * gap), 256)
+    assert post.mean == pytest.approx(ref.mean * gap, rel=1e-12, abs=0.0)
+    assert post.sd == pytest.approx(ref.sd * gap, rel=1e-12, abs=0.0)
+
+
+def test_posterior_of_a_sample_impossible_on_the_whole_grid_raises():
+    # the occupied level's log weight is -inf on the whole grid, clamped to -max: a single
+    # count then gives a log-likelihood of -max everywhere, which is no posterior
+    wide = make_spectrum([(0.0, 1), (1e300, 1)])
+    with pytest.raises(ValueError, match="no finite maximum"):
+        bayes_posterior(SampleSet(spectrum=wide, counts=(999, 1)), (1e-10, 1e-9), 64)
 
 
 def test_posterior_validation():
