@@ -7,6 +7,9 @@ floored by T^2 * f3(D1/T, D2/T). Both factors are evaluated with the
 largest exponent factored out so they stay finite for arguments up to
 several hundred. ``tune_gap`` minimizes the floor over an external
 control parameter that moves the gap(s).
+
+scipy is imported inside the functions that use it (the minima, tuning
+and table families), so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import (
     InputFormatError,
@@ -138,6 +139,8 @@ def minimize_two_level_factor(bracket: tuple[float, float] = ROOT_BRACKET) -> Mi
     The minimum is the single root of x tanh(x/2) = 2, found by Brent's
     root finder to ``ROOT_TOL`` in x.
     """
+    from scipy.optimize import brentq
+
     a, b = positive_interval(bracket, "bracket")
     if _two_level_stationarity(a) >= 0.0 or _two_level_stationarity(b) <= 0.0:
         raise ValueError(f"bracket {bracket!r} does not contain an interior minimum")
@@ -169,6 +172,8 @@ def minimize_three_level_factor() -> MinimumResult:
     definite: the curvature along the diagonal because the stationarity increases, the one
     across it where a(t) > 0, which ``converged`` checks in closed form.
     """
+    from scipy.optimize import brentq
+
     xd, info = brentq(
         _diagonal_stationarity, *ROOT_BRACKET, xtol=ROOT_TOL, full_output=True, disp=False
     )
@@ -299,6 +304,8 @@ class GapFamily:
     @classmethod
     def from_table(cls, points: Sequence[Sequence[float]], description=""):
         """Monotone-cubic (PCHIP) interpolation through (lambda, gap) pairs."""
+        from scipy.interpolate import PchipInterpolator
+
         pts = sorted((float(l), float(g)) for l, g in points)
         if len(pts) < 2:
             raise ValueError("table family needs at least 2 points")
@@ -379,6 +386,8 @@ def tune_gap(family: GapFamily, T: float) -> TuneResult:
     lo, hi = family.lambda_min, family.lambda_max
 
     if family.breaks is not None and not family.pair_valued:
+        from scipy.optimize import brentq
+
         target = T * brentq(_two_level_stationarity, *ROOT_BRACKET, xtol=ROOT_TOL)
 
         def excess(lam: float) -> float:
@@ -389,6 +398,8 @@ def tune_gap(family: GapFamily, T: float) -> TuneResult:
             if excess(a) * excess(b) < 0.0:
                 candidates.append(brentq(excess, a, b, xtol=ROOT_TOL, maxiter=_ROOT_MAXITER))
     else:
+        from scipy.optimize import minimize_scalar
+
         grid = np.linspace(lo, hi, 1000)
         values = [objective(lam) for lam in grid]
         i = int(np.argmin(values))

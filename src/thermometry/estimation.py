@@ -230,7 +230,7 @@ def _bayes_grid(spectrum: Spectrum, prior: tuple[float, float], grid_size: int):
 
 
 def _posterior_row(grid, counts: np.ndarray, total: int):
-    """(mean, sd, density per ``unit``) for one float count vector on a prebuilt grid."""
+    """(mean, density) per ``unit`` for one float count vector on a prebuilt grid."""
     temps, t, unit, logw, logz = grid
     loglik = logw @ counts - total * logz
     top = loglik.max()
@@ -240,9 +240,7 @@ def _posterior_row(grid, counts: np.ndarray, total: int):
     loglik -= top
     density = np.exp(loglik)
     density /= np.trapezoid(density, t)
-    mean = float(np.trapezoid(t * density, t))
-    sd = math.sqrt(max(float(np.trapezoid((t - mean) ** 2 * density, t)), 0.0))
-    return mean * unit, sd * unit, density
+    return float(np.trapezoid(t * density, t)), density
 
 
 def bayes_batch(
@@ -250,8 +248,8 @@ def bayes_batch(
     counts,
     prior: tuple[float, float],
     grid_size: int = 2048,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat-prior posterior (mean, sd) for every row of a (trials, levels) count array.
+) -> np.ndarray:
+    """Flat-prior posterior mean for every row of a (trials, levels) count array.
 
     The grid is built once; each row's unnormalized log posterior is shifted
     by its maximum before exponentiation and normalized by trapezoid
@@ -264,11 +262,10 @@ def bayes_batch(
     totals = counts.sum(axis=1).tolist()
     rows = counts.astype(float)
     means = np.empty(len(rows))
-    sds = np.empty(len(rows))
     with np.errstate(over="ignore"):  # each row checks its maximum
         for i, total in enumerate(totals):
-            means[i], sds[i], _ = _posterior_row(grid, rows[i], total)
-    return means, sds
+            means[i] = _posterior_row(grid, rows[i], total)[0]
+    return means * grid[2]
 
 
 def bayes_posterior(
@@ -280,13 +277,14 @@ def bayes_posterior(
 
     The posterior of one sample on the grid of :func:`bayes_batch`.
     """
-    grid = _bayes_grid(sample.spectrum, prior, grid_size)
+    temps, t, unit, _, _ = grid = _bayes_grid(sample.spectrum, prior, grid_size)
     counts = np.asarray(sample.counts, dtype=float)
     with np.errstate(over="ignore"):  # a density beyond the float range is inf
-        mean, sd, density = _posterior_row(grid, counts, sample.total)
-        density /= grid[2]  # per unit temperature, not per ``unit``
+        mean, density = _posterior_row(grid, counts, sample.total)
+        sd = math.sqrt(max(float(np.trapezoid((t - mean) ** 2 * density, t)), 0.0))
+        density /= unit  # per unit temperature, not per ``unit``
     density.flags.writeable = False
-    return Posterior(mean=mean, sd=sd, temperatures=grid[0], density=density)
+    return Posterior(mean=mean * unit, sd=sd * unit, temperatures=temps, density=density)
 
 
 # ---------------------------------------------------------------------------

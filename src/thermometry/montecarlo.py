@@ -10,6 +10,7 @@ in :mod:`thermometry.estimation`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -115,6 +116,9 @@ class SaturationReport:
     generator: str = GENERATOR_ID
     # status -> number of excluded trials; not part of the serialized report
     excluded_by_status: dict[str, int] = field(default_factory=dict, hash=False)
+    # standard error of ``ratio``; not serialized either. NaN below two usable trials,
+    # and left out of equality, where NaN would make equal reports unequal
+    ratio_stderr: float = field(default=math.nan, compare=False)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -159,9 +163,10 @@ def run_experiment(cfg: ExperimentConfig) -> SaturationReport:
 
     The error is the mean of (estimate - true T)^2 over usable trials,
     i.e. squared error about the truth, not about the sample mean.
-    Degenerate (boundary / non-invertible) trials are excluded and
-    counted, or abort the run at the first one in trial order, per the
-    configured policy.
+    ``ratio_stderr`` is the standard error of ``ratio`` as the mean of the
+    per-trial values (estimate - true T)^2 / crb. Degenerate (boundary /
+    non-invertible) trials are excluded and counted, or abort the run at
+    the first one in trial order, per the configured policy.
     """
     T = cfg.true_temperature
     fisher = fisher_information(cfg.spectrum, T)
@@ -188,7 +193,7 @@ def run_experiment(cfg: ExperimentConfig) -> SaturationReport:
                 )
         status, estimate = mle_batch(cfg.spectrum, counts, bracket=cfg.mle_bracket)
     else:
-        estimate, _ = bayes_batch(
+        estimate = bayes_batch(
             cfg.spectrum, counts, cfg.effective_prior(), cfg.bayes_grid_size
         )
         status = np.full(cfg.trials, INTERIOR, dtype=object)
@@ -196,10 +201,13 @@ def run_experiment(cfg: ExperimentConfig) -> SaturationReport:
     usable = status == INTERIOR
     usable_estimates = estimate[usable].tolist()
     sum_sq = 0.0
+    sum_sq2 = 0.0
     sum_est = 0.0
     for est in usable_estimates:
         err = est - T
-        sum_sq += err * err
+        sq = err * err
+        sum_sq += sq
+        sum_sq2 += sq * sq
         sum_est += est
     used = len(usable_estimates)
     if used == 0:
@@ -207,6 +215,8 @@ def run_experiment(cfg: ExperimentConfig) -> SaturationReport:
             f"all {cfg.trials} trials were degenerate; no usable estimates"
         )
     mse = sum_sq / used
+    # sample variance of the squared errors, (sum x^2 - n mean^2) / (n - 1)
+    var_sq = max(sum_sq2 - sum_sq * mse, 0.0) / (used - 1) if used > 1 else math.nan
     return SaturationReport(
         empirical_mse=mse,
         crb=crb,
@@ -218,6 +228,7 @@ def run_experiment(cfg: ExperimentConfig) -> SaturationReport:
             s: int(np.count_nonzero(status == s))
             for s in (AT_LOWER_BOUND, AT_UPPER_BOUND, NON_INVERTIBLE)
         },
+        ratio_stderr=math.sqrt(var_sq / used) / crb,
     )
 
 

@@ -209,7 +209,7 @@ def test_batch_rows_equal_single_sample_calls():
     counts = rng.multinomial(40, probs, size=120)
     status, estimate = mle_batch(s, counts)
     assert list(mle_status(s, counts)) == list(status)
-    means, sds = bayes_batch(s, counts[:20], (0.05, 20.0), 256)
+    means = bayes_batch(s, counts[:20], (0.05, 20.0), 256)
     for i, row in enumerate(counts):
         single = mle_temperature(SampleSet(spectrum=s, counts=tuple(row.tolist())))
         assert single.status == status[i]
@@ -218,7 +218,24 @@ def test_batch_rows_equal_single_sample_calls():
     for i, row in enumerate(counts[:20]):
         post = bayes_posterior(SampleSet(spectrum=s, counts=tuple(row.tolist())),
                                (0.05, 20.0), 256)
-        assert (post.mean, post.sd) == (means[i], sds[i])
+        assert post.mean == means[i]
+
+
+@pytest.mark.parametrize("counts, prior, grid", [
+    ((731, 269), (0.05, 20.0), 256),
+    ((40, 7, 0, 3, 1), (0.3, 3.0), 1024),
+    ((1000, 0), (1e-3, 0.2), 64),
+])
+def test_posterior_sd_is_the_trapezoid_of_its_own_density(counts, prior, grid):
+    # the sd formula applied to the posterior's grid and density, in the same power-of-two
+    # unit, gives the reported sd bit for bit
+    s = make_spectrum([(0.0, 1), (0.4, 2), (1.0, 1), (1.3, 1), (2.5, 3)][:len(counts)])
+    post = bayes_posterior(SampleSet(spectrum=s, counts=counts), prior, grid)
+    unit = math.ldexp(1.0, math.frexp(prior[1])[1] - 1)
+    t = post.temperatures / unit
+    mean = post.mean / unit
+    var = float(np.trapezoid((t - mean) ** 2 * (post.density * unit), t))
+    assert post.sd == math.sqrt(max(var, 0.0)) * unit
 
 
 def test_counts_at_multiplicities_are_non_invertible_in_a_batch():

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from thermometry import (
     DegenerateExperimentError,
     EXCLUDE_AND_REPORT,
     GENERATOR_ID,
+    INTERIOR,
     InputFormatError,
     MLE,
     NON_INVERTIBLE,
@@ -28,7 +31,10 @@ from thermometry import (
     two_level_factor,
 )
 from thermometry import montecarlo
+from thermometry.estimation import mle_batch
 from thermometry.montecarlo import DRAW_CHUNK, draw_counts
+
+BUNDLED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "saturation_x24.cfg"
 
 QUBIT = make_spectrum([(0.0, 1), (1.0, 1)], label="qubit")
 P1_UNIT = 0.2689414213699951
@@ -186,6 +192,49 @@ def test_excluded_by_status(overrides, expected):
     assert report.excluded_by_status == expected
     assert sum(report.excluded_by_status.values()) == report.excluded_trials
     assert "excluded_by_status" not in report_to_dict(report, cfg)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(trials=3000),
+    dict(true_temperature=1.0, shots_per_trial=20, trials=2000, seed=9, mle_bracket=(0.5, 2.0)),
+])
+def test_ratio_stderr_is_the_standard_error_of_the_per_trial_ratios(overrides):
+    cfg = saturation_config(**overrides)
+    report = run_experiment(cfg)
+    counts = draw_counts(QUBIT, cfg.true_temperature, cfg.shots_per_trial,
+                         [trial_rng(cfg.seed, i) for i in range(cfg.trials)])
+    status, estimate = mle_batch(QUBIT, counts, bracket=cfg.mle_bracket)
+    x = (estimate[status == INTERIOR] - cfg.true_temperature) ** 2 / report.crb
+    assert len(x) == report.trials_used
+    assert report.ratio == pytest.approx(x.mean(), rel=1e-12)
+    assert report.ratio_stderr == pytest.approx(np.std(x, ddof=1) / math.sqrt(len(x)), rel=1e-9)
+    assert "ratio_stderr" not in report_to_dict(report, cfg)
+
+
+def test_ratio_stderr_of_one_usable_trial_is_nan():
+    assert math.isnan(run_experiment(saturation_config(trials=1)).ratio_stderr)
+
+
+def test_bundled_ratio_is_within_four_standard_errors_of_the_exact_ratio():
+    # exact finite-M ratio of the two-level MLE: k excited of M gives T(k) = gap/ln((M-k)/k);
+    # k = 0 and k >= M/2 have no interior estimate and are excluded
+    with open(BUNDLED_CONFIG, encoding="utf-8") as fh:
+        cfg = config_from_dict(json.load(fh))
+    report = run_experiment(cfg)
+    M, T = cfg.shots_per_trial, cfg.true_temperature
+    gap = cfg.spectrum.energies[1] - cfg.spectrum.energies[0]
+    p = 1.0 / (1.0 + math.exp(gap / T))
+    mass = sq = 0.0
+    for k in range(1, (M + 1) // 2):
+        pmf = math.exp(math.lgamma(M + 1) - math.lgamma(k + 1) - math.lgamma(M - k + 1)
+                       + k * math.log(p) + (M - k) * math.log1p(-p))
+        mass += pmf
+        sq += pmf * (gap / math.log((M - k) / k) - T) ** 2
+    crb = T**4 / (M * p * (1.0 - p) * gap**2)
+    exact = sq / mass / crb
+    assert exact == pytest.approx(1.00663, abs=5e-5)
+    assert report.crb == pytest.approx(crb, rel=1e-12)
+    assert abs(report.ratio - exact) < 4.0 * report.ratio_stderr
 
 
 def test_zero_usable_trials_is_an_error():

@@ -1,16 +1,22 @@
-"""The package's public names, and the functions the benchmark's per-layer metrics time."""
+"""The package's public names, the functions the benchmark's per-layer metrics time, and
+the modules a fresh interpreter loads to run each command."""
 
 import importlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import thermometry
+from thermometry.cli import main
 
 LAYERS = ["bounds", "estimation", "fisher", "montecarlo", "thermal"]
-BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = ROOT / "BENCHMARK.json"
 
 
 @pytest.mark.parametrize("layer", LAYERS)
@@ -41,3 +47,72 @@ def test_benchmark_metric_times_a_public_function(layer, name):
     assert name in module.__all__
     fn = getattr(module, name)
     assert inspect.isfunction(fn) and fn.__module__ == module.__name__
+
+
+# Runs two batches of argv lists through cli.main in a fresh interpreter. Prints, as JSON,
+# each run's (exit code, stdout) and the scipy modules loaded after each batch.
+COLD_START = """
+import contextlib, io, json, sys
+from thermometry import cli
+
+def run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return code, buf.getvalue()
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+result = []
+for batch in json.loads(sys.argv[1]):
+    result.append({"runs": [run(argv) for argv in batch], "scipy": scipy_modules()})
+print(json.dumps(result))
+"""
+
+
+def _write(path: Path, data) -> str:
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def test_only_minima_tune_and_table_families_import_scipy(tmp_path, capsys):
+    config = json.loads((ROOT / "configs" / "saturation_x24.cfg").read_text(encoding="utf-8"))
+    config["trials"] = 200
+    cfg = _write(tmp_path / "config.json", config)
+    spectrum = _write(tmp_path / "qubit.json",
+                      {"label": "qubit", "levels": [{"energy": 0.0}, {"energy": 1.0}]})
+    sample = _write(tmp_path / "sample.json", {"spectrum_label": "qubit", "counts": [731, 269]})
+    linear = _write(tmp_path / "linear.json", {"kind": "linear", "slope": 1.0, "intercept": 0.0,
+                                               "lambda_min": 0.01, "lambda_max": 10.0})
+    table = _write(tmp_path / "table.json",
+                   {"kind": "table", "points": [[0.0, 0.5], [5.0, 2.4], [10.0, 9.0]]})
+    without_scipy = [
+        ["simulate", "--config", cfg],
+        ["sweep", "--spectrum", spectrum, "--temperatures", "0.4", "1.0", "-M", "100",
+         "-R", "50"],
+        ["bound", "--spectrum", spectrum, "-T", "0.4", "-M", "10"],
+        ["estimate", "--sample", sample, "--spectrum", spectrum],
+        ["estimate", "--sample", sample, "--spectrum", spectrum, "--prior", "0.1", "5",
+         "--grid", "256"],
+        ["gfun", "--min", "0.5", "--max", "3", "--step", "0.5"],
+        ["hfun", "--min", "1", "--max", "3", "--step", "0.5"],
+    ]
+    with_scipy = [
+        ["minima"],
+        ["tune", "--family", linear, "-T", "1.0"],
+        ["tune", "--family", table, "-T", "1.0"],
+    ]
+    env = dict(os.environ)
+    src = str(Path(thermometry.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, json.dumps([without_scipy, with_scipy])],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    cold, warm = json.loads(proc.stdout)
+    assert cold["scipy"] == []
+    assert "scipy.optimize" in warm["scipy"] and "scipy.interpolate" in warm["scipy"]
+    for argv, (code, out) in zip(without_scipy + with_scipy, cold["runs"] + warm["runs"]):
+        assert code == 0 and out, argv
+        assert main(argv) == 0 and capsys.readouterr().out == out, argv
