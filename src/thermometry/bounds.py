@@ -388,7 +388,7 @@ def tune_gap(family: GapFamily, T: float) -> TuneResult:
     if family.breaks is not None and not family.pair_valued:
         from scipy.optimize import brentq
 
-        target = T * brentq(_two_level_stationarity, *ROOT_BRACKET, xtol=ROOT_TOL)
+        target = T * minimize_two_level_factor().argmin
 
         def excess(lam: float) -> float:
             return family.gap_at(lam) - target

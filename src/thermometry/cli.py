@@ -32,7 +32,13 @@ from .errors import (
     positive,
     positive_interval,
 )
-from .estimation import bayes_posterior, default_bracket, mle_temperature, sample_from_dict
+from .estimation import (
+    MIN_GRID_SIZE,
+    bayes_posterior,
+    default_bracket,
+    mle_temperature,
+    sample_from_dict,
+)
 from .fisher import UNBOUNDED, fisher_report
 from .montecarlo import (
     ABORT,
@@ -230,7 +236,7 @@ def _cmd_estimate(args) -> str:
     }
     if args.prior is not None:
         prior = positive_interval(args.prior, "--prior")
-        grid = at_least(args.grid, 64, "--grid")
+        grid = at_least(args.grid, MIN_GRID_SIZE, "--grid")
         post = bayes_posterior(sample, prior, grid)
         out["posterior_mean"] = post.mean
         out["posterior_sd"] = post.sd

@@ -32,6 +32,7 @@ __all__ = [
     "AT_LOWER_BOUND",
     "AT_UPPER_BOUND",
     "NON_INVERTIBLE",
+    "MIN_GRID_SIZE",
     "SampleSet",
     "EstimateResult",
     "Posterior",
@@ -51,6 +52,8 @@ NON_INVERTIBLE = "non_invertible"
 BRACKET_SPAN = (1e-4, 1e4)
 # Bisection stops when the bracket width falls below this fraction of T.
 BISECT_RTOL = 1e-12
+# Fewest points of a Bayes posterior grid.
+MIN_GRID_SIZE = 64
 # Floor of the Bayes log weights: a level whose weight underflows to log 0 = -inf and whose
 # count is 0 then adds 0 to the log-likelihood, not -inf * 0 = NaN.
 _LOG_ZERO = -np.finfo(float).max
@@ -116,38 +119,6 @@ def _counts_matrix(spectrum: Spectrum, counts) -> np.ndarray:
     return counts
 
 
-def _moment_problem(spectrum: Spectrum, counts, bracket):
-    """Bracket, shifted sample means and each row's status before any bisection.
-
-    Bisection never changes a status, so this is also the final status.
-    """
-    if bracket is None:
-        bracket = default_bracket(spectrum)
-    bracket = positive_interval(bracket, "bracket")
-    counts = _counts_matrix(spectrum, counts)
-    de = spectrum._shifted
-    m = spectrum._weights
-    ebar = np.vecdot(counts.astype(float), de) / counts.sum(axis=1)
-    edges = shifted_means(spectrum, np.array(bracket))
-    # later masks win: all-ground, then non-invertible, then the bracket ends
-    status = np.full(len(ebar), INTERIOR, dtype=object)
-    status[edges[1] <= ebar] = AT_UPPER_BOUND
-    status[edges[0] >= ebar] = AT_LOWER_BOUND
-    status[ebar >= (m @ de) / m.sum()] = NON_INVERTIBLE
-    status[ebar <= 0.0] = AT_LOWER_BOUND
-    return bracket, ebar, status
-
-
-def mle_status(
-    spectrum: Spectrum,
-    counts,
-    bracket: tuple[float, float] | None = None,
-) -> np.ndarray:
-    """Status of every row's MLE (see :func:`mle_batch`), found without bisecting."""
-    with np.errstate(over="ignore"):  # as in mle_batch
-        return _moment_problem(spectrum, counts, bracket)[2]
-
-
 def mle_batch(
     spectrum: Spectrum,
     counts,
@@ -161,11 +132,25 @@ def mle_batch(
     than ``BISECT_RTOL`` times its midpoint or the midpoint stops moving.
     Returns ``(status, estimate)``: status per row (object array of
     INTERIOR / AT_LOWER_BOUND / AT_UPPER_BOUND / NON_INVERTIBLE) and the
-    estimate, NaN wherever the status is not INTERIOR.
+    estimate, NaN wherever the status is not INTERIOR. The status follows
+    from the sample mean alone, before any bisection.
     """
+    if bracket is None:
+        bracket = default_bracket(spectrum)
+    lo0, hi0 = positive_interval(bracket, "bracket")
+    counts = _counts_matrix(spectrum, counts)
+    de = spectrum._shifted
+    m = spectrum._weights
     # -(E_n - E_0)/T past the float range at a tiny T is an occupation of exactly 0
     with np.errstate(over="ignore"):
-        (lo0, hi0), ebar, status = _moment_problem(spectrum, counts, bracket)
+        ebar = np.vecdot(counts.astype(float), de) / counts.sum(axis=1)
+        edges = shifted_means(spectrum, np.array((lo0, hi0)))
+        # later masks win: all-ground, then non-invertible, then the bracket ends
+        status = np.full(len(ebar), INTERIOR, dtype=object)
+        status[edges[1] <= ebar] = AT_UPPER_BOUND
+        status[edges[0] >= ebar] = AT_LOWER_BOUND
+        status[ebar >= (m @ de) / m.sum()] = NON_INVERTIBLE
+        status[ebar <= 0.0] = AT_LOWER_BOUND
         estimate = np.full(len(ebar), np.nan)
         rows = np.flatnonzero(status == INTERIOR)
         target = ebar[rows]
@@ -220,7 +205,7 @@ def _bayes_grid(spectrum: Spectrum, prior: tuple[float, float], grid_size: int):
     """
     lo, hi = positive_interval(prior, "prior interval")
     temperature_power(lo, -1, "prior interval lower end")
-    at_least(grid_size, 64, "grid_size")
+    at_least(grid_size, MIN_GRID_SIZE, "grid_size")
     temps = np.linspace(lo, hi, grid_size)
     temps.flags.writeable = False
     unit = math.ldexp(1.0, math.frexp(hi)[1] - 1)
@@ -253,7 +238,7 @@ def bayes_batch(
 
     The grid is built once; each row's unnormalized log posterior is shifted
     by its maximum before exponentiation and normalized by trapezoid
-    quadrature on the uniform grid (``grid_size`` >= 64 points). Only one
+    quadrature on the uniform grid (``grid_size`` >= ``MIN_GRID_SIZE`` points). Only one
     grid-sized density is alive at a time. A row whose log-likelihood has no
     finite maximum on the grid raises ValueError.
     """

@@ -2,7 +2,7 @@
 
 Each trial owns an RNG stream derived from (seed, trial index) only, so
 reports are bitwise reproducible for a given config and trials could run
-in any order; the reduction below iterates in trial order, which fixes
+in any order; the reduction below sums in trial order, which fixes
 the float accumulation order as well. A run draws every trial's counts
 into one (trials, levels) array and hands it to the batched estimators
 in :mod:`thermometry.estimation`.
@@ -23,17 +23,18 @@ from .errors import (
     integer,
     number,
     positive,
+    positive_interval,
     require,
 )
 from .estimation import (
     AT_LOWER_BOUND,
     AT_UPPER_BOUND,
     INTERIOR,
+    MIN_GRID_SIZE,
     NON_INVERTIBLE,
     SampleSet,
     bayes_batch,
     mle_batch,
-    mle_status,
 )
 from .fisher import fisher_information
 from .thermal import Spectrum, gibbs_state, spectrum_from_dict, spectrum_to_dict
@@ -87,6 +88,10 @@ class ExperimentConfig:
         at_least(self.shots_per_trial, 1, "shots_per_trial")
         at_least(self.trials, 1, "trials")
         at_least(self.seed, 0, "seed")
+        at_least(self.bayes_grid_size, MIN_GRID_SIZE, "bayes_grid_size")
+        for pair, name in ((self.bayes_prior, "bayes_prior"), (self.mle_bracket, "mle_bracket")):
+            if pair is not None:
+                positive_interval(pair, name)
         if self.estimator not in (MLE, BAYES):
             raise ValueError(f"estimator must be '{MLE}' or '{BAYES}', got {self.estimator!r}")
         if self.degenerate_sample_policy not in (EXCLUDE_AND_REPORT, ABORT):
@@ -131,21 +136,21 @@ def draw_counts(
 ) -> np.ndarray:
     """Multinomial counts of ``shots`` energy outcomes at ``T``, one row per stream.
 
-    Inverse-CDF sampling: each uniform is placed in the cumulative
-    occupation distribution; the clip guards against the cumulative sum
-    landing a few ulp below 1. Each stream's uniforms are drawn in chunks
+    Inverse-CDF sampling: each uniform is placed among the cumulative
+    occupations of all levels but the top one, so a uniform past every one
+    of those boundaries lands in the top level, even where the cumulative
+    sum ends a few ulp below 1. Each stream's uniforms are drawn in chunks
     of ``DRAW_CHUNK``, which continue the stream exactly as one draw would.
     """
     at_least(shots, 1, "shots")
-    cum = np.cumsum(gibbs_state(spectrum, T).probs)
-    n = len(cum)
+    cum = np.cumsum(gibbs_state(spectrum, T).probs)[:-1]
+    n = len(cum) + 1
     rows = []
     for rng in rngs:
         counts = np.zeros(n, dtype=np.int64)
         for start in range(0, shots, DRAW_CHUNK):
             u = rng.random(min(DRAW_CHUNK, shots - start))
-            counts += np.bincount(np.minimum(np.searchsorted(cum, u, side="right"), n - 1),
-                                  minlength=n)
+            counts += np.bincount(np.searchsorted(cum, u, side="right"), minlength=n)
         rows.append(counts)
     return np.array(rows, dtype=np.int64).reshape(-1, n)
 
@@ -161,8 +166,11 @@ def draw_sample(
 def run_experiment(cfg: ExperimentConfig) -> SaturationReport:
     """Run all trials and compare the mean squared error to the floor.
 
-    The error is the mean of (estimate - true T)^2 over usable trials,
-    i.e. squared error about the truth, not about the sample mean.
+    One pass: the batched estimator gives every trial's status and
+    estimate, the policy reads those statuses, and the reduction works on
+    the usable estimates as arrays. The error is the mean of
+    (estimate - true T)^2 over usable trials, i.e. squared error about the
+    truth, not about the sample mean; the reported sums run in trial order.
     ``ratio_stderr`` is the standard error of ``ratio`` as the mean of the
     per-trial values (estimate - true T)^2 / crb. Degenerate (boundary /
     non-invertible) trials are excluded and counted, or abort the run at
@@ -181,16 +189,6 @@ def run_experiment(cfg: ExperimentConfig) -> SaturationReport:
         (trial_rng(cfg.seed, trial) for trial in range(cfg.trials)),
     )
     if cfg.estimator == MLE:
-        if cfg.degenerate_sample_policy == ABORT:
-            # statuses are known before bisecting, so an aborting run skips it
-            status = mle_status(cfg.spectrum, counts, bracket=cfg.mle_bracket)
-            degenerate = np.flatnonzero(status != INTERIOR)
-            if len(degenerate):
-                trial = int(degenerate[0])
-                raise DegenerateExperimentError(
-                    f"trial {trial} produced a degenerate sample "
-                    f"(status {status[trial]}, counts {tuple(counts[trial].tolist())})"
-                )
         status, estimate = mle_batch(cfg.spectrum, counts, bracket=cfg.mle_bracket)
     else:
         estimate = bayes_batch(
@@ -199,29 +197,27 @@ def run_experiment(cfg: ExperimentConfig) -> SaturationReport:
         status = np.full(cfg.trials, INTERIOR, dtype=object)
 
     usable = status == INTERIOR
-    usable_estimates = estimate[usable].tolist()
-    sum_sq = 0.0
-    sum_sq2 = 0.0
-    sum_est = 0.0
-    for est in usable_estimates:
-        err = est - T
-        sq = err * err
-        sum_sq += sq
-        sum_sq2 += sq * sq
-        sum_est += est
-    used = len(usable_estimates)
+    if cfg.degenerate_sample_policy == ABORT and not usable.all():
+        trial = int(np.flatnonzero(~usable)[0])
+        raise DegenerateExperimentError(
+            f"trial {trial} produced a degenerate sample "
+            f"(status {status[trial]}, counts {tuple(counts[trial].tolist())})"
+        )
+    estimates = estimate[usable]
+    used = len(estimates)
     if used == 0:
         raise DegenerateExperimentError(
             f"all {cfg.trials} trials were degenerate; no usable estimates"
         )
-    mse = sum_sq / used
-    # sample variance of the squared errors, (sum x^2 - n mean^2) / (n - 1)
-    var_sq = max(sum_sq2 - sum_sq * mse, 0.0) / (used - 1) if used > 1 else math.nan
+    sq = (estimates - T) ** 2
+    # cumsum adds in trial order, as the serialized sums always have; np.sum is pairwise
+    mse = float(np.cumsum(sq)[-1]) / used
+    var_sq = float(np.var(sq, ddof=1)) if used > 1 else math.nan
     return SaturationReport(
         empirical_mse=mse,
         crb=crb,
         ratio=mse / crb,
-        mean_estimate=sum_est / used,
+        mean_estimate=float(np.cumsum(estimates)[-1]) / used,
         excluded_trials=cfg.trials - used,
         trials_used=used,
         excluded_by_status={

@@ -416,6 +416,10 @@ def test_simulate_malformed_config_exits_2(capsys, tmp_path):
         {"bayes_grid_size": None},
         {"mle_bracket": ["a", 1.0]},
         {"bayes_grid_size": 100.7},
+        # checked at load, before any trial is drawn
+        {"bayes_grid_size": 10},
+        {"bayes_prior": [2.0, 0.1]},
+        {"mle_bracket": [10.0, 0.01]},
     ],
 )
 def test_simulate_malformed_config_field_one_line_exit_2(capsys, tmp_path, field):

@@ -21,7 +21,7 @@ from thermometry import (
     trial_rng,
     two_level_factor,
 )
-from thermometry.estimation import bayes_batch, mle_batch, mle_status
+from thermometry.estimation import bayes_batch, mle_batch
 from thermometry.montecarlo import draw_counts
 from thermometry.thermal import gibbs_log_weights
 
@@ -131,7 +131,7 @@ def test_mle_bracket_beyond_float_range_warns_nothing():
     # RuntimeWarnings raised as errors, a warning fails this test
     status, estimate = mle_batch(QUBIT, [[731, 269]], bracket=(1e-320, 1.0))
     assert status.tolist() == [AT_UPPER_BOUND] and math.isnan(estimate[0])
-    assert mle_status(QUBIT, [[1000, 0]], bracket=(1e-320, 1.0)).tolist() == [AT_LOWER_BOUND]
+    assert mle_batch(QUBIT, [[1000, 0]], bracket=(1e-320, 1.0))[0].tolist() == [AT_LOWER_BOUND]
     assert mle_temperature(SampleSet(spectrum=QUBIT, counts=(999_999, 1)),
                            bracket=(1e-320, 1.0)).status == INTERIOR
 
@@ -208,7 +208,7 @@ def test_batch_rows_equal_single_sample_calls():
     probs = np.array([0.3, 0.2, 0.1, 0.15, 0.05, 0.1, 0.04, 0.03, 0.03])
     counts = rng.multinomial(40, probs, size=120)
     status, estimate = mle_batch(s, counts)
-    assert list(mle_status(s, counts)) == list(status)
+    assert list(mle_batch(s, counts)[0]) == list(status)
     means = bayes_batch(s, counts[:20], (0.05, 20.0), 256)
     for i, row in enumerate(counts):
         single = mle_temperature(SampleSet(spectrum=s, counts=tuple(row.tolist())))
