@@ -204,7 +204,6 @@ def _cmd_tune(args) -> str:
     T = positive(args.temperature, "--temperature")
     family = family_from_dict(load_json(args.family))
     result = tune_gap(family, T)
-    gap = list(result.gap) if isinstance(result.gap, tuple) else result.gap
     return _json_text(
         {
             "family": family.description,
@@ -212,7 +211,7 @@ def _cmd_tune(args) -> str:
             "temperature": T,
             "tolerance": ROOT_TOL,
             "lambda_star": result.lambda_star,
-            "gap": gap,
+            "gap": result.gap,
             "bound": result.bound,
             "bound_over_T2": result.bound / (T * T),
         }

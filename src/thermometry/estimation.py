@@ -232,7 +232,7 @@ def bayes_batch(
     spectrum: Spectrum,
     counts,
     prior: tuple[float, float],
-    grid_size: int = 2048,
+    grid_size: int,
 ) -> np.ndarray:
     """Flat-prior posterior mean for every row of a (trials, levels) count array.
 
@@ -256,7 +256,7 @@ def bayes_batch(
 def bayes_posterior(
     sample: SampleSet,
     prior: tuple[float, float],
-    grid_size: int = 2048,
+    grid_size: int,
 ) -> Posterior:
     """Posterior mean/sd and density under a flat prior on ``prior``.
 

@@ -11,7 +11,7 @@ in :mod:`thermometry.estimation`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,6 +25,7 @@ from .errors import (
     positive,
     positive_interval,
     require,
+    temperature_power,
 )
 from .estimation import (
     AT_LOWER_BOUND,
@@ -70,7 +71,11 @@ DRAW_CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One saturation experiment: R trials of M shots at a true temperature."""
+    """One saturation experiment: R trials of M shots at a true temperature.
+
+    Construction checks every field (InputFormatError for a wrong type, ValueError for a
+    value out of range) and stores numbers as floats, counts as ints, intervals as tuples.
+    """
 
     spectrum: Spectrum
     true_temperature: float
@@ -84,14 +89,21 @@ class ExperimentConfig:
     mle_bracket: tuple[float, float] | None = None
 
     def __post_init__(self):
-        positive(number(self.true_temperature, "true_temperature"), "true_temperature")
-        at_least(self.shots_per_trial, 1, "shots_per_trial")
-        at_least(self.trials, 1, "trials")
-        at_least(self.seed, 0, "seed")
-        at_least(self.bayes_grid_size, MIN_GRID_SIZE, "bayes_grid_size")
-        for pair, name in ((self.bayes_prior, "bayes_prior"), (self.mle_bracket, "mle_bracket")):
+        store = object.__setattr__  # the dataclass is frozen
+        store(self, "true_temperature",
+              positive(number(self.true_temperature, "true_temperature"), "true_temperature"))
+        for name, minimum in (("shots_per_trial", 1), ("trials", 1), ("seed", 0),
+                              ("bayes_grid_size", MIN_GRID_SIZE)):
+            store(self, name, at_least(integer(getattr(self, name), name), minimum, name))
+        for name in ("bayes_prior", "mle_bracket"):
+            pair = getattr(self, name)
             if pair is not None:
-                positive_interval(pair, name)
+                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                    raise InputFormatError(f"{name} must be a [low, high] pair, got {pair!r}")
+                ends = (number(pair[0], f"{name}[0]"), number(pair[1], f"{name}[1]"))
+                store(self, name, positive_interval(ends, name))
+        if self.bayes_prior is not None:  # a default [T/5, 5T] fails only where T itself does
+            temperature_power(self.bayes_prior[0], -1, "bayes_prior lower end")
         if self.estimator not in (MLE, BAYES):
             raise ValueError(f"estimator must be '{MLE}' or '{BAYES}', got {self.estimator!r}")
         if self.degenerate_sample_policy not in (EXCLUDE_AND_REPORT, ABORT):
@@ -246,7 +258,7 @@ def sweep_saturation(
         child_seed = int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1)[0])
         cfg = ExperimentConfig(
             spectrum=spectrum,
-            true_temperature=float(T),
+            true_temperature=T,
             shots_per_trial=shots,
             trials=trials,
             estimator=estimator,
@@ -260,6 +272,9 @@ def sweep_saturation(
 # ---------------------------------------------------------------------------
 # Config / report serialization
 # ---------------------------------------------------------------------------
+
+_CONFIG_KEYS = [f.name for f in fields(ExperimentConfig) if f.name != "spectrum"]
+
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     data = {
@@ -279,35 +294,16 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return data
 
 
-def _optional_pair(data: dict, key: str) -> tuple[float, float] | None:
-    pair = data.get(key)
-    if pair is None:
-        return None
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise InputFormatError(f"{key} must be a [low, high] pair, got {pair!r}")
-    return (number(pair[0], f"{key}[0]"), number(pair[1], f"{key}[1]"))
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
+    """The config a JSON object describes; its fields are checked by :class:`ExperimentConfig`."""
     if not isinstance(data, dict):
         raise InputFormatError("experiment config must be an object")
     what = "experiment config"
     spectrum = spectrum_from_dict(require(data, "spectrum", what))
+    for key in ("true_temperature", "shots_per_trial", "trials", "seed"):
+        require(data, key, what)
     try:
-        return ExperimentConfig(
-            spectrum=spectrum,
-            true_temperature=number(require(data, "true_temperature", what), "true_temperature"),
-            shots_per_trial=integer(require(data, "shots_per_trial", what), "shots_per_trial"),
-            trials=integer(require(data, "trials", what), "trials"),
-            estimator=data.get("estimator", MLE),
-            seed=integer(require(data, "seed", what), "seed"),
-            degenerate_sample_policy=data.get(
-                "degenerate_sample_policy", EXCLUDE_AND_REPORT
-            ),
-            bayes_prior=_optional_pair(data, "bayes_prior"),
-            bayes_grid_size=integer(data.get("bayes_grid_size", 1024), "bayes_grid_size"),
-            mle_bracket=_optional_pair(data, "mle_bracket"),
-        )
+        return ExperimentConfig(spectrum, **{k: data[k] for k in _CONFIG_KEYS if k in data})
     except InputFormatError:
         raise
     except ValueError as exc:

@@ -420,6 +420,7 @@ def test_simulate_malformed_config_exits_2(capsys, tmp_path):
         {"bayes_grid_size": 10},
         {"bayes_prior": [2.0, 0.1]},
         {"mle_bracket": [10.0, 0.01]},
+        {"bayes_prior": [1e-320, 1.0], "estimator": "bayes"},  # 1/lo overflows
     ],
 )
 def test_simulate_malformed_config_field_one_line_exit_2(capsys, tmp_path, field):
@@ -714,6 +715,17 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("#")
+
+
+def test_out_flag_write_failure_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "table.csv"
+    code, out, err = run_cli(
+        capsys, "gfun", "--min", "1", "--max", "2", "--step", "0.5", "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write --out {target}: ") and err.count("\n") == 1
+    assert not target.parent.exists()
 
 
 def test_module_entry_point_runs():

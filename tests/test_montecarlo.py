@@ -346,6 +346,20 @@ def test_config_from_dict_rejects(mutate):
         config_from_dict(data)
 
 
+@pytest.mark.parametrize("value", [100.0, True])
+@pytest.mark.parametrize("name", ["shots_per_trial", "trials", "seed", "bayes_grid_size"])
+def test_config_rejects_a_non_integer_count_at_construction(name, value):
+    with pytest.raises(InputFormatError, match=f"{name} must be an integer"):
+        saturation_config(**{name: value})
+
+
+def test_config_stores_numbers_as_floats():
+    cfg = saturation_config(true_temperature=1, trials=5, bayes_prior=[1, 2], mle_bracket=(1, 3))
+    assert repr((cfg.true_temperature, cfg.bayes_prior, cfg.mle_bracket)) == (
+        "(1.0, (1.0, 2.0), (1.0, 3.0))"
+    )
+
+
 def test_report_dict_is_self_describing():
     cfg = saturation_config(trials=50)
     report = run_experiment(cfg)

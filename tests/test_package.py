@@ -32,6 +32,12 @@ def test_no_two_layers_export_one_name():
     assert len(names) == len(set(names))
 
 
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert thermometry.__version__ == project["version"]
+
+
 def _timed_functions():
     """(layer, function) for every per-layer metric ``<layer>.<fn>.calls|self_s|iterations``."""
     for metric in json.loads(BENCHMARK.read_text())["per_layer"]:

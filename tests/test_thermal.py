@@ -50,6 +50,10 @@ def test_duplicate_energies_merge():
     assert s.multiplicities == (2, 1)
 
 
+def test_bare_energies_have_multiplicity_one():
+    assert make_spectrum([0.0, 1.0, 1.0]) == make_spectrum([(0.0, 1), (1.0, 2)])
+
+
 def test_merge_uses_relative_tolerance():
     s = make_spectrum([(1.0, 1), (1.0 + 1e-13, 2), (2.0, 1)])
     assert s.n_levels == 2
