@@ -4,15 +4,25 @@ Each trial owns an RNG stream derived from (seed, trial index) only, so
 reports are bitwise reproducible for a given config and trials could run
 in any order; the reduction below sums in trial order, which fixes
 the float accumulation order as well. A run draws every trial's counts
-into one (trials, levels) array and hands it to the batched estimators
-in :mod:`thermometry.estimation`.
+into one (trials, levels) array and hands each distinct count row once to
+the batched estimators in :mod:`thermometry.estimation`.
+
+The sampling floor is reached in two steps, each bit for bit the same as
+the plain construction. Trial streams are built in bulk: the PCG64
+``(state, inc)`` of ``trial_rng(seed, t)`` is derived for a block of
+trials at once by numpy's ``SeedSequence`` hash (seed words mixed once,
+the spawn words of the block vectorized) and PCG64's seeding step, and set
+on one reused generator. Levels are counted by thresholds: a block of
+uniforms is compared with each cumulative boundary, which makes the same
+float comparisons as ``searchsorted(side="right")``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -64,9 +74,24 @@ BAYES = "bayes"
 EXCLUDE_AND_REPORT = "exclude_and_report"
 ABORT = "abort"
 
-# Uniforms are drawn per trial in chunks of at most this many, so memory does
-# not grow with the shot count; consecutive draws continue one PCG64 stream.
-DRAW_CHUNK = 1 << 16
+# Uniforms are drawn in blocks of at most this many (several trials per block,
+# or several chunks per trial), so memory does not grow with the trial or shot
+# count; consecutive draws continue one PCG64 stream. On 2 vCPUs a block of 2^16
+# raised the benchmark's peak RSS by about 1 MB (of 38) and drew two-level trials
+# no faster.
+DRAW_CHUNK = 1 << 14
+# Trial streams whose PCG64 states are derived together.
+STREAM_BLOCK = 1024
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) on 32-bit words, and the
+# PCG64 multiplier of its seeding step
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -143,6 +168,115 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(trial,))))
 
 
+def _words(n: int) -> list[int]:
+    """The little-endian 32-bit words of ``n`` >= 0, at least one."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(value, const: int, mult: int = _MULT_A):
+    """SeedSequence's hashmix of ``value`` (an int, or a uint64 array of 32-bit words) under
+    the hash constant ``const``; returns the hashed value and the next constant."""
+    value = value ^ const
+    const = const * mult & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two hashed words."""
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _mix_in(pool: list, words, const: int):
+    """Mix each word into every pool entry, in SeedSequence's order."""
+    for word in words:
+        for dst in range(_POOL_SIZE):
+            value, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], value)
+    return pool, const
+
+
+def _seed_pool(seed: int) -> tuple[list[int], int]:
+    """SeedSequence pool of ``seed`` before its spawn words, and the hash constant next in line.
+
+    Under a spawn key numpy pads the seed's words with zeros to the pool size, so the pool's
+    first fill and its all-pairs mix see the seed alone.
+    """
+    entropy = _words(seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        value, const = _hashmix(word, const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], value)
+    return _mix_in(pool, entropy[_POOL_SIZE:], const)
+
+
+def _stream_states(seed: int, trials: range) -> Iterator[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``trial_rng(seed, t)`` for each t of ``trials`` (step 1).
+
+    The seed's part of the SeedSequence hash is done once. Each block of at most
+    ``STREAM_BLOCK`` trials whose spawn keys have the same number of words is hashed as
+    uint64 arrays of 32-bit words, then each trial takes PCG64's seeding step on Python ints.
+    """
+    pool, const = _seed_pool(seed)
+    start = trials.start
+    while start < trials.stop:
+        n_words = len(_words(start))
+        end = min(trials.stop, start + STREAM_BLOCK, 1 << 32 * n_words)
+        t = np.arange(start, end, dtype=np.uint64)
+        block, _ = _mix_in(list(pool), [t >> 32 * j & _MASK32 for j in range(n_words)], const)
+        # generate_state(4, np.uint64): eight 32-bit words, cycling through the pool
+        words, const_b = [], _INIT_B
+        for k in range(8):
+            value, const_b = _hashmix(block[k % _POOL_SIZE], const_b, _MULT_B)
+            words.append(value)
+        s_hi, s_lo, i_hi, i_lo = ((words[2 * k] | words[2 * k + 1] << 32).tolist()
+                                  for k in range(4))
+        for s0, s1, i0, i1 in zip(s_hi, s_lo, i_hi, i_lo):
+            inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+            yield ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128, inc
+        start = end
+
+
+def _trial_streams(seed: int, trials: int) -> Iterator[np.random.Generator]:
+    """``trial_rng(seed, t)`` for t = 0 .. trials - 1, as one generator whose state is set
+    anew for each trial: draw from each before taking the next."""
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    pcg = {}
+    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for state, inc in _stream_states(seed, range(trials)):
+        pcg["state"], pcg["inc"] = state, inc
+        bits.state = full
+        yield rng
+
+
+def _level_counts(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """Level counts of each row of uniforms ``u``: a uniform's level is the number of
+    boundaries of ``cum`` at or below it, as ``searchsorted(cum, u, side="right")`` places it.
+
+    The count at or above each boundary is taken by comparison (``cum`` is
+    non-decreasing) and differenced into levels: one pass over the block per boundary.
+    """
+    rows, n = len(u), len(cum) + 1
+    at_or_above = np.zeros((rows, n + 1), dtype=np.int64)
+    at_or_above[:, 0] = u.shape[1]
+    for j, c in enumerate(cum):
+        at_or_above[:, j + 1] = np.count_nonzero(u >= c, axis=1)
+    return at_or_above[:, :-1] - at_or_above[:, 1:]
+
+
 def draw_counts(
     spectrum: Spectrum, T: float, shots: int, rngs: Iterable[np.random.Generator]
 ) -> np.ndarray:
@@ -151,20 +285,33 @@ def draw_counts(
     Inverse-CDF sampling: each uniform is placed among the cumulative
     occupations of all levels but the top one, so a uniform past every one
     of those boundaries lands in the top level, even where the cumulative
-    sum ends a few ulp below 1. Each stream's uniforms are drawn in chunks
-    of ``DRAW_CHUNK``, which continue the stream exactly as one draw would.
+    sum ends a few ulp below 1. Uniforms are drawn in blocks of at most
+    ``DRAW_CHUNK``: whole streams' draws side by side, or one stream's draw
+    in chunks, which continue the stream exactly as one draw would. A
+    stream is used up before the next is taken.
     """
-    at_least(shots, 1, "shots")
+    shots = at_least(integer(shots, "shots"), 1, "shots")
     cum = np.cumsum(gibbs_state(spectrum, T).probs)[:-1]
     n = len(cum) + 1
-    rows = []
-    for rng in rngs:
-        counts = np.zeros(n, dtype=np.int64)
-        for start in range(0, shots, DRAW_CHUNK):
-            u = rng.random(min(DRAW_CHUNK, shots - start))
-            counts += np.bincount(np.searchsorted(cum, u, side="right"), minlength=n)
-        rows.append(counts)
-    return np.array(rows, dtype=np.int64).reshape(-1, n)
+    rngs = iter(rngs)
+    if shots > DRAW_CHUNK:
+        rows = []
+        for rng in rngs:
+            counts = np.zeros(n, dtype=np.int64)
+            for start in range(0, shots, DRAW_CHUNK):
+                u = rng.random(min(DRAW_CHUNK, shots - start))
+                counts += _level_counts(u[None], cum)[0]
+            rows.append(counts)
+        return np.array(rows, dtype=np.int64).reshape(-1, n)
+    block = np.empty((DRAW_CHUNK // shots, shots))
+    parts = []
+    while True:
+        k = 0
+        for k, rng in enumerate(itertools.islice(rngs, len(block)), 1):
+            block[k - 1] = rng.random(shots)
+        parts.append(_level_counts(block[:k], cum))
+        if k < len(block):
+            return np.concatenate(parts)
 
 
 def draw_sample(
@@ -175,11 +322,28 @@ def draw_sample(
     return SampleSet(spectrum=spectrum, counts=tuple(counts.tolist()))
 
 
+def _estimate(cfg: ExperimentConfig, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Status and estimate of every count row by the configured estimator.
+
+    A row's result does not depend on the rows batched with it, so each distinct row is
+    estimated once and the results are gathered back to every row.
+    """
+    rows, inverse = np.unique(counts, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)  # 1-D on every numpy 2.x release
+    if cfg.estimator == MLE:
+        status, estimate = mle_batch(cfg.spectrum, rows, bracket=cfg.mle_bracket)
+        return status[inverse], estimate[inverse]
+    estimate = bayes_batch(cfg.spectrum, rows, cfg.effective_prior(), cfg.bayes_grid_size)
+    return np.full(len(counts), INTERIOR, dtype=object), estimate[inverse]
+
+
 def run_experiment(cfg: ExperimentConfig) -> SaturationReport:
     """Run all trials and compare the mean squared error to the floor.
 
-    One pass: the batched estimator gives every trial's status and
-    estimate, the policy reads those statuses, and the reduction works on
+    One pass: the batched estimator gives each distinct count row's status
+    and estimate, gathered back to every trial (a row's estimate does not
+    depend on the rows batched with it), the policy reads the statuses,
+    and the reduction works on
     the usable estimates as arrays. The error is the mean of
     (estimate - true T)^2 over usable trials, i.e. squared error about the
     truth, not about the sample mean; the reported sums run in trial order.
@@ -197,17 +361,9 @@ def run_experiment(cfg: ExperimentConfig) -> SaturationReport:
     crb = 1.0 / (cfg.shots_per_trial * fisher)
 
     counts = draw_counts(
-        cfg.spectrum, T, cfg.shots_per_trial,
-        (trial_rng(cfg.seed, trial) for trial in range(cfg.trials)),
+        cfg.spectrum, T, cfg.shots_per_trial, _trial_streams(cfg.seed, cfg.trials)
     )
-    if cfg.estimator == MLE:
-        status, estimate = mle_batch(cfg.spectrum, counts, bracket=cfg.mle_bracket)
-    else:
-        estimate = bayes_batch(
-            cfg.spectrum, counts, cfg.effective_prior(), cfg.bayes_grid_size
-        )
-        status = np.full(cfg.trials, INTERIOR, dtype=object)
-
+    status, estimate = _estimate(cfg, counts)
     usable = status == INTERIOR
     if cfg.degenerate_sample_policy == ABORT and not usable.all():
         trial = int(np.flatnonzero(~usable)[0])
@@ -252,7 +408,7 @@ def sweep_saturation(
     """One report per temperature; each gets a child seed derived from (seed, index)."""
     if len(temperatures) == 0:
         raise ValueError("temperature list must not be empty")
-    at_least(seed, 0, "seed")
+    seed = at_least(integer(seed, "seed"), 0, "seed")
     reports = []
     for i, T in enumerate(temperatures):
         child_seed = int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1)[0])

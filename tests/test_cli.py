@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -15,6 +16,7 @@ from _strategies import spectra, temperatures
 from thermometry import GENERATOR_ID, cli, make_spectrum, save_spectrum, two_level_factor
 from thermometry.cli import main
 
+BUNDLED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "saturation_x24.cfg"
 TWO_LEVEL_SPECTRUM = {"label": "qubit", "levels": [{"energy": 0.0}, {"energy": 1.0}]}
 SINGLE_LEVEL_SPECTRUM = {"label": "flat", "levels": [{"energy": 0.0, "degeneracy": 3}]}
 
@@ -373,8 +375,12 @@ def _report_digest(out: str) -> str:
              "degenerate_sample_policy": "exclude_and_report", "bayes_grid_size": 1024},
             "df279f5b975563a1b0eefc3e5f53e56d65457475a8eb818d1b4fd4b27fb34734",
         ),
+        (
+            json.loads(BUNDLED_CONFIG.read_text(encoding="utf-8")),
+            "efe3ddd1f783c6082caf33a30e75d779ac6c6563abf691fb6c6471e15e67fd38",
+        ),
     ],
-    ids=["mle", "bayes"],
+    ids=["mle", "bayes", "bundled"],
 )
 def test_simulate_report_bytes_pinned(capsys, tmp_path, config, digest):
     # digests of the reports written by the one-trial-at-a-time implementation

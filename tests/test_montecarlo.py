@@ -1,9 +1,12 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermometry import (
     ABORT,
@@ -30,8 +33,19 @@ from thermometry import (
     trial_rng,
     two_level_factor,
 )
-from thermometry.estimation import mle_batch
-from thermometry.montecarlo import DRAW_CHUNK, draw_counts
+from thermometry.estimation import bayes_batch, mle_batch
+from thermometry.montecarlo import (
+    DRAW_CHUNK,
+    STREAM_BLOCK,
+    _estimate,
+    _level_counts,
+    _stream_states,
+    _trial_streams,
+    draw_counts,
+)
+
+# far more levels than the Monte Carlo runs sample (2 to 5): one comparison pass per boundary
+MANY_LEVELS = 65
 
 BUNDLED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "saturation_x24.cfg"
 
@@ -123,6 +137,102 @@ def test_uniform_past_a_cumulative_sum_below_one_lands_in_the_top_level():
 def test_draw_sample_validation():
     with pytest.raises(ValueError):
         draw_sample(QUBIT, 1.0, 0, trial_rng(0, 0))
+    with pytest.raises(InputFormatError, match="shots"):
+        draw_sample(QUBIT, 0.4, 100.0, trial_rng(0, 0))
+
+
+# ---------------------------------------------------------------------------
+# sampling kernel: bulk-seeded streams and threshold counting
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "seed", [0, 7, 2**32 - 1, 20260809, 2**64, 2**64 + 12345, 2**128, 2**130 + 99]
+)
+@pytest.mark.parametrize(
+    "trials", [range(0, 3), range(2**32 - 2, 2**32 + 2), range(2**40, 2**40 + 2)],
+    ids=["first", "one_to_two_words", "two_words"],
+)
+def test_bulk_stream_states_equal_numpy_seeding(seed, trials):
+    expected = [
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(t,))).state["state"]
+        for t in trials
+    ]
+    assert list(_stream_states(seed, trials)) == [(s["state"], s["inc"]) for s in expected]
+
+
+def test_trial_streams_continue_as_trial_rng():
+    # the reused generator across a block boundary of the state derivation
+    trials = STREAM_BLOCK + 2
+    draws = [rng.random(3).tolist() for rng in _trial_streams(5, trials)]
+    assert draws == [trial_rng(5, t).random(3).tolist() for t in range(trials)]
+
+
+def searchsorted_counts(spectrum, T, shots, rngs):
+    """The plain inverse-CDF draw: one searchsorted and bincount over each stream's draw."""
+    cum = np.cumsum(gibbs_state(spectrum, T).probs)[:-1]
+    rows = [np.bincount(np.searchsorted(cum, rng.random(shots), side="right"),
+                        minlength=len(cum) + 1) for rng in rngs]
+    return np.array(rows).reshape(-1, len(cum) + 1), cum
+
+
+@pytest.mark.parametrize(
+    "levels,T,shots,edge",
+    [
+        # exp(-800) underflows: zero occupations tie the top boundaries
+        ([(0.0, 1), (1.0, 2), (800.0, 1), (900.0, 1)], 1.0, 500, "tie"),
+        # occupations below the cumulative sum's ulp tie their boundaries
+        ([(0.0, 1), (5.0, 1), (50.0, 1), (51.0, 1)], 1.0, 500, "tie"),
+        ([(e, 1) for e in (0.05, 0.12, 0.81, 1.82, 1.91, 2.19, 2.44, 2.74)], 2.946, 500,
+         "sum_below_one"),
+        ([(0.0, 1), (1.0, 1)], 0.4, 1, None),
+        ([(0.0, 1), (0.2, 2), (0.5, 1), (1.0, 3)], 0.8, 2 * DRAW_CHUNK + 7, None),
+        ([(0.01 * k, 1) for k in range(MANY_LEVELS)], 0.3, 300, None),
+        ([(0.01 * k, 1) for k in range(MANY_LEVELS)], 0.3, DRAW_CHUNK + 1, None),
+    ],
+    ids=["zero_occupations", "sub_ulp_occupations", "sum_below_one", "one_shot",
+         "several_chunks", "many_levels", "many_levels_chunks"],
+)
+def test_draw_counts_equal_the_searchsorted_draw(levels, T, shots, edge):
+    s = make_spectrum(levels)
+    assert s.n_levels == len(levels)
+    streams = max(2, min(300, 3 * DRAW_CHUNK // shots))  # several blocks where they fit
+    expected, cum = searchsorted_counts(s, T, shots, (trial_rng(3, t) for t in range(streams)))
+    if edge == "tie":
+        assert (np.diff(cum) == 0).any()
+    if edge == "sum_below_one":
+        assert np.cumsum(gibbs_state(s, T).probs)[-1] < 1.0
+    assert draw_counts(s, T, shots, _trial_streams(3, streams)).tolist() == expected.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_threshold_counts_equal_searchsorted_counts(data):
+    n = data.draw(st.sampled_from([2, 3, 5, 9, MANY_LEVELS]), "n")
+    # boundaries from a few values, so that they tie; uniforms on, next to and between them
+    values = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4), "values")
+    cum = np.sort(data.draw(st.lists(st.sampled_from(values), min_size=n - 1,
+                                     max_size=n - 1), "cum"))
+    near = values + [np.nextafter(v, 2.0) for v in values] + [np.nextafter(v, -1.0) for v in values]
+    uniform = st.one_of(st.sampled_from([x for x in near if 0.0 <= x < 1.0] or [0.0]),
+                        st.floats(0.0, 1.0, exclude_max=True), st.just(1.0 - 2.0**-53))
+    rows, width = data.draw(st.integers(1, 4), "rows"), data.draw(st.integers(1, 30), "width")
+    u = np.array(data.draw(st.lists(uniform, min_size=rows * width, max_size=rows * width),
+                           "u")).reshape(rows, width)
+    expected = [np.bincount(np.searchsorted(cum, row, side="right"), minlength=n) for row in u]
+    assert _level_counts(u, cum).tolist() == np.array(expected).tolist()
+
+
+def test_draw_memory_is_the_counts_plus_one_block():
+    draw_counts(QUBIT, 0.4, 1000, _trial_streams(3, 10))
+    tracemalloc.start()
+    try:
+        counts = draw_counts(QUBIT, 0.4, 1000, _trial_streams(3, 4000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the counts, one block of uniforms and one block of stream states (about 0.66 MB in
+    # all); the 4000 x 1000 uniforms of the run would take 32 MB
+    assert peak < 2 * counts.nbytes + 2 * DRAW_CHUNK * 8 + STREAM_BLOCK * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +320,33 @@ def test_ratio_stderr_is_the_standard_error_of_the_per_trial_ratios(overrides):
     assert "ratio_stderr" not in report_to_dict(report, cfg)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    distinct=st.lists(st.integers(0, 40), min_size=1, max_size=8),
+    picks=st.lists(st.integers(0, 50), min_size=1, max_size=60),
+    estimator=st.sampled_from([MLE, BAYES]),
+    bracket=st.sampled_from([None, (0.3, 0.6)]),
+)
+def test_estimating_each_distinct_row_once_equals_the_full_batch(
+    distinct, picks, estimator, bracket
+):
+    # two-level rows of 40 shots: (40, 0) is all-ground, (20, 20) non-invertible, and the
+    # narrow bracket puts some rows past its ends; every row appears, some of them again
+    base = [(40 - k, k) for k in distinct] + [(40, 0), (20, 20)]
+    counts = np.array([base[i % len(base)] for i in picks] + base, dtype=np.int64)
+    cfg = saturation_config(shots_per_trial=40, trials=len(counts), estimator=estimator,
+                            mle_bracket=bracket)
+    status, estimate = _estimate(cfg, counts)
+    if estimator == MLE:
+        full_status, full_estimate = mle_batch(QUBIT, counts, bracket=bracket)
+        assert {AT_LOWER_BOUND, NON_INVERTIBLE} <= set(full_status.tolist())
+    else:
+        full_status = np.full(len(counts), INTERIOR, dtype=object)
+        full_estimate = bayes_batch(QUBIT, counts, cfg.effective_prior(), cfg.bayes_grid_size)
+    assert status.tolist() == full_status.tolist()
+    assert estimate.tobytes() == full_estimate.tobytes()
+
+
 def test_ratio_stderr_of_one_usable_trial_is_nan():
     assert math.isnan(run_experiment(saturation_config(trials=1)).ratio_stderr)
 
@@ -294,6 +431,13 @@ def test_sweep_excluded_fraction_grows_past_gap():
     reports = sweep_saturation(QUBIT, temps, shots=20, trials=2000, seed=9)
     fractions = [rep.excluded_trials / 2000 for rep in reports]
     assert fractions[0] < fractions[1] < fractions[2]
+
+
+@pytest.mark.parametrize("name,value", [("seed", 1.5), ("shots", 100.0), ("trials", True)])
+def test_sweep_rejects_a_non_integer_count(name, value):
+    kwargs = dict(shots=10, trials=10, seed=0) | {name: value}
+    with pytest.raises(InputFormatError, match=name):
+        sweep_saturation(QUBIT, [1.0], **kwargs)
 
 
 def test_sweep_rejects_empty():
