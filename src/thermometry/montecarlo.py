@@ -4,8 +4,9 @@ Each trial owns an RNG stream derived from (seed, trial index) only, so
 reports are bitwise reproducible for a given config and trials could run
 in any order; the reduction below sums in trial order, which fixes
 the float accumulation order as well. A run draws every trial's counts
-into one (trials, levels) array and hands each distinct count row once to
-the batched estimators in :mod:`thermometry.estimation`.
+into one (trials, levels) array and hands it to the batched estimators in
+:mod:`thermometry.estimation`: each distinct count row once to the MLE, every
+row to Bayes.
 
 The sampling floor is reached in two steps, each bit for bit the same as
 the plain construction. Trial streams are built in bulk: the PCG64
@@ -325,26 +326,28 @@ def draw_sample(
 def _estimate(cfg: ExperimentConfig, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Status and estimate of every count row by the configured estimator.
 
-    A row's result does not depend on the rows batched with it, so each distinct row is
-    estimated once and the results are gathered back to every row.
+    A row's result does not depend on the rows batched with it. The MLE bisects all rows
+    in one vectorized pass, so each distinct row is bisected once and the results are
+    gathered back to every row. Bayes takes one posterior per row, so on distinct rows its
+    cost would follow how often rows repeat, which varies severalfold with the spectrum and
+    the seed; it takes every row, and a run's cost depends only on its size.
     """
+    if cfg.estimator == BAYES:
+        estimate = bayes_batch(cfg.spectrum, counts, cfg.effective_prior(), cfg.bayes_grid_size)
+        return np.full(len(counts), INTERIOR, dtype=object), estimate
     rows, inverse = np.unique(counts, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)  # 1-D on every numpy 2.x release
-    if cfg.estimator == MLE:
-        status, estimate = mle_batch(cfg.spectrum, rows, bracket=cfg.mle_bracket)
-        return status[inverse], estimate[inverse]
-    estimate = bayes_batch(cfg.spectrum, rows, cfg.effective_prior(), cfg.bayes_grid_size)
-    return np.full(len(counts), INTERIOR, dtype=object), estimate[inverse]
+    status, estimate = mle_batch(cfg.spectrum, rows, bracket=cfg.mle_bracket)
+    return status[inverse], estimate[inverse]
 
 
 def run_experiment(cfg: ExperimentConfig) -> SaturationReport:
     """Run all trials and compare the mean squared error to the floor.
 
-    One pass: the batched estimator gives each distinct count row's status
-    and estimate, gathered back to every trial (a row's estimate does not
-    depend on the rows batched with it), the policy reads the statuses,
-    and the reduction works on
-    the usable estimates as arrays. The error is the mean of
+    One pass: the batched estimator gives every trial's status and estimate
+    (the MLE bisects each distinct count row once, see ``_estimate``), the
+    policy reads the statuses, and the reduction works on the usable
+    estimates as arrays. The error is the mean of
     (estimate - true T)^2 over usable trials, i.e. squared error about the
     truth, not about the sample mean; the reported sums run in trial order.
     ``ratio_stderr`` is the standard error of ``ratio`` as the mean of the
