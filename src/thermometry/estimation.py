@@ -11,10 +11,12 @@ are surfaced as explicit statuses instead of being clamped.
 
 Both estimators work on a batch: a (trials, levels) array of counts.
 :func:`mle_batch` runs one bisection over every row at once and
-:func:`bayes_batch` builds the posterior grid once for all rows; the
-single-sample functions :func:`mle_temperature` and :func:`bayes_posterior`
-are batches of one. Energies enter only through E - E_0, so shifting the
-whole spectrum by a constant leaves every estimate unchanged.
+:func:`bayes_batch` builds the posterior grid once for all rows, then runs
+them through one posterior kernel in blocks of at most 2^14 floats, so its
+memory does not grow with the trial count; the single-sample functions
+:func:`mle_temperature` and :func:`bayes_posterior` are batches of one.
+Energies enter only through E - E_0, so shifting the whole spectrum by a
+constant leaves every estimate unchanged.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ MIN_GRID_SIZE = 64
 # Floor of the Bayes log weights: a level whose weight underflows to log 0 = -inf and whose
 # count is 0 then adds 0 to the log-likelihood, not -inf * 0 = NaN.
 _LOG_ZERO = -np.finfo(float).max
+# Most floats in one block of Bayes log-likelihoods: BLOCK // grid_size rows, at least one.
+BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -214,18 +218,54 @@ def _bayes_grid(spectrum: Spectrum, prior: tuple[float, float], grid_size: int):
     return temps, temps / unit, unit, logw, logz
 
 
-def _posterior_row(grid, counts: np.ndarray, total: int):
-    """(mean, density) per ``unit`` for one float count vector on a prebuilt grid."""
-    temps, t, unit, logw, logz = grid
-    loglik = logw @ counts - total * logz
-    top = loglik.max()
-    if not top > _LOG_ZERO:  # the sample is impossible (has likelihood 0) at every grid point
-        raise ValueError(f"prior interval {temps[[0, -1]].tolist()}: the sample's"
-                         " log-likelihood has no finite maximum on the grid")
-    loglik -= top
-    density = np.exp(loglik)
-    density /= np.trapezoid(density, t)
-    return float(np.trapezoid(t * density, t)), density
+def _trapezoid(y: np.ndarray, dt: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.trapezoid(row, t)`` of every row of ``y``, bit for bit, given ``dt = np.diff(t)``;
+    ``out``, of shape (rows, len(t) - 1), takes the terms: the same float operations in the
+    same order, and each row summed along its own contiguous axis."""
+    np.add(y[:, 1:], y[:, :-1], out=out)
+    out *= dt
+    out /= 2.0
+    return out.sum(axis=1)
+
+
+def _posterior_means(
+    grid, counts: np.ndarray, totals: np.ndarray, density: np.ndarray | None = None
+) -> np.ndarray:
+    """Posterior mean per ``unit`` of every row of a (rows, levels) count array with row sums
+    ``totals``, on a prebuilt grid; with ``density``, of shape (rows, grid size), each row's
+    normalised density per ``unit`` goes there too.
+
+    Rows go through in blocks of at most ``BLOCK`` floats, in one log-likelihood buffer and
+    one trapezoid buffer, so memory does not grow with the row count. The log-likelihood is
+    one gemv per row: a matrix product over the block, or a sum over levels, rounds
+    differently and changes the bits of the estimates. Everything after it is array code
+    over the block, with the float operations of one row's posterior.
+    """
+    temps, t, _, logw, logz = grid
+    step = max(1, BLOCK // len(t))
+    loglik = np.empty((min(step, len(counts)), len(t)))
+    terms = np.empty((len(loglik), len(t) - 1))
+    dt = np.diff(t)
+    means = np.empty(len(counts))
+    with np.errstate(over="ignore"):  # each row checks its maximum
+        for start in range(0, len(counts), step):
+            rows = counts[start:start + step]
+            block, trap = loglik[:len(rows)], terms[:len(rows)]
+            for i, row in enumerate(rows.astype(float)):
+                np.matmul(logw, row, out=block[i])
+            block -= totals[start:start + step, None] * logz
+            top = block.max(axis=1)
+            if not (top > _LOG_ZERO).all():  # a sample impossible (likelihood 0) everywhere
+                raise ValueError(f"prior interval {temps[[0, -1]].tolist()}: the sample's"
+                                 " log-likelihood has no finite maximum on the grid")
+            block -= top[:, None]
+            np.exp(block, out=block)
+            block /= _trapezoid(block, dt, trap)[:, None]
+            if density is not None:
+                density[start:start + len(rows)] = block
+            block *= t
+            means[start:start + len(rows)] = _trapezoid(block, dt, trap)
+    return means
 
 
 def bayes_batch(
@@ -238,19 +278,16 @@ def bayes_batch(
 
     The grid is built once; each row's unnormalized log posterior is shifted
     by its maximum before exponentiation and normalized by trapezoid
-    quadrature on the uniform grid (``grid_size`` >= ``MIN_GRID_SIZE`` points). Only one
-    grid-sized density is alive at a time. A row whose log-likelihood has no
-    finite maximum on the grid raises ValueError.
+    quadrature on the uniform grid (``grid_size`` >= ``MIN_GRID_SIZE`` points). Rows go
+    through in blocks of at most ``BLOCK`` floats (2^14), so memory does not grow with the
+    trial count. A row whose log-likelihood has no finite maximum on the grid raises
+    ValueError.
     """
     grid = _bayes_grid(spectrum, prior, grid_size)
     counts = _counts_matrix(spectrum, counts)
-    totals = counts.sum(axis=1).tolist()
-    rows = counts.astype(float)
-    means = np.empty(len(rows))
-    with np.errstate(over="ignore"):  # each row checks its maximum
-        for i, total in enumerate(totals):
-            means[i] = _posterior_row(grid, rows[i], total)[0]
-    return means * grid[2]
+    means = _posterior_means(grid, counts, counts.sum(axis=1))
+    means *= grid[2]
+    return means
 
 
 def bayes_posterior(
@@ -260,12 +297,14 @@ def bayes_posterior(
 ) -> Posterior:
     """Posterior mean/sd and density under a flat prior on ``prior``.
 
-    The posterior of one sample on the grid of :func:`bayes_batch`.
+    The posterior of one sample on the grid of :func:`bayes_batch`, as its batch of one.
     """
     temps, t, unit, _, _ = grid = _bayes_grid(sample.spectrum, prior, grid_size)
-    counts = np.asarray(sample.counts, dtype=float)
+    density = np.empty((1, grid_size))
+    counts = np.asarray([sample.counts], dtype=float)
+    mean = float(_posterior_means(grid, counts, np.array([float(sample.total)]), density)[0])
+    density = density[0]
     with np.errstate(over="ignore"):  # a density beyond the float range is inf
-        mean, density = _posterior_row(grid, counts, sample.total)
         sd = math.sqrt(max(float(np.trapezoid((t - mean) ** 2 * density, t)), 0.0))
         density /= unit  # per unit temperature, not per ``unit``
     density.flags.writeable = False

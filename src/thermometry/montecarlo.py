@@ -335,9 +335,13 @@ def _estimate(cfg: ExperimentConfig, counts: np.ndarray) -> tuple[np.ndarray, np
     if cfg.estimator == BAYES:
         estimate = bayes_batch(cfg.spectrum, counts, cfg.effective_prior(), cfg.bayes_grid_size)
         return np.full(len(counts), INTERIOR, dtype=object), estimate
-    rows, inverse = np.unique(counts, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)  # 1-D on every numpy 2.x release
-    status, estimate = mle_batch(cfg.spectrum, rows, bracket=cfg.mle_bracket)
+    order = np.lexsort(counts.T[::-1])  # rows in lexicographic order
+    ordered = counts[order]
+    first = np.ones(len(counts), dtype=bool)  # where a new distinct row starts
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(counts), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    status, estimate = mle_batch(cfg.spectrum, ordered[first], bracket=cfg.mle_bracket)
     return status[inverse], estimate[inverse]
 
 

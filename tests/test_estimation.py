@@ -1,11 +1,13 @@
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from _strategies import multi_level_spectra
 from thermometry import (
     AT_LOWER_BOUND,
     AT_UPPER_BOUND,
@@ -21,9 +23,9 @@ from thermometry import (
     trial_rng,
     two_level_factor,
 )
-from thermometry.estimation import bayes_batch, mle_batch
+from thermometry.estimation import BLOCK, MIN_GRID_SIZE, _bayes_grid, _trapezoid, bayes_batch, mle_batch
 from thermometry.montecarlo import draw_counts
-from thermometry.thermal import gibbs_log_weights
+from thermometry.thermal import gibbs_log_weights, gibbs_state
 
 QUBIT = make_spectrum([(0.0, 1), (1.0, 1)], label="qubit")
 
@@ -361,6 +363,85 @@ def test_posterior_of_a_sample_impossible_on_the_whole_grid_raises():
     wide = make_spectrum([(0.0, 1), (1e300, 1)])
     with pytest.raises(ValueError, match="no finite maximum"):
         bayes_posterior(SampleSet(spectrum=wide, counts=(999, 1)), (1e-10, 1e-9), 64)
+
+
+def test_an_impossible_row_inside_a_block_raises_the_single_sample_message():
+    wide = make_spectrum([(0.0, 1), (1e300, 1)])
+    counts = np.tile([1000, 0], (40, 1))
+    counts[20] = (999, 1)
+    assert BLOCK // 64 > len(counts)  # one block holds every row
+    with pytest.raises(ValueError, match="no finite maximum") as batch:
+        bayes_batch(wide, counts, (1e-10, 1e-9), 64)
+    with pytest.raises(ValueError) as single:
+        bayes_posterior(SampleSet(spectrum=wide, counts=(999, 1)), (1e-10, 1e-9), 64)
+    assert str(batch.value) == str(single.value)
+
+
+def test_bayes_batch_of_no_rows_is_empty():
+    s = make_spectrum([(0.0, 1), (0.5, 2), (1.5, 1)])
+    means = bayes_batch(s, np.zeros((0, 3), dtype=np.int64), (0.1, 5.0), 256)
+    assert means.shape == (0,)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    multi_level_spectra(max_levels=9),
+    st.integers(min_value=MIN_GRID_SIZE, max_value=2100),
+    st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)]),
+    st.floats(min_value=0.05, max_value=5.0),
+    st.integers(min_value=1, max_value=5000),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_bayes_batch_rows_equal_single_posteriors_across_blocks(
+    s, grid, rows, scale, shots, seed
+):
+    # row counts of 1 and of one block less, at, one more and 3 blocks plus 5; a row's
+    # posterior mean is that of the sample alone, bit for bit, wherever it sits in a block
+    block = max(1, BLOCK // grid)
+    T = scale * s.spread
+    rng = np.random.default_rng(seed)
+    counts = rng.multinomial(shots, gibbs_state(s, T).probs, size=rows[0] * block + rows[1])
+    prior = (T / 5.0, 5.0 * T)
+    means = bayes_batch(s, counts, prior, grid)
+    for i, row in enumerate(counts):
+        post = bayes_posterior(SampleSet(spectrum=s, counts=tuple(row.tolist())), prior, grid)
+        assert post.mean == means[i]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=MIN_GRID_SIZE, max_value=2100),
+    st.integers(min_value=1, max_value=20),
+    st.floats(min_value=1e-3, max_value=10.0),
+    st.floats(min_value=1.01, max_value=1e3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_block_trapezoid_equals_numpy_trapezoid(size, rows, lo, ratio, seed):
+    # the kernel's quadrature of a block, against np.trapezoid of each row on the same grid
+    _, t, _, _, _ = _bayes_grid(QUBIT, (lo, lo * ratio), size)
+    y = np.exp(-np.random.default_rng(seed).exponential(30.0, (rows, size)))
+    got = _trapezoid(y, np.diff(t), np.empty((rows, size - 1)))
+    for i in range(rows):
+        assert got[i] == np.trapezoid(y[i], t)
+
+
+def test_bayes_batch_memory_does_not_grow_with_the_rows():
+    # past the per-row vectors (counts, totals, means), memory is one block of at most
+    # BLOCK floats, whatever the row count; a (rows, grid) array of 18000 more rows would
+    # take 147 MB
+    s = make_spectrum([(0.0, 1), (1.0, 3), (2.0, 3), (3.0, 1), (4.0, 2)])
+    counts = np.random.default_rng(11).multinomial(
+        1000, gibbs_state(s, 1.0).probs, size=20_000)
+    bayes_batch(s, counts[:10], (0.2, 5.0), 1024)
+    peaks = []
+    for rows in (2_000, 20_000):
+        tracemalloc.start()
+        try:
+            bayes_batch(s, counts[:rows], (0.2, 5.0), 1024)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 18_000 * (s.n_levels + 3) * 8
 
 
 def test_posterior_validation():
