@@ -5,8 +5,10 @@ temperature estimator is floored by T^2 * f2(D/T) with
 f2(x) = 2 (1 + cosh x) / x^2; a three-level system with gaps D1 <= D2 is
 floored by T^2 * f3(D1/T, D2/T). Both factors are evaluated with the
 largest exponent factored out so they stay finite for arguments up to
-several hundred. ``tune_gap`` minimizes the floor over an external
-control parameter that moves the gap(s).
+several hundred. ``tune_gap`` minimizes the two-level floor over an
+external control parameter that moves the gap: the gap is monotone
+between given breaks, so the optimum is a root of gap = x_m T on some
+piece or a break.
 
 scipy is imported inside the functions that use it (the minima, tuning
 and table families), so importing this module does not load it.
@@ -24,7 +26,6 @@ from .errors import (
     InputFormatError,
     number,
     positive,
-    positive_interval,
     require,
     temperature_power,
 )
@@ -133,18 +134,16 @@ def _two_level_stationarity(x: float) -> float:
     return x * math.tanh(0.5 * x) - 2.0
 
 
-def minimize_two_level_factor(bracket: tuple[float, float] = ROOT_BRACKET) -> MinimumResult:
-    """Locate the minimum of the two-level bound factor within ``bracket``.
+def minimize_two_level_factor() -> MinimumResult:
+    """Minimum of the two-level bound factor: the single root of x tanh(x/2) = 2.
 
-    The minimum is the single root of x tanh(x/2) = 2, found by Brent's
-    root finder to ``ROOT_TOL`` in x.
+    Brent's root finder locates it on ``ROOT_BRACKET`` to ``ROOT_TOL`` in x.
     """
     from scipy.optimize import brentq
 
-    a, b = positive_interval(bracket, "bracket")
-    if _two_level_stationarity(a) >= 0.0 or _two_level_stationarity(b) <= 0.0:
-        raise ValueError(f"bracket {bracket!r} does not contain an interior minimum")
-    xm, info = brentq(_two_level_stationarity, a, b, xtol=ROOT_TOL, full_output=True, disp=False)
+    xm, info = brentq(
+        _two_level_stationarity, *ROOT_BRACKET, xtol=ROOT_TOL, full_output=True, disp=False
+    )
     return MinimumResult(
         argmin=xm,
         value=two_level_factor(xm),
@@ -218,25 +217,17 @@ def gapped_divergence_factor(T: float, gap: float) -> float:
 
 @dataclass(frozen=True)
 class GapFamily:
-    """Gap(s) of a tunable system as a function of a control parameter.
+    """Gap of a tunable two-level system as a function of a control parameter.
 
-    ``evaluate`` maps a control value in [lambda_min, lambda_max] to a
-    single gap, or to a pair (gap1, gap2) with gap2 >= gap1 when
-    ``pair_valued``. ``kind`` is a descriptive label. ``breaks`` are
-    increasing control values, starting at lambda_min and ending at
-    lambda_max, between which a single gap is monotone: (lo, hi) for a
-    linear family, (lo, clipped centre, hi) for a quadratic one, the data
-    points for a table. ``tune_gap`` solves for the optimal gap on each
-    such piece; without ``breaks`` it searches by grid-then-refine.
+    ``evaluate`` maps a control value to the gap. ``breaks`` are increasing
+    control values between which the gap is monotone: (lo, hi) for a linear
+    family, (lo, clipped centre, hi) for a quadratic one, the data points
+    for a table. The control range runs from the first break to the last.
     """
 
-    evaluate: Callable[[float], float | tuple[float, float]]
-    lambda_min: float
-    lambda_max: float
+    evaluate: Callable[[float], float]
+    breaks: tuple[float, ...]
     description: str = ""
-    kind: str = "custom"
-    pair_valued: bool = False
-    breaks: tuple[float, ...] | None = None
 
     def __post_init__(self):
         lo, hi = float(self.lambda_min), float(self.lambda_max)
@@ -245,24 +236,24 @@ class GapFamily:
                 f"control range must satisfy lambda_min < lambda_max, got [{lo!r}, {hi!r}]"
             )
         b = self.breaks
-        if b is not None and (b[0] != lo or b[-1] != hi or any(a >= c for a, c in zip(b, b[1:]))):
-            raise ValueError(f"breaks must increase from lambda_min to lambda_max, got {b!r}")
+        if any(a >= c for a, c in zip(b, b[1:])):
+            raise ValueError(f"breaks must increase, got {b!r}")
 
-    def gap_at(self, lam: float):
-        """Evaluate and validate the gap(s) at one control value."""
+    @property
+    def lambda_min(self) -> float:
+        return self.breaks[0]
+
+    @property
+    def lambda_max(self) -> float:
+        return self.breaks[-1]
+
+    def gap_at(self, lam: float) -> float:
+        """Evaluate and validate the gap at one control value."""
         if not self.lambda_min <= lam <= self.lambda_max:
             raise ValueError(
                 f"control value {lam!r} outside [{self.lambda_min}, {self.lambda_max}]"
             )
-        value = self.evaluate(lam)
-        if self.pair_valued:
-            d1, d2 = float(value[0]), float(value[1])
-            if not (math.isfinite(d1) and math.isfinite(d2)) or d1 < 0.0 or d2 < d1:
-                raise ValueError(
-                    f"gap pair at lambda={lam!r} must satisfy 0 <= gap1 <= gap2, got {value!r}"
-                )
-            return d1, d2
-        gap = float(value)
+        gap = float(self.evaluate(lam))
         if not math.isfinite(gap) or gap < 0.0:
             raise ValueError(f"gap at lambda={lam!r} must be finite and >= 0, got {gap!r}")
         return gap
@@ -276,11 +267,8 @@ class GapFamily:
             raise ValueError(f"linear family is negative on the range (endpoint gaps {ends})")
         return cls(
             evaluate=lambda lam: slope * lam + intercept,
-            lambda_min=float(lambda_min),
-            lambda_max=float(lambda_max),
-            description=description or f"linear gap {slope}*lambda + {intercept}",
-            kind="linear",
             breaks=(float(lambda_min), float(lambda_max)),
+            description=description or f"linear gap {slope}*lambda + {intercept}",
         )
 
     @classmethod
@@ -294,11 +282,8 @@ class GapFamily:
         lo, hi = float(lambda_min), float(lambda_max)
         return cls(
             evaluate=lambda lam: curvature * (lam - center) ** 2 + gap_min,
-            lambda_min=lo,
-            lambda_max=hi,
-            description=description or f"quadratic gap, minimum {gap_min} at {center}",
-            kind="quadratic",
             breaks=tuple(dict.fromkeys((lo, min(max(center, lo), hi), hi))),
+            description=description or f"quadratic gap, minimum {gap_min} at {center}",
         )
 
     @classmethod
@@ -321,107 +306,53 @@ class GapFamily:
         if not np.all(np.isfinite(interp.c)):
             raise ValueError("table family interpolation overflows (points too close or far apart)")
         return cls(
-            evaluate=lambda lam: float(interp(lam)),
-            lambda_min=float(lams[0]),
-            lambda_max=float(lams[-1]),
-            description=description or f"tabulated gap ({len(pts)} points)",
-            kind="table",
+            # the interpolant is >= 0; evaluating it can round a zero point to -1e-16
+            evaluate=lambda lam: max(float(interp(lam)), 0.0),
             breaks=tuple(float(l) for l in lams),
-        )
-
-    @classmethod
-    def three_level(cls, evaluator, lambda_min, lambda_max, description=""):
-        """Pair-valued family: evaluator(lambda) -> (gap1, gap2), gap2 >= gap1."""
-        return cls(
-            evaluate=evaluator,
-            lambda_min=float(lambda_min),
-            lambda_max=float(lambda_max),
-            description=description or "three-level gap pair",
-            kind="custom",
-            pair_valued=True,
+            description=description or f"tabulated gap ({len(pts)} points)",
         )
 
 
 @dataclass(frozen=True)
 class TuneResult:
     lambda_star: float
-    gap: float | tuple[float, float]
+    gap: float
     bound: float
 
 
-def _family_objective(family: GapFamily, T: float) -> Callable[[float], float]:
-    if family.pair_valued:
-
-        def objective(lam: float) -> float:
-            d1, d2 = family.gap_at(lam)
-            if d1 == 0.0 or d2 == 0.0:
-                return math.inf
-            return T * T * three_level_factor(d1 / T, d2 / T)
-
-    else:
-
-        def objective(lam: float) -> float:
-            gap = family.gap_at(lam)
-            if gap == 0.0:
-                return math.inf
-            return T * T * two_level_factor(gap / T)
-
-    return objective
-
-
 def tune_gap(family: GapFamily, T: float) -> TuneResult:
-    """Control value minimizing the variance floor of ``family`` at temperature ``T``.
+    """Control value minimizing the two-level variance floor of ``family`` at ``T``.
 
-    The two-level floor is unimodal in the gap with its minimum at
-    gap = x_m T, so on each monotone piece of a single-gap family with
-    ``breaks`` the optimum is the root of gap(lambda) = x_m T or an end of
-    the piece. Pair-valued and custom families are scanned on a 1000-point
-    grid and refined in the winning cell. Endpoints always compete, so
-    boundary optima are exact. Every root and the refinement stop at
-    ``ROOT_TOL`` in the control value.
+    The floor T^2 f2(gap/T) is unimodal in the gap with its minimum at
+    gap = x_m T, so on each monotone piece between ``breaks`` the optimum is
+    the root of gap(lambda) = x_m T or an end of the piece. Every root stops
+    at ``ROOT_TOL`` in the control value; the breaks always compete, so
+    boundary optima are exact.
     """
     T = positive(T, "temperature")
     temperature_power(T, 2)  # the floor is T^2 times a factor
-    objective = _family_objective(family, T)
-    lo, hi = family.lambda_min, family.lambda_max
+    from scipy.optimize import brentq
 
-    if family.breaks is not None and not family.pair_valued:
-        from scipy.optimize import brentq
+    target = T * minimize_two_level_factor().argmin
 
-        target = T * minimize_two_level_factor().argmin
+    def bound(lam: float) -> float:
+        gap = family.gap_at(lam)
+        return T * T * two_level_factor(gap / T) if gap > 0.0 else math.inf
 
-        def excess(lam: float) -> float:
-            return family.gap_at(lam) - target
+    def excess(lam: float) -> float:
+        return family.gap_at(lam) - target
 
-        candidates = list(family.breaks)
-        for a, b in zip(family.breaks[:-1], family.breaks[1:]):
-            if excess(a) * excess(b) < 0.0:
-                candidates.append(brentq(excess, a, b, xtol=ROOT_TOL, maxiter=_ROOT_MAXITER))
-    else:
-        from scipy.optimize import minimize_scalar
-
-        grid = np.linspace(lo, hi, 1000)
-        values = [objective(lam) for lam in grid]
-        i = int(np.argmin(values))
-        candidates = [lo, hi, grid[i]]
-        a = grid[max(i - 1, 0)]
-        b = grid[min(i + 1, len(grid) - 1)]
-        if b > a:
-            refined = minimize_scalar(
-                objective, bounds=(a, b), method="bounded", options={"xatol": ROOT_TOL}
-            )
-            candidates.append(refined.x)
-
-    best_lam = min(candidates, key=objective)
-    best = objective(best_lam)
-    if math.isinf(best):
-        probe = np.linspace(lo, hi, 101)
-        gaps = [family.gap_at(lam) for lam in probe]
-        flat = [g for pair in gaps for g in (pair if family.pair_valued else (pair,))]
-        if max(flat) == 0.0:
-            raise ValueError(
-                "gap vanishes on the whole control range; the bound is unbounded everywhere"
-            )
+    candidates = list(family.breaks)
+    for a, b in zip(family.breaks[:-1], family.breaks[1:]):
+        if excess(a) * excess(b) < 0.0:
+            candidates.append(brentq(excess, a, b, xtol=ROOT_TOL, maxiter=_ROOT_MAXITER))
+    best_lam = min(candidates, key=bound)
+    best = bound(best_lam)
+    # each piece is monotone, so a gap of 0 at every break is 0 everywhere
+    if math.isinf(best) and max(family.gap_at(b) for b in family.breaks) == 0.0:
+        raise ValueError(
+            "gap vanishes on the whole control range; the bound is unbounded everywhere"
+        )
     return TuneResult(lambda_star=float(best_lam), gap=family.gap_at(best_lam), bound=best)
 
 

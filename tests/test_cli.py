@@ -517,6 +517,37 @@ def test_tune_table_beyond_float_range_one_line(capsys, tmp_path, points, code, 
     )
 
 
+def test_tune_gap_vanishing_only_at_the_ends_reaches_the_floor(capsys, tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"kind": "table", "points": [[0, 0], [1, 3], [2, 0]]}))
+    code, out, err = run_cli(capsys, "tune", "--family", str(path), "-T", "1.0")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["bound_over_T2"] == pytest.approx(2.2767175312280727, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "family, code, message",
+    [
+        ({"kind": "table", "points": [[0, 0], [1, 0], [2, 0]]}, 3,
+         "gap vanishes on the whole control range; the bound is unbounded everywhere"),
+        ({"kind": "linear", "slope": 1.0, "intercept": 0.0, "lambda_min": 5.0, "lambda_max": 1.0},
+         2, "invalid gap family: control range must satisfy lambda_min < lambda_max,"
+         " got [5.0, 1.0]"),
+        ({"kind": "quadratic", "curvature": 1.0, "center": 0.0, "gap_min": 1.0,
+          "lambda_min": 2.0, "lambda_max": 1.0}, 2,
+         "invalid gap family: control range must satisfy lambda_min < lambda_max,"
+         " got [2.0, 1.0]"),
+    ],
+    ids=["vanishing-gap", "reversed-linear", "reversed-quadratic"],
+)
+def test_tune_rejected_family_one_line(capsys, tmp_path, family, code, message):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family))
+    assert run_cli(capsys, "tune", "--family", str(path), "-T", "1.0") == (
+        code, "", f"error: {message}\n"
+    )
+
+
 def test_tune_rejects_unknown_kind(capsys, tmp_path):
     path = tmp_path / "family.json"
     path.write_text(json.dumps({"kind": "spline"}))
