@@ -230,6 +230,8 @@ class GapFamily:
     description: str = ""
 
     def __post_init__(self):
+        if len(self.breaks) < 2:
+            raise ValueError(f"breaks must hold at least two control values, got {self.breaks!r}")
         lo, hi = float(self.lambda_min), float(self.lambda_max)
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
             raise ValueError(

@@ -10,7 +10,10 @@ above the infinite-temperature mean, admit no positive-T maximizer and
 are surfaced as explicit statuses instead of being clamped.
 
 Both estimators work on a batch: a (trials, levels) array of counts.
-:func:`mle_batch` runs one bisection over every row at once and
+:func:`mle_batch` runs one bisection over every row at once. It walks each
+row with decisions guessed from a Newton root, then checks every guessed
+decision in one Gibbs evaluation per block; a row whose guesses all hold
+has the bits of the plain bisection, and any other row is bisected again.
 :func:`bayes_batch` builds the posterior grid once for all rows, then runs
 them through one posterior kernel in blocks of at most 2^14 floats, so its
 memory does not grow with the trial count; the single-sample functions
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputFormatError, at_least, integer, positive_interval, temperature_power
-from .thermal import Spectrum, gibbs_log_weights, shifted_means
+from .thermal import Spectrum, gibbs_log_weights, gibbs_probs, shifted_means
 
 __all__ = [
     "INTERIOR",
@@ -54,12 +57,18 @@ NON_INVERTIBLE = "non_invertible"
 BRACKET_SPAN = (1e-4, 1e4)
 # Bisection stops when the bracket width falls below this fraction of T.
 BISECT_RTOL = 1e-12
+# MLE root guess: log-spaced table temperatures, then at most GUESS_NEWTON Newton steps in
+# ln T, fewer once every step is below GUESS_STEP.
+GUESS_TABLE = 128
+GUESS_NEWTON = 12
+GUESS_STEP = 1e-13
 # Fewest points of a Bayes posterior grid.
 MIN_GRID_SIZE = 64
 # Floor of the Bayes log weights: a level whose weight underflows to log 0 = -inf and whose
 # count is 0 then adds 0 to the log-likelihood, not -inf * 0 = NaN.
 _LOG_ZERO = -np.finfo(float).max
-# Most floats in one block of Bayes log-likelihoods: BLOCK // grid_size rows, at least one.
+# Most floats in one block of Bayes log-likelihoods (BLOCK // grid_size rows, at least one)
+# and of MLE check occupations (BLOCK // levels midpoints).
 BLOCK = 2**14
 
 
@@ -123,6 +132,123 @@ def _counts_matrix(spectrum: Spectrum, counts) -> np.ndarray:
     return counts
 
 
+def _bisect(lo0: float, hi0: float, n: int, above) -> np.ndarray:
+    """The MLE bisection of ``n`` rows, all on the bracket (lo0, hi0); returns each row's
+    stopping midpoint.
+
+    ``above(mid, rows)`` decides, for the still-active row indices ``rows`` and their
+    midpoints ``mid``, whether each root lies below its midpoint. A row's steps depend only on
+    the bracket and on its own decisions, so two rules that decide alike at every midpoint
+    a row visits give it the same midpoints and the same estimate.
+    """
+    rows = np.arange(n)
+    lo = np.full(n, lo0)
+    hi = np.full(n, hi0)
+    estimate = np.empty(n)
+    # After k steps a row's bracket is within 2 (u hi0 + 2^-1075) of (hi0 - lo0) / 2^k, u the
+    # unit roundoff: each midpoint rounds by at most u hi0 plus half a subnormal. So while
+    # that width exceeds 2 BISECT_RTOL hi0 + 1e-300, every row passes the stopping test and
+    # it is not taken. When lo + hi can overflow, the test is taken from the first step.
+    width = hi0 - lo0 if 2.0 * hi0 < math.inf else 0.0
+    while len(rows):
+        total = lo + hi
+        mid = 0.5 * total
+        if width <= 2.0 * BISECT_RTOL * hi0 + 1e-300:
+            active = (hi - lo > BISECT_RTOL * 0.5 * total) & (mid > lo) & (mid < hi)
+            if np.count_nonzero(active) < len(rows):
+                estimate[rows[~active]] = mid[~active]
+                rows, lo, hi, mid = (a[active] for a in (rows, lo, hi, mid))
+        width *= 0.5
+        up = above(mid, rows)
+        np.copyto(hi, mid, where=up)
+        np.copyto(lo, mid, where=~up)
+    return estimate
+
+
+def _root_guess(spectrum: Spectrum, target: np.ndarray, lo0: float, hi0: float) -> np.ndarray:
+    """A guess at each root T of <H - E_0>_T = ``target`` in [lo0, hi0].
+
+    1/T is interpolated against the logit y = ln(<H - E_0>) - ln(spread - <H - E_0>) on a
+    table of ``GUESS_TABLE`` log-spaced temperatures; for two levels y is linear in 1/T, so
+    the interpolation is exact. Newton steps in ln T, d<H>/d ln T = Var(H)/T, follow until
+    every step is below ``GUESS_STEP`` or ``GUESS_NEWTON`` were taken, each clipped to the
+    bracket; where the variance is 0 or a step is not finite, the guess stays where it was.
+    Its accuracy sets how many rows are bisected again, never the bits of an estimate.
+    """
+    de = spectrum._shifted
+    top = spectrum.spread
+    lnlo, lnhi = math.log(lo0), math.log(hi0)
+    # below E_1/1000 every excited occupation is exp(-1000) = 0, so no root lies there; a
+    # root above 1e18 times the spread needs a target within 1e-18 spreads of the T -> inf mean
+    a, b = max(lo0, de[1] / 1e3), min(hi0, 1e18 * top)
+    if a >= b:
+        a, b = lo0, hi0
+    table = np.exp(np.linspace(math.log(a), math.log(b), GUESS_TABLE))
+    table[[0, -1]] = a, b  # exp(ln T) need not round back to T
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        means = shifted_means(spectrum, table)
+        y = np.log(means) - np.log(top - means)
+        finite = np.isfinite(y)  # a table mean of 0 has y = -inf
+        beta = np.interp(np.log(target) - np.log(top - target), y[finite], 1.0 / table[finite])
+        x = np.clip(-np.log(beta), lnlo, lnhi)
+        for _ in range(GUESS_NEWTON):
+            t = np.exp(x)
+            probs = gibbs_probs(spectrum, t)[0]
+            mean = np.vecdot(probs, de)
+            var = np.vecdot(probs, (de - mean[:, None]) ** 2)
+            step = (mean - target) * t / var
+            x = np.where(np.isfinite(step) & (var > 0.0), np.clip(x - step, lnlo, lnhi), x)
+            if not (abs(step) > GUESS_STEP).any():
+                break
+        return np.clip(np.exp(x), lo0, hi0)
+
+
+def _solve(spectrum: Spectrum, target: np.ndarray, lo0: float, hi0: float) -> np.ndarray:
+    """Each root T of <H - E_0>_T = ``target`` where the bisection on (lo0, hi0) stops.
+
+    The bisection is guessed, then checked. Each row walks with the decision "midpoint
+    above :func:`_root_guess`", and the real decisions at the midpoints it visits are taken
+    in one :func:`shifted_means` call per block of at most ``BLOCK`` floats. A row whose
+    decisions all agree visited the midpoints of the real bisection and stopped at the
+    same one, so its estimate has the same bits; the other rows are bisected again with
+    the real decision. Where a block holds fewer than 8 steps of all rows, the rows are
+    bisected with the real decision from the start.
+    """
+    def real(mid, rows):
+        return shifted_means(spectrum, mid) > target[rows]
+
+    chunk = max(1, BLOCK // spectrum.n_levels)
+    # with fewer than 8 steps to a check block, the calls saved do not pay for the guessed
+    # walk (the two break even at about 400 rows of 5 levels)
+    if not 0 < 8 * len(target) <= chunk:
+        return _bisect(lo0, hi0, len(target), real)
+    guess = _root_guess(spectrum, target, lo0, hi0)
+    wrong = np.zeros(len(target), dtype=bool)
+    path, size = [], 0  # steps not yet checked, and their midpoint count
+
+    def check():
+        rows, mid, up = (np.concatenate(a) for a in zip(*path))
+        wrong[rows[real(mid, rows) != up]] = True
+        path.clear()
+
+    def guessed(mid, rows):
+        nonlocal size
+        if size + len(rows) > chunk:
+            check()
+            size = 0
+        up = mid > guess[rows]
+        path.append((rows, mid, up))
+        size += len(rows)
+        return up
+
+    found = _bisect(lo0, hi0, len(target), guessed)
+    check()
+    if wrong.any():
+        again = np.flatnonzero(wrong)
+        found[again] = _bisect(lo0, hi0, len(again), lambda mid, rows: real(mid, again[rows]))
+    return found
+
+
 def mle_batch(
     spectrum: Spectrum,
     counts,
@@ -138,6 +264,13 @@ def mle_batch(
     INTERIOR / AT_LOWER_BOUND / AT_UPPER_BOUND / NON_INVERTIBLE) and the
     estimate, NaN wherever the status is not INTERIOR. The status follows
     from the sample mean alone, before any bisection.
+
+    The bisection is guessed, then checked (:func:`_solve`); every estimate has the bits of
+    the plain bisection that calls :func:`shifted_means` once per step. Memory past the
+    per-row vectors is one step's Gibbs occupations (rows x levels floats) or one check
+    block: at most ``BLOCK`` // levels midpoints, each with its row index and decision
+    (17 B), and their occupations. It grows with neither the step count (about 57 on the
+    default bracket, over 1000 on (5e-324, 1e300)) nor steps x rows.
     """
     if bracket is None:
         bracket = default_bracket(spectrum)
@@ -156,20 +289,8 @@ def mle_batch(
         status[ebar >= (m @ de) / m.sum()] = NON_INVERTIBLE
         status[ebar <= 0.0] = AT_LOWER_BOUND
         estimate = np.full(len(ebar), np.nan)
-        rows = np.flatnonzero(status == INTERIOR)
-        target = ebar[rows]
-        lo = np.full(len(rows), lo0)
-        hi = np.full(len(rows), hi0)
-        while len(rows):
-            total = lo + hi
-            mid = 0.5 * total
-            active = (hi - lo > BISECT_RTOL * 0.5 * total) & (mid > lo) & (mid < hi)
-            if np.count_nonzero(active) < len(rows):
-                estimate[rows[~active]] = mid[~active]
-                rows, target, lo, hi, mid = (a[active] for a in (rows, target, lo, hi, mid))
-            above = shifted_means(spectrum, mid) > target
-            np.copyto(hi, mid, where=above)
-            np.copyto(lo, mid, where=~above)
+        interior = status == INTERIOR
+        estimate[interior] = _solve(spectrum, ebar[interior], lo0, hi0)
     return status, estimate
 
 

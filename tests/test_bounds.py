@@ -465,6 +465,13 @@ def test_gap_family_validation():
         GapFamily(evaluate=lambda lam: lam, breaks=(0.0, 2.0, 1.0))
 
 
+@pytest.mark.parametrize("breaks", [(), (1.0,)])
+def test_gap_family_needs_two_breaks(breaks):
+    # no breaks used to raise a bare IndexError from lambda_min
+    with pytest.raises(ValueError, match="breaks must hold at least two"):
+        GapFamily(evaluate=lambda lam: lam, breaks=breaks)
+
+
 def test_family_from_dict_round_trips():
     linear = family_from_dict(
         {"kind": "linear", "slope": 1.0, "intercept": 0.0, "lambda_min": 0.01, "lambda_max": 10.0}

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _strategies import multi_level_spectra
+from _strategies import multi_level_spectra, spectra
+from thermometry import estimation
 from thermometry import (
     AT_LOWER_BOUND,
     AT_UPPER_BOUND,
@@ -23,9 +24,21 @@ from thermometry import (
     trial_rng,
     two_level_factor,
 )
-from thermometry.estimation import BLOCK, MIN_GRID_SIZE, _bayes_grid, _trapezoid, bayes_batch, mle_batch
+from thermometry.estimation import (
+    BISECT_RTOL,
+    BLOCK,
+    MIN_GRID_SIZE,
+    _bayes_grid,
+    _bisect,
+    _counts_matrix,
+    _trapezoid,
+    bayes_batch,
+    default_bracket,
+    mle_batch,
+)
+from thermometry.errors import positive_interval
 from thermometry.montecarlo import draw_counts
-from thermometry.thermal import gibbs_log_weights, gibbs_state
+from thermometry.thermal import gibbs_log_weights, gibbs_state, shifted_means
 
 QUBIT = make_spectrum([(0.0, 1), (1.0, 1)], label="qubit")
 
@@ -292,6 +305,141 @@ def test_mle_shift_example():
     assert moved.estimate == pytest.approx(base.estimate * lifted.gap / 1e-3, rel=1e-10)
 
 
+def _plain_mle_batch(spectrum, counts, bracket=None):
+    """``mle_batch`` as one bisection with a ``shifted_means`` call per step: the reference
+    whose bits the guessed-then-checked bisection must keep."""
+    if bracket is None:
+        bracket = default_bracket(spectrum)
+    lo0, hi0 = positive_interval(bracket, "bracket")
+    counts = _counts_matrix(spectrum, counts)
+    de = spectrum._shifted
+    m = spectrum._weights
+    with np.errstate(over="ignore"):
+        ebar = np.vecdot(counts.astype(float), de) / counts.sum(axis=1)
+        edges = shifted_means(spectrum, np.array((lo0, hi0)))
+        status = np.full(len(ebar), INTERIOR, dtype=object)
+        status[edges[1] <= ebar] = AT_UPPER_BOUND
+        status[edges[0] >= ebar] = AT_LOWER_BOUND
+        status[ebar >= (m @ de) / m.sum()] = NON_INVERTIBLE
+        status[ebar <= 0.0] = AT_LOWER_BOUND
+        estimate = np.full(len(ebar), np.nan)
+        rows = np.flatnonzero(status == INTERIOR)
+        target = ebar[rows]
+        lo = np.full(len(rows), lo0)
+        hi = np.full(len(rows), hi0)
+        while len(rows):
+            total = lo + hi
+            mid = 0.5 * total
+            active = (hi - lo > BISECT_RTOL * 0.5 * total) & (mid > lo) & (mid < hi)
+            if np.count_nonzero(active) < len(rows):
+                estimate[rows[~active]] = mid[~active]
+                rows, target, lo, hi, mid = (a[active] for a in (rows, target, lo, hi, mid))
+            above = shifted_means(spectrum, mid) > target
+            np.copyto(hi, mid, where=above)
+            np.copyto(lo, mid, where=~above)
+    return status, estimate
+
+
+def _same_bits(got, want):
+    assert got[0].tolist() == want[0].tolist()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spectra(),
+    st.sampled_from([None, (5e-324, 1e300), (1e-320, 1.0)]),
+    st.floats(min_value=-1.5, max_value=1.0),
+    st.sampled_from([1, 7, 50, 1000, 20_000]),
+    st.sampled_from([1, 3, 40, 200, 1100]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_mle_batch_equals_the_plain_bisection(s, bracket, log_t, shots, rows, seed):
+    # every status and estimate, bit for bit: guessed and checked at few rows (streamed
+    # through several check blocks at 200 rows or 1000 steps), plainly bisected at 1100
+    if bracket is None and s.n_levels == 1:
+        with pytest.raises(ValueError):
+            mle_batch(s, [[1]])
+        return
+    T = 10.0**log_t * (s.spread or 1.0)
+    counts = np.random.default_rng(seed).multinomial(shots, gibbs_state(s, T).probs, size=rows)
+    _same_bits(mle_batch(s, counts, bracket), _plain_mle_batch(s, counts, bracket))
+
+
+@pytest.mark.parametrize("guess", ["lower end", "upper end", "near miss"])
+def test_rows_with_a_wrong_guess_are_bisected_again_to_the_same_bits(monkeypatch, guess):
+    s = make_spectrum([(0.0, 1), (0.5, 2), (1.2, 1), (2.0, 3), (3.5, 1)])
+    counts = np.random.default_rng(8).multinomial(300, gibbs_state(s, 0.9).probs, size=60)
+    want = _plain_mle_batch(s, counts)
+    roots = want[1][want[0] == INTERIOR]
+    # a near miss sits 1e-10 of T off the root, alternately above and below: the walk
+    # agrees for about 33 steps, then parts from the real one
+    sides = np.where(np.arange(len(roots)) % 2, 1 + 1e-10, 1 - 1e-10)
+    wrong = {"lower end": lambda s_, t, lo0, hi0: np.full(len(t), lo0),
+             "upper end": lambda s_, t, lo0, hi0: np.full(len(t), hi0),
+             "near miss": lambda s_, t, lo0, hi0: roots * sides}[guess]
+    monkeypatch.setattr(estimation, "_root_guess", wrong)
+    walks = []
+
+    def counting(lo0, hi0, n, above):
+        walks.append(n)
+        return _bisect(lo0, hi0, n, above)
+
+    monkeypatch.setattr(estimation, "_bisect", counting)
+    _same_bits(mle_batch(s, counts), want)
+    assert walks == [len(roots), len(roots)]  # the guessed walk, then every row again
+
+
+def _plain_bisect(lo0, hi0, n, above):
+    """The bisection loop with its stopping test taken at every step."""
+    rows = np.arange(n)
+    lo = np.full(n, lo0)
+    hi = np.full(n, hi0)
+    estimate = np.empty(n)
+    while len(rows):
+        total = lo + hi
+        mid = 0.5 * total
+        active = (hi - lo > BISECT_RTOL * 0.5 * total) & (mid > lo) & (mid < hi)
+        if np.count_nonzero(active) < len(rows):
+            estimate[rows[~active]] = mid[~active]
+            rows, lo, hi, mid = (a[active] for a in (rows, lo, hi, mid))
+        up = above(mid, rows)
+        np.copyto(hi, mid, where=up)
+        np.copyto(lo, mid, where=~up)
+    return estimate
+
+
+_MAX = np.finfo(float).max
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(min_value=5e-324, max_value=_MAX), min_size=2, max_size=2, unique=True),
+    st.sampled_from([_MAX, 1e300, 1.0, 1e-300, 1e-310]),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_bisect_skips_the_stopping_test_only_where_no_row_can_stop(ends, scale, hashed, seed):
+    # _bisect leaves out the stopping test while every bracket is wider than
+    # 2 BISECT_RTOL hi0 + 1e-300; under any decisions, including ones that jump from side
+    # to side, it stops every row where the test at every step does, near the float range's
+    # ends too (subnormal brackets, lo + hi past the largest float)
+    lo0, hi0 = sorted(min(e, scale) for e in ends)
+    assume(lo0 < hi0)
+    n = 8
+    thresholds = np.sort(np.random.default_rng(seed % 2**32).uniform(lo0, hi0, n))
+    salt = np.uint64(seed | 1)
+
+    def above(mid, rows):
+        if hashed:  # the top bit of a product of the midpoint's bits
+            return (mid.view(np.uint64) * salt) >> np.uint64(63) == 1
+        return mid > thresholds[rows]
+
+    with np.errstate(over="ignore"):  # lo + hi past the largest float, as in mle_batch
+        got, want = _bisect(lo0, hi0, n, above), _plain_bisect(lo0, hi0, n, above)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("shots,tolerance", [(100, 0.03), (1000, 0.01)])
 def test_mle_consistency(shots, tolerance):
     # median over 10^4 simulated samples at gap/T = 2.4 approaches the truth
@@ -442,6 +590,44 @@ def test_bayes_batch_memory_does_not_grow_with_the_rows():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= 18_000 * (s.n_levels + 3) * 8
+
+
+def test_mle_batch_memory_does_not_grow_with_the_rows():
+    # past the per-row vectors (counts, sample means, statuses, estimates, brackets) and one
+    # step's Gibbs occupations, memory is at most one check block; steps x rows x levels
+    # floats of 18000 more rows would take 41 MB
+    s = make_spectrum([(0.0, 1), (1.0, 3), (2.0, 3), (3.0, 1), (4.0, 2)])
+    counts = np.random.default_rng(12).multinomial(
+        10**5, gibbs_state(s, 1.0).probs, size=20_000)
+    mle_batch(s, counts[:10])
+    peaks = []
+    for rows in (2_000, 20_000):
+        tracemalloc.start()
+        try:
+            mle_batch(s, counts[:rows])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 18_000 * (4 * s.n_levels + 12) * 8
+
+
+def test_mle_check_memory_does_not_grow_with_the_steps():
+    # the guessed walk's midpoints are checked a block at a time: 20 times the steps (a
+    # bracket of (5e-324, 1e300) takes about 1040) cost at most a block of midpoints, their
+    # row indices and decisions and the block's occupations, not a record of every step
+    # (about 1040 x 400 x 17 B = 7 MB)
+    k = np.random.default_rng(13).binomial(1000, gibbs_state(QUBIT, 0.4).probs[1], size=4000)
+    counts = np.unique(np.column_stack([1000 - k, k]), axis=0)[:120]
+    peaks = []
+    for bracket in (None, (5e-324, 1e300)):
+        mle_batch(QUBIT, counts[:2], bracket)
+        tracemalloc.start()
+        try:
+            mle_batch(QUBIT, counts, bracket)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= (BLOCK // QUBIT.n_levels) * (8 + 8 + 1 + 4 * 8)
 
 
 def test_posterior_validation():
