@@ -10,10 +10,15 @@ above the infinite-temperature mean, admit no positive-T maximizer and
 are surfaced as explicit statuses instead of being clamped.
 
 Both estimators work on a batch: a (trials, levels) array of counts.
-:func:`mle_batch` runs one bisection over every row at once. It walks each
-row with decisions guessed from a Newton root, then checks every guessed
-decision in one Gibbs evaluation per block; a row whose guesses all hold
-has the bits of the plain bisection, and any other row is bisected again.
+:func:`mle_batch` bisects every row. It walks each row with decisions guessed
+from a Newton root, then checks every guessed decision in one Gibbs
+evaluation per block; a row whose guesses all hold has the bits of the plain
+bisection, and any other row goes on from the bracket before its first wrong
+decision with the real one. The row count picks one of three paths: up to
+``SCALAR_ROWS`` rows walk one after another in Python floats, more rows
+walk together in numpy arrays, and batches too large for 8 steps of every
+row in a check block are bisected plainly, one Gibbs evaluation per step.
+The first two cost the same at 49-51 rows of 2 or of 5 levels.
 :func:`bayes_batch` builds the posterior grid once for all rows, then runs
 them through one posterior kernel in blocks of at most 2^14 floats, so its
 memory does not grow with the trial count; the single-sample functions
@@ -62,6 +67,9 @@ BISECT_RTOL = 1e-12
 GUESS_TABLE = 128
 GUESS_NEWTON = 12
 GUESS_STEP = 1e-13
+# Batches of at most this many rows walk the guessed bisection in Python floats, larger ones
+# in numpy arrays: the two cost the same at 49-51 rows of 2 or of 5 levels.
+SCALAR_ROWS = 50
 # Fewest points of a Bayes posterior grid.
 MIN_GRID_SIZE = 64
 # Floor of the Bayes log weights: a level whose weight underflows to log 0 = -inf and whose
@@ -132,37 +140,153 @@ def _counts_matrix(spectrum: Spectrum, counts) -> np.ndarray:
     return counts
 
 
-def _bisect(lo0: float, hi0: float, n: int, above) -> np.ndarray:
-    """The MLE bisection of ``n`` rows, all on the bracket (lo0, hi0); returns each row's
-    stopping midpoint.
+def _sure_steps(width: float, top: float) -> int:
+    """How many first steps of a bisection whose brackets are at least ``width`` wide, with
+    upper ends at most ``top``, pass the stopping test in every row.
+
+    After k steps a row's bracket is within 2 (u top + 2^-1075) of its first width / 2^k, u
+    the unit roundoff: each midpoint rounds by at most u top plus half a subnormal. So while
+    ``width`` / 2^k exceeds 2 BISECT_RTOL top + 1e-300, no row can stop. When lo + hi can
+    overflow, no step is sure.
+    """
+    steps = 0
+    if 2.0 * top < math.inf:
+        while width > 2.0 * BISECT_RTOL * top + 1e-300:
+            width *= 0.5
+            steps += 1
+    return steps
+
+
+def _bisect(lo0, hi0, n: int, above) -> np.ndarray:
+    """The MLE bisection of ``n`` >= 1 rows on the bracket (lo0, hi0), one shared by every
+    row or one per row (float arrays); returns each row's stopping midpoint.
 
     ``above(mid, rows)`` decides, for the still-active row indices ``rows`` and their
     midpoints ``mid``, whether each root lies below its midpoint. A row's steps depend only on
-    the bracket and on its own decisions, so two rules that decide alike at every midpoint
-    a row visits give it the same midpoints and the same estimate.
+    its bracket and on its own decisions, so two rules that decide alike at every midpoint
+    a row visits give it the same midpoints and the same estimate, and a row started from
+    the bracket it held before some step goes on as it would have from that step. The
+    stopping test is left out of the first :func:`_sure_steps`, where no row can stop.
     """
     rows = np.arange(n)
     lo = np.full(n, lo0)
     hi = np.full(n, hi0)
     estimate = np.empty(n)
-    # After k steps a row's bracket is within 2 (u hi0 + 2^-1075) of (hi0 - lo0) / 2^k, u the
-    # unit roundoff: each midpoint rounds by at most u hi0 plus half a subnormal. So while
-    # that width exceeds 2 BISECT_RTOL hi0 + 1e-300, every row passes the stopping test and
-    # it is not taken. When lo + hi can overflow, the test is taken from the first step.
-    width = hi0 - lo0 if 2.0 * hi0 < math.inf else 0.0
+    sure = _sure_steps(float((hi - lo).min()), float(hi.max()))
     while len(rows):
         total = lo + hi
         mid = 0.5 * total
-        if width <= 2.0 * BISECT_RTOL * hi0 + 1e-300:
+        if sure:
+            sure -= 1
+        else:
             active = (hi - lo > BISECT_RTOL * 0.5 * total) & (mid > lo) & (mid < hi)
             if np.count_nonzero(active) < len(rows):
                 estimate[rows[~active]] = mid[~active]
                 rows, lo, hi, mid = (a[active] for a in (rows, lo, hi, mid))
-        width *= 0.5
         up = above(mid, rows)
         np.copyto(hi, mid, where=up)
         np.copyto(lo, mid, where=~up)
     return estimate
+
+
+def _scalar_walk(lo0: float, hi0: float, guess: np.ndarray, chunk: int, check) -> np.ndarray:
+    """The bisection of each row in turn, in Python floats, on the decision "midpoint above
+    ``guess``"; returns each row's stopping midpoint.
+
+    Every step has the float operations of a :func:`_bisect` step, stopping test included
+    after the :func:`_sure_steps`, so a row visits the midpoints that :func:`_bisect` gives
+    it under the same decisions. The midpoints go to ``check(rows, steps, mid)`` at most
+    ``chunk`` at a time, with their row indices and step numbers.
+    """
+    rtol = BISECT_RTOL * 0.5
+    # the sure steps that fit in one block, taken without the stopping test or a check for a
+    # full block (about a third of the walk's time); a row starts them in a block with room
+    sure = min(_sure_steps(hi0 - lo0, hi0), chunk)
+    found, mids = [], []
+    runs = []  # (row, step, block position) where a row's midpoints in the block begin
+
+    def flush():
+        row, step, start = (np.array(a) for a in zip(*runs))
+        lengths = np.diff(start, append=len(mids))
+        check(np.repeat(row, lengths), np.arange(len(mids)) + np.repeat(step - start, lengths),
+              np.array(mids))
+        mids.clear()
+        runs.clear()
+
+    for row, g in enumerate(guess.tolist()):
+        if len(mids) + sure > chunk:
+            flush()
+        runs.append((row, 0, len(mids)))
+        lo, hi = lo0, hi0
+        for _ in range(sure):
+            mid = 0.5 * (lo + hi)
+            mids.append(mid)
+            if mid > g:
+                hi = mid
+            else:
+                lo = mid
+        while True:
+            total = lo + hi
+            mid = 0.5 * total
+            if not (hi - lo > rtol * total and lo < mid < hi):
+                break
+            if len(mids) == chunk:  # check the full block; the row goes on in a new one
+                _, step, start = runs[-1]
+                flush()
+                runs.append((row, step + chunk - start, 0))
+            mids.append(mid)
+            if mid > g:
+                hi = mid
+            else:
+                lo = mid
+        found.append(mid)
+    if mids:
+        flush()
+    return np.array(found)
+
+
+def _vector_walk(lo0: float, hi0: float, guess: np.ndarray, chunk: int, check) -> np.ndarray:
+    """The bisection of every row at once (:func:`_bisect`) on the decision "midpoint above
+    ``guess``"; returns each row's stopping midpoint.
+
+    The midpoints go to ``check(rows, steps, mid)`` at most ``chunk`` at a time, with their
+    row indices and step numbers.
+    """
+    path = []  # steps not yet checked: their row indices and midpoints
+    size = step = 0  # the midpoints in ``path``, and the steps taken
+
+    def flush():
+        rows, mid = (np.concatenate(a) for a in zip(*path))
+        check(rows, np.repeat(np.arange(step - len(path), step), [len(r) for r, _ in path]),
+              mid)
+        path.clear()
+
+    def guessed(mid, rows):
+        nonlocal size, step
+        if size + len(rows) > chunk:
+            flush()
+            size = 0
+        path.append((rows, mid))
+        size += len(rows)
+        step += 1
+        return mid > guess[rows]
+
+    found = _bisect(lo0, hi0, len(guess), guessed)
+    if path:
+        flush()
+    return found
+
+
+def _guessed_bracket(lo: float, hi: float, guess: float, steps: int) -> tuple[float, float]:
+    """The bracket a row holds after ``steps`` steps on the decision "midpoint above
+    ``guess``", in the float operations of a :func:`_bisect` step."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if mid > guess:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
 
 
 def _root_guess(spectrum: Spectrum, target: np.ndarray, lo0: float, hi0: float) -> np.ndarray:
@@ -210,42 +334,42 @@ def _solve(spectrum: Spectrum, target: np.ndarray, lo0: float, hi0: float) -> np
     above :func:`_root_guess`", and the real decisions at the midpoints it visits are taken
     in one :func:`shifted_means` call per block of at most ``BLOCK`` floats. A row whose
     decisions all agree visited the midpoints of the real bisection and stopped at the
-    same one, so its estimate has the same bits; the other rows are bisected again with
-    the real decision. Where a block holds fewer than 8 steps of all rows, the rows are
-    bisected with the real decision from the start.
+    same one, so its estimate has the same bits. A row whose first wrong decision came at
+    step j held the real bisection's bracket before that step; it is bisected on from there
+    with the real decision, so its estimate has the same bits too.
+
+    The row count picks the walk. At most ``SCALAR_ROWS`` rows walk one after another in
+    Python floats (:func:`_scalar_walk`); more rows walk together in numpy arrays
+    (:func:`_vector_walk`); the two cost the same at 49-51 rows of 2 or of 5 levels. Where a
+    block holds fewer than 8 steps of all rows, the rows are bisected with the real decision
+    from the start.
     """
     def real(mid, rows):
         return shifted_means(spectrum, mid) > target[rows]
 
+    n = len(target)
+    if not n:
+        return np.empty(0)
     chunk = max(1, BLOCK // spectrum.n_levels)
     # with fewer than 8 steps to a check block, the calls saved do not pay for the guessed
     # walk (the two break even at about 400 rows of 5 levels)
-    if not 0 < 8 * len(target) <= chunk:
-        return _bisect(lo0, hi0, len(target), real)
+    if n > SCALAR_ROWS and 8 * n > chunk:
+        return _bisect(lo0, hi0, n, real)
     guess = _root_guess(spectrum, target, lo0, hi0)
-    wrong = np.zeros(len(target), dtype=bool)
-    path, size = [], 0  # steps not yet checked, and their midpoint count
+    never = np.iinfo(np.intp).max
+    first = np.full(n, never)  # each row's first wrong step
 
-    def check():
-        rows, mid, up = (np.concatenate(a) for a in zip(*path))
-        wrong[rows[real(mid, rows) != up]] = True
-        path.clear()
+    def check(rows, steps, mid):
+        wrong = real(mid, rows) != (mid > guess[rows])
+        np.minimum.at(first, rows[wrong], steps[wrong])
 
-    def guessed(mid, rows):
-        nonlocal size
-        if size + len(rows) > chunk:
-            check()
-            size = 0
-        up = mid > guess[rows]
-        path.append((rows, mid, up))
-        size += len(rows)
-        return up
-
-    found = _bisect(lo0, hi0, len(target), guessed)
-    check()
-    if wrong.any():
-        again = np.flatnonzero(wrong)
-        found[again] = _bisect(lo0, hi0, len(again), lambda mid, rows: real(mid, again[rows]))
+    walk = _scalar_walk if n <= SCALAR_ROWS else _vector_walk
+    found = walk(lo0, hi0, guess, chunk, check)
+    again = np.flatnonzero(first < never)
+    if len(again):
+        lo, hi = np.array([_guessed_bracket(lo0, hi0, g, j) for g, j in
+                           zip(guess[again].tolist(), first[again].tolist())]).T
+        found[again] = _bisect(lo, hi, len(again), lambda mid, rows: real(mid, again[rows]))
     return found
 
 
@@ -268,9 +392,10 @@ def mle_batch(
     The bisection is guessed, then checked (:func:`_solve`); every estimate has the bits of
     the plain bisection that calls :func:`shifted_means` once per step. Memory past the
     per-row vectors is one step's Gibbs occupations (rows x levels floats) or one check
-    block: at most ``BLOCK`` // levels midpoints, each with its row index and decision
-    (17 B), and their occupations. It grows with neither the step count (about 57 on the
-    default bracket, over 1000 on (5e-324, 1e300)) nor steps x rows.
+    block: at most ``BLOCK`` // levels midpoints, each with its row index and step number
+    (and, in the scalar walk, as a Python float), and their occupations. It grows with
+    neither the step count (about 57 on the default bracket, over 1000 on (5e-324, 1e300))
+    nor steps x rows.
     """
     if bracket is None:
         bracket = default_bracket(spectrum)
