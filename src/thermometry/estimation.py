@@ -10,15 +10,13 @@ above the infinite-temperature mean, admit no positive-T maximizer and
 are surfaced as explicit statuses instead of being clamped.
 
 Both estimators work on a batch: a (trials, levels) array of counts.
-:func:`mle_batch` bisects every row. It walks each row with decisions guessed
-from a Newton root, then checks every guessed decision in one Gibbs
-evaluation per block; a row whose guesses all hold has the bits of the plain
-bisection, and any other row goes on from the bracket before its first wrong
-decision with the real one. The row count picks one of three paths: up to
-``SCALAR_ROWS`` rows walk one after another in Python floats, more rows
-walk together in numpy arrays, and batches too large for 8 steps of every
-row in a check block are bisected plainly, one Gibbs evaluation per step.
-The first two cost the same at 49-51 rows of 2 or of 5 levels.
+:func:`mle_batch` bisects every row. A batch of at most ``SCALAR_ROWS`` rows walks
+each row in turn, in Python floats, with decisions guessed from a Newton root, then
+checks every guessed decision in one Gibbs evaluation per block; a row whose guesses all
+hold has the bits of the plain bisection, and any other row is bisected again with the
+real decision. Larger batches, and batches too large for 8 steps of every row in a check
+block, are bisected plainly, one Gibbs evaluation per step. The walk and the plain
+bisection cost the same at 71-87 rows of 5 or of 2 levels.
 :func:`bayes_batch` builds the posterior grid once for all rows, then runs
 them through one posterior kernel in blocks of at most 2^14 floats, so its
 memory does not grow with the trial count; the single-sample functions
@@ -30,6 +28,7 @@ constant leaves every estimate unchanged.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,9 +66,9 @@ BISECT_RTOL = 1e-12
 GUESS_TABLE = 128
 GUESS_NEWTON = 12
 GUESS_STEP = 1e-13
-# Batches of at most this many rows walk the guessed bisection in Python floats, larger ones
-# in numpy arrays: the two cost the same at 49-51 rows of 2 or of 5 levels.
-SCALAR_ROWS = 50
+# Batches of at most this many rows walk the guessed bisection in Python floats, larger
+# ones are bisected plainly: the two cost the same at 71-87 rows of 5 or of 2 levels.
+SCALAR_ROWS = 80
 # Fewest points of a Bayes posterior grid.
 MIN_GRID_SIZE = 64
 # Floor of the Bayes log weights: a level whose weight underflows to log 0 = -inf and whose
@@ -157,22 +156,21 @@ def _sure_steps(width: float, top: float) -> int:
     return steps
 
 
-def _bisect(lo0, hi0, n: int, above) -> np.ndarray:
-    """The MLE bisection of ``n`` >= 1 rows on the bracket (lo0, hi0), one shared by every
-    row or one per row (float arrays); returns each row's stopping midpoint.
+def _bisect(lo0: float, hi0: float, n: int, above) -> np.ndarray:
+    """The MLE bisection of ``n`` >= 1 rows on the bracket (lo0, hi0); returns each row's
+    stopping midpoint.
 
     ``above(mid, rows)`` decides, for the still-active row indices ``rows`` and their
     midpoints ``mid``, whether each root lies below its midpoint. A row's steps depend only on
-    its bracket and on its own decisions, so two rules that decide alike at every midpoint
-    a row visits give it the same midpoints and the same estimate, and a row started from
-    the bracket it held before some step goes on as it would have from that step. The
-    stopping test is left out of the first :func:`_sure_steps`, where no row can stop.
+    the bracket and on its own decisions, so two rules that decide alike at every midpoint
+    a row visits give it the same midpoints and the same estimate. The stopping test is left
+    out of the first :func:`_sure_steps`, where no row can stop.
     """
     rows = np.arange(n)
     lo = np.full(n, lo0)
     hi = np.full(n, hi0)
     estimate = np.empty(n)
-    sure = _sure_steps(float((hi - lo).min()), float(hi.max()))
+    sure = _sure_steps(hi0 - lo0, hi0)
     while len(rows):
         total = lo + hi
         mid = 0.5 * total
@@ -195,28 +193,27 @@ def _scalar_walk(lo0: float, hi0: float, guess: np.ndarray, chunk: int, check) -
 
     Every step has the float operations of a :func:`_bisect` step, stopping test included
     after the :func:`_sure_steps`, so a row visits the midpoints that :func:`_bisect` gives
-    it under the same decisions. The midpoints go to ``check(rows, steps, mid)`` at most
-    ``chunk`` at a time, with their row indices and step numbers.
+    it under the same decisions. The midpoints go to ``check(rows, mid)`` at most ``chunk``
+    at a time, with their row indices.
     """
     rtol = BISECT_RTOL * 0.5
     # the sure steps that fit in one block, taken without the stopping test or a check for a
     # full block (about a third of the walk's time); a row starts them in a block with room
     sure = min(_sure_steps(hi0 - lo0, hi0), chunk)
-    found, mids = [], []
-    runs = []  # (row, step, block position) where a row's midpoints in the block begin
+    found = []
+    mids = array("d")  # the block's midpoints, 8 B each
+    runs = []  # (row, block position) where a row's midpoints in the block begin
 
     def flush():
-        row, step, start = (np.array(a) for a in zip(*runs))
-        lengths = np.diff(start, append=len(mids))
-        check(np.repeat(row, lengths), np.arange(len(mids)) + np.repeat(step - start, lengths),
-              np.array(mids))
-        mids.clear()
+        row, start = (np.array(a) for a in zip(*runs))
+        check(np.repeat(row, np.diff(start, append=len(mids))), np.array(mids))
+        del mids[:]
         runs.clear()
 
     for row, g in enumerate(guess.tolist()):
         if len(mids) + sure > chunk:
             flush()
-        runs.append((row, 0, len(mids)))
+        runs.append((row, len(mids)))
         lo, hi = lo0, hi0
         for _ in range(sure):
             mid = 0.5 * (lo + hi)
@@ -231,9 +228,8 @@ def _scalar_walk(lo0: float, hi0: float, guess: np.ndarray, chunk: int, check) -
             if not (hi - lo > rtol * total and lo < mid < hi):
                 break
             if len(mids) == chunk:  # check the full block; the row goes on in a new one
-                _, step, start = runs[-1]
                 flush()
-                runs.append((row, step + chunk - start, 0))
+                runs.append((row, 0))
             mids.append(mid)
             if mid > g:
                 hi = mid
@@ -243,50 +239,6 @@ def _scalar_walk(lo0: float, hi0: float, guess: np.ndarray, chunk: int, check) -
     if mids:
         flush()
     return np.array(found)
-
-
-def _vector_walk(lo0: float, hi0: float, guess: np.ndarray, chunk: int, check) -> np.ndarray:
-    """The bisection of every row at once (:func:`_bisect`) on the decision "midpoint above
-    ``guess``"; returns each row's stopping midpoint.
-
-    The midpoints go to ``check(rows, steps, mid)`` at most ``chunk`` at a time, with their
-    row indices and step numbers.
-    """
-    path = []  # steps not yet checked: their row indices and midpoints
-    size = step = 0  # the midpoints in ``path``, and the steps taken
-
-    def flush():
-        rows, mid = (np.concatenate(a) for a in zip(*path))
-        check(rows, np.repeat(np.arange(step - len(path), step), [len(r) for r, _ in path]),
-              mid)
-        path.clear()
-
-    def guessed(mid, rows):
-        nonlocal size, step
-        if size + len(rows) > chunk:
-            flush()
-            size = 0
-        path.append((rows, mid))
-        size += len(rows)
-        step += 1
-        return mid > guess[rows]
-
-    found = _bisect(lo0, hi0, len(guess), guessed)
-    if path:
-        flush()
-    return found
-
-
-def _guessed_bracket(lo: float, hi: float, guess: float, steps: int) -> tuple[float, float]:
-    """The bracket a row holds after ``steps`` steps on the decision "midpoint above
-    ``guess``", in the float operations of a :func:`_bisect` step."""
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if mid > guess:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
 
 
 def _root_guess(spectrum: Spectrum, target: np.ndarray, lo0: float, hi0: float) -> np.ndarray:
@@ -330,46 +282,33 @@ def _root_guess(spectrum: Spectrum, target: np.ndarray, lo0: float, hi0: float) 
 def _solve(spectrum: Spectrum, target: np.ndarray, lo0: float, hi0: float) -> np.ndarray:
     """Each root T of <H - E_0>_T = ``target`` where the bisection on (lo0, hi0) stops.
 
-    The bisection is guessed, then checked. Each row walks with the decision "midpoint
-    above :func:`_root_guess`", and the real decisions at the midpoints it visits are taken
-    in one :func:`shifted_means` call per block of at most ``BLOCK`` floats. A row whose
-    decisions all agree visited the midpoints of the real bisection and stopped at the
-    same one, so its estimate has the same bits. A row whose first wrong decision came at
-    step j held the real bisection's bracket before that step; it is bisected on from there
-    with the real decision, so its estimate has the same bits too.
-
-    The row count picks the walk. At most ``SCALAR_ROWS`` rows walk one after another in
-    Python floats (:func:`_scalar_walk`); more rows walk together in numpy arrays
-    (:func:`_vector_walk`); the two cost the same at 49-51 rows of 2 or of 5 levels. Where a
-    block holds fewer than 8 steps of all rows, the rows are bisected with the real decision
-    from the start.
+    The bisection is guessed, then checked. Each row walks in Python floats with the
+    decision "midpoint above :func:`_root_guess`" (:func:`_scalar_walk`), and the real
+    decisions at the midpoints it visits are taken in one :func:`shifted_means` call per
+    block of at most ``BLOCK`` floats. A row whose decisions all agree visited the midpoints
+    of the real bisection and stopped at the same one, so its estimate has the same bits;
+    the other rows are bisected again with the real decision. Batches of more than
+    ``SCALAR_ROWS`` rows, or where a block holds fewer than 8 steps of all rows, are
+    bisected with the real decision from the start.
     """
     def real(mid, rows):
         return shifted_means(spectrum, mid) > target[rows]
 
     n = len(target)
-    if not n:
-        return np.empty(0)
     chunk = max(1, BLOCK // spectrum.n_levels)
-    # with fewer than 8 steps to a check block, the calls saved do not pay for the guessed
-    # walk (the two break even at about 400 rows of 5 levels)
-    if n > SCALAR_ROWS and 8 * n > chunk:
+    # with fewer than 8 steps to a check block, the calls saved do not pay for the guessed walk
+    if not 0 < n <= min(SCALAR_ROWS, chunk // 8):
         return _bisect(lo0, hi0, n, real)
     guess = _root_guess(spectrum, target, lo0, hi0)
-    never = np.iinfo(np.intp).max
-    first = np.full(n, never)  # each row's first wrong step
+    wrong = np.zeros(n, dtype=bool)
 
-    def check(rows, steps, mid):
-        wrong = real(mid, rows) != (mid > guess[rows])
-        np.minimum.at(first, rows[wrong], steps[wrong])
+    def check(rows, mid):
+        wrong[rows[real(mid, rows) != (mid > guess[rows])]] = True
 
-    walk = _scalar_walk if n <= SCALAR_ROWS else _vector_walk
-    found = walk(lo0, hi0, guess, chunk, check)
-    again = np.flatnonzero(first < never)
-    if len(again):
-        lo, hi = np.array([_guessed_bracket(lo0, hi0, g, j) for g, j in
-                           zip(guess[again].tolist(), first[again].tolist())]).T
-        found[again] = _bisect(lo, hi, len(again), lambda mid, rows: real(mid, again[rows]))
+    found = _scalar_walk(lo0, hi0, guess, chunk, check)
+    if wrong.any():
+        again = np.flatnonzero(wrong)
+        found[again] = _bisect(lo0, hi0, len(again), lambda mid, rows: real(mid, again[rows]))
     return found
 
 
@@ -392,10 +331,9 @@ def mle_batch(
     The bisection is guessed, then checked (:func:`_solve`); every estimate has the bits of
     the plain bisection that calls :func:`shifted_means` once per step. Memory past the
     per-row vectors is one step's Gibbs occupations (rows x levels floats) or one check
-    block: at most ``BLOCK`` // levels midpoints, each with its row index and step number
-    (and, in the scalar walk, as a Python float), and their occupations. It grows with
-    neither the step count (about 57 on the default bracket, over 1000 on (5e-324, 1e300))
-    nor steps x rows.
+    block: at most ``BLOCK`` // levels midpoints, each with its row index and decision,
+    and their occupations. It grows with neither the step count (about 57
+    on the default bracket, over 1000 on (5e-324, 1e300)) nor steps x rows.
     """
     if bracket is None:
         bracket = default_bracket(spectrum)

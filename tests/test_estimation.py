@@ -32,6 +32,7 @@ from thermometry.estimation import (
     _bayes_grid,
     _bisect,
     _counts_matrix,
+    _scalar_walk,
     _trapezoid,
     bayes_batch,
     default_bracket,
@@ -356,9 +357,8 @@ def _same_bits(got, want):
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_mle_batch_equals_the_plain_bisection(s, bracket, log_t, shots, rows, seed):
-    # every status and estimate, bit for bit: guessed and checked at few rows, walked in
-    # Python floats up to SCALAR_ROWS interior rows and in arrays above (streamed through
-    # several check blocks at 200 rows or 1000 steps), plainly bisected at 1100
+    # every status and estimate, bit for bit: guessed and checked up to SCALAR_ROWS interior
+    # rows (streamed through several check blocks at 1000 steps), plainly bisected above
     if bracket is None and s.n_levels == 1:
         with pytest.raises(ValueError):
             mle_batch(s, [[1]])
@@ -374,55 +374,50 @@ def _interior_rows(n):
     return np.column_stack([10_000 - k, k])
 
 
+def _counting_walks(monkeypatch):
+    """A list that records each guessed walk as "walk" and each ``_bisect`` by its row count."""
+    walks = []
+
+    def walk(*a):
+        walks.append("walk")
+        return _scalar_walk(*a)
+
+    def bisect(lo0, hi0, n, above):
+        walks.append(n)
+        return _bisect(lo0, hi0, n, above)
+
+    monkeypatch.setattr(estimation, "_scalar_walk", walk)
+    monkeypatch.setattr(estimation, "_bisect", bisect)
+    return walks
+
+
 @pytest.mark.parametrize("rows", [SCALAR_ROWS, SCALAR_ROWS + 1])
 def test_the_row_count_picks_the_walk(monkeypatch, rows):
-    # at most SCALAR_ROWS interior rows walk in Python floats, more in arrays; both keep the
-    # plain bisection's bits
+    # at most SCALAR_ROWS interior rows walk their guesses in Python floats, more are bisected
+    # plainly; both keep the plain bisection's bits
     counts = _interior_rows(rows)
-    walks = []
-    for name in ("_scalar_walk", "_vector_walk"):
-        walk = getattr(estimation, name)
-        monkeypatch.setattr(estimation, name,
-                            lambda *a, name=name, walk=walk: (walks.append(name), walk(*a))[1])
+    walks = _counting_walks(monkeypatch)
     _same_bits(mle_batch(QUBIT, counts), _plain_mle_batch(QUBIT, counts))
-    assert walks == ["_scalar_walk" if rows <= SCALAR_ROWS else "_vector_walk"]
+    assert walks == (["walk"] if rows <= SCALAR_ROWS else [rows])
 
 
 @pytest.mark.parametrize("guess", ["lower end", "upper end", "near miss"])
 def test_rows_with_a_wrong_guess_are_bisected_again_to_the_same_bits(monkeypatch, guess):
     s = make_spectrum([(0.0, 1), (0.5, 2), (1.2, 1), (2.0, 3), (3.5, 1)])
-    resumed = []  # the real decisions of the rows bisected again, each from its own bracket
-
-    def counting(lo0, hi0, n, above):
-        if np.ndim(lo0):
-            return _bisect(lo0, hi0, n, lambda mid, r: (resumed.append(len(r)), above(mid, r))[1])
-        return _bisect(lo0, hi0, n, above)
-
-    monkeypatch.setattr(estimation, "_bisect", counting)
-    for rows in (8, 60):  # the scalar and the vectorized walk
-        counts = np.random.default_rng(8).multinomial(300, gibbs_state(s, 0.9).probs, size=rows)
-        want = _plain_mle_batch(s, counts)
-        interior = want[0] == INTERIOR
-        roots = want[1][interior]
-        assert (len(roots) <= SCALAR_ROWS) == (rows == 8)
-        # a near miss sits 1e-10 of T off the root, alternately above and below: the walk
-        # agrees for about 46 of its 56 steps, then parts from the real one
-        sides = np.where(np.arange(len(roots)) % 2, 1 + 1e-10, 1 - 1e-10)
-        wrong = {"lower end": lambda s_, t, lo0, hi0: np.full(len(t), lo0),
-                 "upper end": lambda s_, t, lo0, hi0: np.full(len(t), hi0),
-                 "near miss": lambda s_, t, lo0, hi0, r=roots * sides: r}[guess]
-        monkeypatch.setattr(estimation, "_root_guess", wrong)
-        resumed.clear()
-        _same_bits(mle_batch(s, counts), want)
-        # a full walk: the plain bisection of every interior row from the default bracket
-        k = counts[interior]
-        target = np.vecdot(k.astype(float), s._shifted) / k.sum(axis=1)
-        full = []
-        _bisect(*default_bracket(s), len(target),
-                lambda mid, r: (full.append(len(r)), shifted_means(s, mid) > target[r])[1])
-        assert 0 < sum(resumed) <= sum(full)
-        if guess == "near miss":  # every row goes on from its bracket of about step 46
-            assert sum(resumed) < sum(full) / 4
+    counts = np.random.default_rng(8).multinomial(300, gibbs_state(s, 0.9).probs, size=60)
+    want = _plain_mle_batch(s, counts)
+    roots = want[1][want[0] == INTERIOR]
+    assert len(roots) <= SCALAR_ROWS
+    # a near miss sits 1e-10 of T off the root, alternately above and below: the walk
+    # agrees for about 46 of its 56 steps, then parts from the real one
+    sides = np.where(np.arange(len(roots)) % 2, 1 + 1e-10, 1 - 1e-10)
+    wrong = {"lower end": lambda s_, t, lo0, hi0: np.full(len(t), lo0),
+             "upper end": lambda s_, t, lo0, hi0: np.full(len(t), hi0),
+             "near miss": lambda s_, t, lo0, hi0: roots * sides}[guess]
+    monkeypatch.setattr(estimation, "_root_guess", wrong)
+    walks = _counting_walks(monkeypatch)
+    _same_bits(mle_batch(s, counts), want)
+    assert walks == ["walk", len(roots)]  # the guessed walk, then every row again
 
 
 def _plain_bisect(lo0, hi0, n, above):
@@ -647,10 +642,10 @@ def test_mle_batch_memory_does_not_grow_with_the_rows():
 
 
 def test_mle_check_memory_does_not_grow_with_the_steps():
-    # the vectorized guessed walk's midpoints are checked a block at a time: 20 times the
-    # steps (a bracket of (5e-324, 1e300) takes about 1040) cost at most a block of
-    # midpoints, their row indices, step numbers and decisions and the block's occupations,
-    # not a record of every step (about 1040 x 400 x 17 B = 7 MB)
+    # the guessed walk's midpoints are checked a block at a time: 20 times the steps (a
+    # bracket of (5e-324, 1e300) takes about 1040) cost at most a block of midpoints, their
+    # row indices and decisions and the block's occupations, not a record of every step
+    # (about 1040 x 57 x 17 B = 1.0 MB for the 57 rows here)
     k = np.random.default_rng(13).binomial(1000, gibbs_state(QUBIT, 0.4).probs[1], size=4000)
     counts = np.unique(np.column_stack([1000 - k, k]), axis=0)[:120]
     peaks = []
@@ -668,9 +663,9 @@ def test_mle_check_memory_does_not_grow_with_the_steps():
 def test_scalar_walk_memory_does_not_grow_with_the_steps():
     # a batch of SCALAR_ROWS rows walks in Python floats and hands its midpoints to the check
     # a block at a time: on (5e-324, 1e300), SCALAR_ROWS x about 1040 midpoints cost at most
-    # one block of them (BLOCK // levels) as Python floats in list slots, as arrays with their
-    # row indices and step numbers, and their occupations; a record of every step would take
-    # more than SCALAR_ROWS x 1040 x 32 B = 1.7 MB
+    # one block of them (BLOCK // levels), twice as 8 B floats, with their row indices and
+    # decisions and their occupations; a record of every midpoint and its row index would
+    # take SCALAR_ROWS x 1040 x 16 B = 1.3 MB
     s = make_spectrum([(0.0, 1), (1.0, 3), (2.0, 3), (3.0, 1), (4.0, 2)])
     counts = np.random.default_rng(14).multinomial(
         10**5, gibbs_state(s, 0.7).probs, size=SCALAR_ROWS)
@@ -683,7 +678,7 @@ def test_scalar_walk_memory_does_not_grow_with_the_steps():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] - peaks[0] <= (BLOCK // s.n_levels) * (32 + 6 * 8 + 3 + 4 * 8 * s.n_levels)
+    assert peaks[1] - peaks[0] <= (BLOCK // s.n_levels) * (2 * 8 + 8 + 3 + 4 * 8 * s.n_levels)
 
 
 def test_posterior_validation():
