@@ -642,10 +642,11 @@ def test_mle_batch_memory_does_not_grow_with_the_rows():
 
 
 def test_mle_check_memory_does_not_grow_with_the_steps():
-    # the guessed walk's midpoints are checked a block at a time: 20 times the steps (a
-    # bracket of (5e-324, 1e300) takes about 1040) cost at most a block of midpoints, their
-    # row indices and decisions and the block's occupations, not a record of every step
-    # (about 1040 x 57 x 17 B = 1.0 MB for the 57 rows here)
+    # the guessed walk of these 57 rows (at most SCALAR_ROWS, so in Python floats) hands its
+    # midpoints to the check a block at a time: 20 times the steps (a bracket of (5e-324,
+    # 1e300) takes about 1040) cost at most a block of midpoints, their row indices and
+    # decisions and the block's occupations, not a record of every step (about 1040 x 57 x
+    # 17 B = 1.0 MB)
     k = np.random.default_rng(13).binomial(1000, gibbs_state(QUBIT, 0.4).probs[1], size=4000)
     counts = np.unique(np.column_stack([1000 - k, k]), axis=0)[:120]
     peaks = []
@@ -658,27 +659,6 @@ def test_mle_check_memory_does_not_grow_with_the_steps():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= (BLOCK // QUBIT.n_levels) * (8 + 8 + 1 + 4 * 8)
-
-
-def test_scalar_walk_memory_does_not_grow_with_the_steps():
-    # a batch of SCALAR_ROWS rows walks in Python floats and hands its midpoints to the check
-    # a block at a time: on (5e-324, 1e300), SCALAR_ROWS x about 1040 midpoints cost at most
-    # one block of them (BLOCK // levels), twice as 8 B floats, with their row indices and
-    # decisions and their occupations; a record of every midpoint and its row index would
-    # take SCALAR_ROWS x 1040 x 16 B = 1.3 MB
-    s = make_spectrum([(0.0, 1), (1.0, 3), (2.0, 3), (3.0, 1), (4.0, 2)])
-    counts = np.random.default_rng(14).multinomial(
-        10**5, gibbs_state(s, 0.7).probs, size=SCALAR_ROWS)
-    peaks = []
-    for bracket in (None, (5e-324, 1e300)):
-        mle_batch(s, counts[:2], bracket)
-        tracemalloc.start()
-        try:
-            mle_batch(s, counts, bracket)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] - peaks[0] <= (BLOCK // s.n_levels) * (2 * 8 + 8 + 3 + 4 * 8 * s.n_levels)
 
 
 def test_posterior_validation():
