@@ -375,7 +375,7 @@ def _interior_rows(n):
 
 
 def _counting_walks(monkeypatch):
-    """A list that records each guessed walk as "walk" and each ``_bisect`` by its row count."""
+    """A list recording each guessed walk as "walk" and each ``_bisect`` by its row count."""
     walks = []
 
     def walk(*a):
