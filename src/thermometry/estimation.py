@@ -9,14 +9,16 @@ Samples whose mean energy falls at or below the ground energy, or at or
 above the infinite-temperature mean, admit no positive-T maximizer and
 are surfaced as explicit statuses instead of being clamped.
 
-Both estimators work on a batch: a (trials, levels) array of counts.
-:func:`mle_batch` bisects every row. A batch of at most ``SCALAR_ROWS`` rows walks
-each row in turn, in Python floats, with decisions guessed from a Newton root, then
-checks every guessed decision in one Gibbs evaluation per block; a row whose guesses all
-hold has the bits of the plain bisection, and any other row is bisected again with the
-real decision. Larger batches, and batches too large for 8 steps of every row in a check
-block, are bisected plainly, one Gibbs evaluation per step. The walk and the plain
-bisection cost the same at 71-87 rows of 5 or of 2 levels.
+Both estimators work on a batch: a (trials, levels) array of counts, taken as
+floats (exact for row totals below 2^53). :func:`mle_batch` reads a row only
+through its sample mean and bisects each distinct mean once. A batch of at most
+``SCALAR_ROWS`` such rows walks each row in turn, in Python floats, with decisions
+guessed from a Newton root, then checks every guessed decision in one Gibbs evaluation
+per block; a row whose guesses all hold has the bits of the plain bisection, and any
+other row is bisected again with the real decision. Larger batches, and batches too
+large for 8 steps of every row in a check block, are bisected plainly, one Gibbs
+evaluation per step. The walk and the plain bisection cost the same at 71-87 rows of 5
+or of 2 levels.
 :func:`bayes_batch` builds the posterior grid once for all rows, then runs
 them through one posterior kernel in blocks of at most 2^14 floats, so its
 memory does not grow with the trial count; the single-sample functions
@@ -131,7 +133,8 @@ def default_bracket(spectrum: Spectrum) -> tuple[float, float]:
 
 
 def _counts_matrix(spectrum: Spectrum, counts) -> np.ndarray:
-    counts = np.asarray(counts)
+    """Counts as a float (trials, levels) array: row sums are exact below 2^53 and never wrap."""
+    counts = np.asarray(counts, dtype=float)
     if counts.ndim != 2 or counts.shape[1] != spectrum.n_levels:
         raise ValueError(
             f"counts must have shape (trials, {spectrum.n_levels}), got {counts.shape}"
@@ -325,15 +328,18 @@ def mle_batch(
     than ``BISECT_RTOL`` times its midpoint or the midpoint stops moving.
     Returns ``(status, estimate)``: status per row (object array of
     INTERIOR / AT_LOWER_BOUND / AT_UPPER_BOUND / NON_INVERTIBLE) and the
-    estimate, NaN wherever the status is not INTERIOR. The status follows
-    from the sample mean alone, before any bisection.
+    estimate, NaN wherever the status is not INTERIOR. Counts are taken as
+    floats, exact for row totals below 2^53. Status and estimate follow from
+    the sample mean alone, so each distinct mean is solved once and its result
+    goes to every row with it.
 
     The bisection is guessed, then checked (:func:`_solve`); every estimate has the bits of
     the plain bisection that calls :func:`shifted_means` once per step. Memory past the
-    per-row vectors is one step's Gibbs occupations (rows x levels floats) or one check
-    block: at most ``BLOCK`` // levels midpoints, each with its row index and decision,
-    and their occupations. It grows with neither the step count (about 57
-    on the default bracket, over 1000 on (5e-324, 1e300)) nor steps x rows.
+    per-row vectors (the float counts, the sample means, and the distinct means and
+    inverse indices of ``np.unique``) is one step's Gibbs occupations (distinct means x
+    levels floats) or one check block: at most ``BLOCK`` // levels midpoints, each with
+    its row index and decision, and their occupations. It grows with neither the step
+    count (about 57 on the default bracket, over 1000 on (5e-324, 1e300)) nor steps x rows.
     """
     if bracket is None:
         bracket = default_bracket(spectrum)
@@ -343,7 +349,8 @@ def mle_batch(
     m = spectrum._weights
     # -(E_n - E_0)/T past the float range at a tiny T is an occupation of exactly 0
     with np.errstate(over="ignore"):
-        ebar = np.vecdot(counts.astype(float), de) / counts.sum(axis=1)
+        ebar, inverse = np.unique(np.vecdot(counts, de) / counts.sum(axis=1),
+                                  return_inverse=True)
         edges = shifted_means(spectrum, np.array((lo0, hi0)))
         # later masks win: all-ground, then non-invertible, then the bracket ends
         status = np.full(len(ebar), INTERIOR, dtype=object)
@@ -354,7 +361,7 @@ def mle_batch(
         estimate = np.full(len(ebar), np.nan)
         interior = status == INTERIOR
         estimate[interior] = _solve(spectrum, ebar[interior], lo0, hi0)
-    return status, estimate
+    return status[inverse], estimate[inverse]
 
 
 def mle_temperature(
@@ -412,12 +419,10 @@ def _trapezoid(y: np.ndarray, dt: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out.sum(axis=1)
 
 
-def _posterior_means(
-    grid, counts: np.ndarray, totals: np.ndarray, density: np.ndarray | None = None
-) -> np.ndarray:
-    """Posterior mean per ``unit`` of every row of a (rows, levels) count array with row sums
-    ``totals``, on a prebuilt grid; with ``density``, of shape (rows, grid size), each row's
-    normalised density per ``unit`` goes there too.
+def _posterior_means(grid, counts: np.ndarray, density: np.ndarray | None = None) -> np.ndarray:
+    """Posterior mean per ``unit`` of every row of a float (rows, levels) count array, on a
+    prebuilt grid; with ``density``, of shape (rows, grid size), each row's normalised
+    density per ``unit`` goes there too.
 
     Rows go through in blocks of at most ``BLOCK`` floats, in one log-likelihood buffer and
     one trapezoid buffer, so memory does not grow with the row count. The log-likelihood is
@@ -435,9 +440,9 @@ def _posterior_means(
         for start in range(0, len(counts), step):
             rows = counts[start:start + step]
             block, trap = loglik[:len(rows)], terms[:len(rows)]
-            for i, row in enumerate(rows.astype(float)):
+            for i, row in enumerate(rows):
                 np.matmul(logw, row, out=block[i])
-            block -= totals[start:start + step, None] * logz
+            block -= rows.sum(axis=1)[:, None] * logz
             top = block.max(axis=1)
             if not (top > _LOG_ZERO).all():  # a sample impossible (likelihood 0) everywhere
                 raise ValueError(f"prior interval {temps[[0, -1]].tolist()}: the sample's"
@@ -469,7 +474,7 @@ def bayes_batch(
     """
     grid = _bayes_grid(spectrum, prior, grid_size)
     counts = _counts_matrix(spectrum, counts)
-    means = _posterior_means(grid, counts, counts.sum(axis=1))
+    means = _posterior_means(grid, counts)
     means *= grid[2]
     return means
 
@@ -485,8 +490,8 @@ def bayes_posterior(
     """
     temps, t, unit, _, _ = grid = _bayes_grid(sample.spectrum, prior, grid_size)
     density = np.empty((1, grid_size))
-    counts = np.asarray([sample.counts], dtype=float)
-    mean = float(_posterior_means(grid, counts, np.array([float(sample.total)]), density)[0])
+    counts = _counts_matrix(sample.spectrum, [sample.counts])
+    mean = float(_posterior_means(grid, counts, density)[0])
     density = density[0]
     with np.errstate(over="ignore"):  # a density beyond the float range is inf
         sd = math.sqrt(max(float(np.trapezoid((t - mean) ** 2 * density, t)), 0.0))

@@ -5,8 +5,8 @@ reports are bitwise reproducible for a given config and trials could run
 in any order; the reduction below sums in trial order, which fixes
 the float accumulation order as well. A run draws every trial's counts
 into one (trials, levels) array and hands it to the batched estimators in
-:mod:`thermometry.estimation`: each distinct count row once to the MLE, every
-row to Bayes.
+:mod:`thermometry.estimation`: the MLE solves each distinct sample mean once,
+Bayes takes every row.
 
 The sampling floor is reached in two steps, each bit for bit the same as
 the plain construction. Trial streams are built in bulk: the PCG64
@@ -326,30 +326,22 @@ def draw_sample(
 def _estimate(cfg: ExperimentConfig, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Status and estimate of every count row by the configured estimator.
 
-    A row's result does not depend on the rows batched with it. The MLE bisects all rows
-    in one vectorized pass, so each distinct row is bisected once and the results are
-    gathered back to every row. Bayes takes one posterior per row, so on distinct rows its
-    cost would follow how often rows repeat, which varies severalfold with the spectrum and
-    the seed; it takes every row, and a run's cost depends only on its size.
+    The MLE solves each distinct sample mean once (see :func:`mle_batch`). Bayes takes one
+    posterior per row, so on distinct rows its cost would follow how often rows repeat,
+    which varies severalfold with the spectrum and the seed; it takes every row, and a
+    run's cost depends only on its size.
     """
     if cfg.estimator == BAYES:
         estimate = bayes_batch(cfg.spectrum, counts, cfg.effective_prior(), cfg.bayes_grid_size)
         return np.full(len(counts), INTERIOR, dtype=object), estimate
-    order = np.lexsort(counts.T[::-1])  # rows in lexicographic order
-    ordered = counts[order]
-    first = np.ones(len(counts), dtype=bool)  # where a new distinct row starts
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(counts), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    status, estimate = mle_batch(cfg.spectrum, ordered[first], bracket=cfg.mle_bracket)
-    return status[inverse], estimate[inverse]
+    return mle_batch(cfg.spectrum, counts, bracket=cfg.mle_bracket)
 
 
 def run_experiment(cfg: ExperimentConfig) -> SaturationReport:
     """Run all trials and compare the mean squared error to the floor.
 
     One pass: the batched estimator gives every trial's status and estimate
-    (the MLE bisects each distinct count row once, see ``_estimate``), the
+    (the MLE solves each distinct sample mean once, see ``_estimate``), the
     policy reads the statuses, and the reduction works on the usable
     estimates as arrays. The error is the mean of
     (estimate - true T)^2 over usable trials, i.e. squared error about the

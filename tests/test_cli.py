@@ -645,6 +645,26 @@ def test_estimate_boundary_sample(capsys, tmp_path, spectrum_file):
     assert report["estimate"] is None
 
 
+@pytest.mark.parametrize(
+    "counts, status, estimate",
+    [([2**62, 2**62], "non_invertible", None),
+     ([10**20, 1], "interior", pytest.approx(1.0 / math.log(1e20), rel=1e-12))],
+    ids=["total-past-int64", "count-past-uint64"],
+)
+def test_estimate_counts_beyond_int64(capsys, tmp_path, spectrum_file, counts, status, estimate):
+    # a total of 2^63 wraps in int64 and 10^20 fits no integer dtype; taken as floats, the
+    # counts give the infinite-T mean and the closed form 1 / ln(k0 / k1)
+    sample_path = tmp_path / "sample.json"
+    sample_path.write_text(json.dumps({"spectrum_label": "qubit", "counts": counts}))
+    code, out, err = run_cli(
+        capsys, "estimate", "--sample", str(sample_path), "--spectrum", spectrum_file
+    )
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["status"] == status
+    assert report["estimate"] == estimate
+
+
 def test_sweep_rejects_negative_seed(capsys, spectrum_file):
     code, out, err = run_cli(
         capsys, "sweep", "--spectrum", spectrum_file, "--temperatures", "0.5",

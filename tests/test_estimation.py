@@ -33,6 +33,7 @@ from thermometry.estimation import (
     _bisect,
     _counts_matrix,
     _scalar_walk,
+    _solve,
     _trapezoid,
     bayes_batch,
     default_bracket,
@@ -405,6 +406,9 @@ def test_the_row_count_picks_the_walk(monkeypatch, rows):
 def test_rows_with_a_wrong_guess_are_bisected_again_to_the_same_bits(monkeypatch, guess):
     s = make_spectrum([(0.0, 1), (0.5, 2), (1.2, 1), (2.0, 3), (3.5, 1)])
     counts = np.random.default_rng(8).multinomial(300, gibbs_state(s, 0.9).probs, size=60)
+    # the first row of each sample mean, in increasing order: the targets mle_batch solves
+    means = np.vecdot(counts.astype(float), s._shifted) / counts.sum(axis=1)
+    counts = counts[np.unique(means, return_index=True)[1]]
     want = _plain_mle_batch(s, counts)
     roots = want[1][want[0] == INTERIOR]
     assert len(roots) <= SCALAR_ROWS
@@ -418,6 +422,24 @@ def test_rows_with_a_wrong_guess_are_bisected_again_to_the_same_bits(monkeypatch
     walks = _counting_walks(monkeypatch)
     _same_bits(mle_batch(s, counts), want)
     assert walks == ["walk", len(roots)]  # the guessed walk, then every row again
+
+
+def test_rows_with_one_mean_share_one_solve(monkeypatch):
+    # on a lattice spectrum (3, 0, 1) and (2, 2, 0) differ but have one mean, 0.5, so
+    # _solve sees a single target and both rows get its estimate
+    s = make_spectrum([(0.0, 1), (1.0, 1), (2.0, 1)])
+    counts = np.array([[3, 0, 1], [2, 2, 0]])
+    solved = []
+
+    def solve(spectrum, target, lo0, hi0):
+        solved.append(len(target))
+        return _solve(spectrum, target, lo0, hi0)
+
+    monkeypatch.setattr(estimation, "_solve", solve)
+    got = mle_batch(s, counts)
+    assert solved == [1]
+    _same_bits(got, _plain_mle_batch(s, counts))
+    assert got[0].tolist() == [INTERIOR, INTERIOR]
 
 
 def _plain_bisect(lo0, hi0, n, above):
