@@ -21,7 +21,9 @@ evaluation per step. The walk and the plain bisection cost the same at 71-87 row
 or of 2 levels.
 :func:`bayes_batch` builds the posterior grid once for all rows, then runs
 them through one posterior kernel in blocks of at most 2^14 floats, so its
-memory does not grow with the trial count; the single-sample functions
+memory does not grow with the trial count. A row enters it only through
+S = sum_n k_n (E_n - E_0) and M, and no step mixes rows, so a row has the bits
+of its posterior alone wherever it sits in a block. The single-sample functions
 :func:`mle_temperature` and :func:`bayes_posterior` are batches of one.
 Energies enter only through E - E_0, so shifting the whole spectrum by a
 constant leaves every estimate unchanged.
@@ -30,12 +32,20 @@ constant leaves every estimate unchanged.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputFormatError, at_least, integer, positive_interval, temperature_power
+from .errors import (
+    InputFormatError,
+    at_least,
+    integer,
+    number,
+    positive_interval,
+    temperature_power,
+)
 from .thermal import Spectrum, gibbs_log_weights, gibbs_probs, shifted_means
 
 __all__ = [
@@ -73,9 +83,6 @@ GUESS_STEP = 1e-13
 SCALAR_ROWS = 80
 # Fewest points of a Bayes posterior grid.
 MIN_GRID_SIZE = 64
-# Floor of the Bayes log weights: a level whose weight underflows to log 0 = -inf and whose
-# count is 0 then adds 0 to the log-likelihood, not -inf * 0 = NaN.
-_LOG_ZERO = -np.finfo(float).max
 # Most floats in one block of Bayes log-likelihoods (BLOCK // grid_size rows, at least one)
 # and of MLE check occupations (BLOCK // levels midpoints).
 BLOCK = 2**14
@@ -390,33 +397,39 @@ class Posterior:
     density: np.ndarray
 
 
-def _bayes_grid(spectrum: Spectrum, prior: tuple[float, float], grid_size: int):
-    """Uniform temperature grid, the same grid in units of ``unit``, ``unit``, log weights
-    log(m_n) - (E_n - E_0)/T on the grid and log Z'.
+def _power_of_two_below(x: float) -> float:
+    """The power of two at or below ``x`` > 0 (1/2 for 0)."""
+    return math.ldexp(1.0, math.frexp(x)[1] - 1)
 
-    ``unit`` is the power of two at or below the prior's upper end. Scaling by a power of
-    two is exact, so the posterior moments keep their bits wherever the unscaled sums
-    neither over- nor underflow, and stay finite and nonzero where T^2 would.
+
+def _bayes_grid(spectrum: Spectrum, prior: tuple[float, float], grid_size: int):
+    """Uniform temperature grid, the same grid t in units of ``unit``, ``unit``, the energies
+    E_n - E_0 in units of ``scale``, the basis -``scale``/T and log Z' on the grid, and the
+    trapezoid weights w and w t of the grid t: dt/2 at the two ends, (dt_(i-1) + dt_i)/2
+    inside.
+
+    ``unit`` is the power of two at or below the prior's upper end. ``scale`` is the one at or
+    below the spectrum spread, or below lo * max / 2 where that is smaller, so the basis is
+    finite on the whole grid; S / ``scale`` is below 2 M, or below 4 M spread / (lo max) in
+    the second case, finite unless lo is within a factor 4 M of 1/max. Scaling by a power
+    of two is exact, so S/T = (S / ``scale``) (``scale``/T) has the same bits for any such
+    ``scale`` wherever both factors are normal floats, and the posterior moments stay finite
+    and nonzero where T^2 would not.
     """
     lo, hi = positive_interval(prior, "prior interval")
     temperature_power(lo, -1, "prior interval lower end")
     at_least(grid_size, MIN_GRID_SIZE, "grid_size")
     temps = np.linspace(lo, hi, grid_size)
     temps.flags.writeable = False
-    unit = math.ldexp(1.0, math.frexp(hi)[1] - 1)
-    logw, logz = gibbs_log_weights(spectrum, temps)
-    np.maximum(logw, _LOG_ZERO, out=logw)
-    return temps, temps / unit, unit, logw, logz
-
-
-def _trapezoid(y: np.ndarray, dt: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``np.trapezoid(row, t)`` of every row of ``y``, bit for bit, given ``dt = np.diff(t)``;
-    ``out``, of shape (rows, len(t) - 1), takes the terms: the same float operations in the
-    same order, and each row summed along its own contiguous axis."""
-    np.add(y[:, 1:], y[:, :-1], out=out)
-    out *= dt
-    out /= 2.0
-    return out.sum(axis=1)
+    unit = _power_of_two_below(hi)
+    scale = _power_of_two_below(min(spectrum.spread, lo * sys.float_info.max / 2.0))
+    t = temps / unit
+    dt = np.diff(t)
+    w = np.append(dt, 0.0)
+    w[1:] += dt
+    w /= 2.0
+    logz = gibbs_log_weights(spectrum, temps)[1]
+    return temps, t, unit, spectrum._shifted / scale, -scale / temps, logz, w, w * t
 
 
 def _posterior_means(grid, counts: np.ndarray, density: np.ndarray | None = None) -> np.ndarray:
@@ -424,36 +437,36 @@ def _posterior_means(grid, counts: np.ndarray, density: np.ndarray | None = None
     prebuilt grid; with ``density``, of shape (rows, grid size), each row's normalised
     density per ``unit`` goes there too.
 
-    Rows go through in blocks of at most ``BLOCK`` floats, in one log-likelihood buffer and
-    one trapezoid buffer, so memory does not grow with the row count. The log-likelihood is
-    one gemv per row: a matrix product over the block, or a sum over levels, rounds
-    differently and changes the bits of the estimates. Everything after it is array code
-    over the block, with the float operations of one row's posterior.
+    The counts enter only through S = sum_n k_n (E_n - E_0), in units of ``scale``, and M:
+    the log-likelihood is -S/T - M ln Z'(T) up to the T-independent sum_n k_n ln m_n, which
+    the maximum shift removes. Rows go through in blocks of at most ``BLOCK`` floats, in two
+    buffers, so memory does not grow with the row count. A block's log-likelihood is two
+    broadcast products, S x basis and M x log Z', and its norm and first moment are one dot
+    product per row with the trapezoid weights w and w t: no operation mixes rows, so each
+    row gets the bits of its posterior alone, wherever it sits in a block.
     """
-    temps, t, _, logw, logz = grid
-    step = max(1, BLOCK // len(t))
-    loglik = np.empty((min(step, len(counts)), len(t)))
-    terms = np.empty((len(loglik), len(t) - 1))
-    dt = np.diff(t)
+    temps, _, _, de, basis, logz, w, wt = grid
+    step = max(1, BLOCK // len(temps))
+    loglik = np.empty((min(step, len(counts)), len(temps)))
+    terms = np.empty_like(loglik)
     means = np.empty(len(counts))
     with np.errstate(over="ignore"):  # each row checks its maximum
         for start in range(0, len(counts), step):
             rows = counts[start:start + step]
-            block, trap = loglik[:len(rows)], terms[:len(rows)]
-            for i, row in enumerate(rows):
-                np.matmul(logw, row, out=block[i])
-            block -= rows.sum(axis=1)[:, None] * logz
+            block, term = loglik[:len(rows)], terms[:len(rows)]
+            np.multiply(np.vecdot(rows, de)[:, None], basis, out=block)
+            np.multiply(rows.sum(axis=1)[:, None], logz, out=term)
+            block -= term
             top = block.max(axis=1)
-            if not (top > _LOG_ZERO).all():  # a sample impossible (likelihood 0) everywhere
+            if not np.isfinite(top).all():  # a sample impossible (likelihood 0) everywhere
                 raise ValueError(f"prior interval {temps[[0, -1]].tolist()}: the sample's"
                                  " log-likelihood has no finite maximum on the grid")
             block -= top[:, None]
             np.exp(block, out=block)
-            block /= _trapezoid(block, dt, trap)[:, None]
+            norm = np.vecdot(block, w)
+            np.divide(np.vecdot(block, wt), norm, out=means[start:start + len(rows)])
             if density is not None:
-                density[start:start + len(rows)] = block
-            block *= t
-            means[start:start + len(rows)] = _trapezoid(block, dt, trap)
+                np.divide(block, norm[:, None], out=density[start:start + len(rows)])
     return means
 
 
@@ -465,12 +478,13 @@ def bayes_batch(
 ) -> np.ndarray:
     """Flat-prior posterior mean for every row of a (trials, levels) count array.
 
-    The grid is built once; each row's unnormalized log posterior is shifted
-    by its maximum before exponentiation and normalized by trapezoid
-    quadrature on the uniform grid (``grid_size`` >= ``MIN_GRID_SIZE`` points). Rows go
-    through in blocks of at most ``BLOCK`` floats (2^14), so memory does not grow with the
-    trial count. A row whose log-likelihood has no finite maximum on the grid raises
-    ValueError.
+    The grid is built once. A row enters only through S = sum_n k_n (E_n - E_0) and its
+    total M: its log-likelihood is -S/T - M ln Z'(T), less a constant, on the uniform grid
+    (``grid_size`` >= ``MIN_GRID_SIZE`` points). It is shifted by its maximum before
+    exponentiation, and normalised and averaged with trapezoid weights. Rows go through
+    in blocks of at most ``BLOCK`` floats (2^14), so memory does not grow with the trial
+    count, and a row's mean has the same bits in any block. A row whose log-likelihood
+    has no finite maximum on the grid raises ValueError.
     """
     grid = _bayes_grid(spectrum, prior, grid_size)
     counts = _counts_matrix(spectrum, counts)
@@ -488,7 +502,7 @@ def bayes_posterior(
 
     The posterior of one sample on the grid of :func:`bayes_batch`, as its batch of one.
     """
-    temps, t, unit, _, _ = grid = _bayes_grid(sample.spectrum, prior, grid_size)
+    temps, t, unit, *_ = grid = _bayes_grid(sample.spectrum, prior, grid_size)
     density = np.empty((1, grid_size))
     counts = _counts_matrix(sample.spectrum, [sample.counts])
     mean = float(_posterior_means(grid, counts, density)[0])
@@ -520,6 +534,8 @@ def sample_from_dict(data: dict, spectrum: Spectrum) -> SampleSet:
     if not isinstance(counts, list) or not counts:
         raise InputFormatError("sample is missing a non-empty 'counts' array")
     counts = [integer(c, f"counts[{i}]") for i, c in enumerate(counts)]
+    for i, c in enumerate(counts):
+        number(c, f"counts[{i}]")  # estimators take counts as floats
     label = data.get("spectrum_label")
     if label is not None and label != spectrum.label:
         raise InputFormatError(

@@ -373,7 +373,7 @@ def _report_digest(out: str) -> str:
             {"spectrum": FIVE_LEVEL_SPECTRUM, "true_temperature": 0.4,
              "shots_per_trial": 500, "trials": 100, "estimator": "bayes", "seed": 5,
              "degenerate_sample_policy": "exclude_and_report", "bayes_grid_size": 1024},
-            "df279f5b975563a1b0eefc3e5f53e56d65457475a8eb818d1b4fd4b27fb34734",
+            "733cc4fb72476f7118ecc1ac4b62dde1c79b6133092d7822aaa43deefb8ef0a9",
         ),
         (
             json.loads(BUNDLED_CONFIG.read_text(encoding="utf-8")),
@@ -383,7 +383,9 @@ def _report_digest(out: str) -> str:
     ids=["mle", "bayes", "bundled"],
 )
 def test_simulate_report_bytes_pinned(capsys, tmp_path, config, digest):
-    # digests of the reports written by the one-trial-at-a-time implementation
+    # the MLE and bundled digests are those of the reports written by the one-trial-at-a-time
+    # implementation; the Bayes digest is that of the posterior taken from S and M alone,
+    # whose means differ from the per-level log-likelihood's by up to about 2.6e-15 relative
     path = tmp_path / "run.cfg"
     path.write_text(json.dumps(config))
     code, out, _ = run_cli(capsys, "simulate", "--config", str(path))
@@ -663,6 +665,16 @@ def test_estimate_counts_beyond_int64(capsys, tmp_path, spectrum_file, counts, s
     report = json.loads(out)
     assert report["status"] == status
     assert report["estimate"] == estimate
+
+
+def test_estimate_count_past_the_float_range_exits_3(capsys, tmp_path, spectrum_file):
+    sample_path = tmp_path / "sample.json"
+    sample_path.write_text(json.dumps({"spectrum_label": "qubit", "counts": [10**400, 1]}))
+    code, out, err = run_cli(
+        capsys, "estimate", "--sample", str(sample_path), "--spectrum", spectrum_file
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: counts[0] is beyond the float range\n"
 
 
 def test_sweep_rejects_negative_seed(capsys, spectrum_file):

@@ -29,19 +29,17 @@ from thermometry.estimation import (
     BLOCK,
     MIN_GRID_SIZE,
     SCALAR_ROWS,
-    _bayes_grid,
     _bisect,
     _counts_matrix,
     _scalar_walk,
     _solve,
-    _trapezoid,
     bayes_batch,
     default_bracket,
     mle_batch,
 )
 from thermometry.errors import positive_interval
 from thermometry.montecarlo import draw_counts
-from thermometry.thermal import gibbs_log_weights, gibbs_state, shifted_means
+from thermometry.thermal import gibbs_log_probs, gibbs_log_weights, gibbs_state, shifted_means
 
 QUBIT = make_spectrum([(0.0, 1), (1.0, 1)], label="qubit")
 
@@ -558,8 +556,8 @@ def test_posterior_scales_with_the_gap(gap):
 
 
 def test_posterior_of_a_sample_impossible_on_the_whole_grid_raises():
-    # the occupied level's log weight is -inf on the whole grid, clamped to -max: a single
-    # count then gives a log-likelihood of -max everywhere, which is no posterior
+    # -S/T of a single count on the upper level is past the float range on the whole grid:
+    # the log-likelihood is -inf everywhere, which is no posterior
     wide = make_spectrum([(0.0, 1), (1e300, 1)])
     with pytest.raises(ValueError, match="no finite maximum"):
         bayes_posterior(SampleSet(spectrum=wide, counts=(999, 1)), (1e-10, 1e-9), 64)
@@ -608,21 +606,56 @@ def test_bayes_batch_rows_equal_single_posteriors_across_blocks(
         assert post.mean == means[i]
 
 
-@settings(max_examples=60, deadline=None)
+def _reference_posterior_mean(s, counts, prior, grid):
+    # row by row: the full log-likelihood sum_n k_n ln p_n(T), ln m_n included, shifted by
+    # its maximum, and np.trapezoid for the norm and the first moment
+    temps = np.linspace(prior[0], prior[1], grid)
+    logp = np.array([gibbs_log_probs(s, T) for T in temps])
+    means = []
+    for row in counts:
+        loglik = logp @ row
+        density = np.exp(loglik - loglik.max())
+        means.append(np.trapezoid(temps * density, temps) / np.trapezoid(density, temps))
+    return np.array(means)
+
+
+@settings(max_examples=40, deadline=None)
 @given(
+    multi_level_spectra(max_levels=9),
     st.integers(min_value=MIN_GRID_SIZE, max_value=2100),
-    st.integers(min_value=1, max_value=20),
-    st.floats(min_value=1e-3, max_value=10.0),
-    st.floats(min_value=1.01, max_value=1e3),
+    st.integers(min_value=1, max_value=4),
+    st.floats(min_value=0.05, max_value=5.0),
+    st.integers(min_value=1, max_value=5000),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_block_trapezoid_equals_numpy_trapezoid(size, rows, lo, ratio, seed):
-    # the kernel's quadrature of a block, against np.trapezoid of each row on the same grid
-    _, t, _, _, _ = _bayes_grid(QUBIT, (lo, lo * ratio), size)
-    y = np.exp(-np.random.default_rng(seed).exponential(30.0, (rows, size)))
-    got = _trapezoid(y, np.diff(t), np.empty((rows, size - 1)))
-    for i in range(rows):
-        assert got[i] == np.trapezoid(y[i], t)
+def test_bayes_batch_matches_a_row_by_row_reference(s, grid, rows, scale, shots, seed):
+    # the kernel drops the T-independent sum_n k_n ln m_n and takes S and M only; the
+    # reference keeps every term of the multinomial log-likelihood
+    T = scale * s.spread
+    counts = np.random.default_rng(seed).multinomial(shots, gibbs_state(s, T).probs, size=rows)
+    prior = (T / 5.0, 5.0 * T)
+    means = bayes_batch(s, counts, prior, grid)
+    ref = _reference_posterior_mean(s, counts, prior, grid)
+    np.testing.assert_allclose(means, ref, rtol=1e-12, atol=0.0)
+
+
+def test_bayes_mean_stays_finite_where_the_unscaled_energy_sum_overflows():
+    # S = 2e8 * 1e300 is past the float range; in units of the power of two at or below the
+    # spread it is about 3e8, and the mean is the one the per-level kernel gave
+    wide = make_spectrum([(0.0, 1), (1e300, 1)])
+    means = bayes_batch(wide, [[10**9, 2 * 10**8]], (2e299, 5e300), 256)
+    assert means[0] == pytest.approx(6.141176470588235e+299, rel=1e-12, abs=0.0)
+
+
+def test_bayes_basis_stays_finite_where_spread_over_t_overflows():
+    # spread/T passes the float range on the whole grid, gap/T does not: the count on the
+    # gap level adds -2/T, which rises by over 1e297 from each grid point to the next, so
+    # the mass sits on the top point, as it did with one log weight per level; a basis
+    # floored at -max would give every grid point the same log-likelihood, and the
+    # midpoint as mean
+    s = make_spectrum([(0.0, 1), (2.0, 1), (1e12, 1)])
+    post = bayes_posterior(SampleSet(spectrum=s, counts=(999, 1, 0)), (1e-300, 1e-299), 256)
+    assert post.mean == pytest.approx(1e-299, rel=1e-12, abs=0.0)
 
 
 def test_bayes_batch_memory_does_not_grow_with_the_rows():
