@@ -10,13 +10,16 @@ external control parameter that moves the gap: the gap is monotone
 between given breaks, so the optimum is a root of gap = x_m T on some
 piece or a break.
 
-scipy is imported inside the functions that use it (the minima, tuning
-and table families), so importing this module does not load it.
+Brent's root finder and the PCHIP interpolant of table families are ported
+from scipy (``scipy.optimize.brentq`` and ``scipy.interpolate.PchipInterpolator``)
+operation for operation, so they give scipy's bits without loading it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -48,7 +51,7 @@ __all__ = [
     "family_from_dict",
 ]
 
-# Absolute tolerance of every Brent root and bounded minimization in this module.
+# Absolute tolerance of every Brent root in this module.
 ROOT_TOL = 1e-10
 # Interval in gap/T that holds both stationarity roots (x_m ~ 2.4, x_h ~ 2.65).
 ROOT_BRACKET = (0.5, 10.0)
@@ -56,6 +59,10 @@ ROOT_BRACKET = (0.5, 10.0)
 _ASYMPTOTIC_X = 700.0
 # Brent steps per tuning root: ~6.5 per decade of width/ROOT_TOL, so any float64 range fits.
 _ROOT_MAXITER = 4000
+# Brent steps per stationarity root, scipy's default maxiter
+_BRENT_MAXITER = 100
+# Relative tolerance of every Brent root, scipy's default and smallest allowed rtol
+_BRENT_RTOL = 4 * sys.float_info.epsilon
 
 
 def two_level_factor(x: float) -> float:
@@ -111,6 +118,70 @@ def three_level_factor_diagonal(x: float) -> float:
     return (2.0 / half + half) ** 2 / den if den > 0.0 else math.inf
 
 
+def _brentq(
+    f: Callable[[float], float], a: float, b: float, xtol: float, maxiter: int
+) -> tuple[float, bool, int]:
+    """Root of ``f`` on [a, b] by Brent's method: (root, converged, iterations).
+
+    A line-for-line port of scipy's ``brentq.c`` at its default rtol, so it takes
+    scipy's steps and returns its root bits, converged flag and iteration count. An end
+    where ``f`` is 0 is returned after no iteration (scipy leaves its count unset there).
+    ``f(a)`` and ``f(b)`` must differ in sign unless one is 0; ``f`` must not give NaN.
+    """
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre, True, 0
+    if fcur == 0:
+        return xcur, True, 0
+    if (fpre < 0) == (fcur < 0):  # neither is 0, so this is signbit
+        raise ValueError("f(a) and f(b) must have different signs")
+    for iterations in range(1, maxiter + 1):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, True, iterations
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            # C divides by 0 to an inf or NaN step, which fails the step test: so does inf
+            stry = math.inf
+            if xpre == xblk:
+                # interpolate
+                if fcur != fpre:
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                if den != 0:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    return xcur, False, maxiter
+
+
 @dataclass(frozen=True)
 class MinimumResult:
     """Located minimum of a bound factor.
@@ -139,16 +210,11 @@ def minimize_two_level_factor() -> MinimumResult:
 
     Brent's root finder locates it on ``ROOT_BRACKET`` to ``ROOT_TOL`` in x.
     """
-    from scipy.optimize import brentq
-
-    xm, info = brentq(
-        _two_level_stationarity, *ROOT_BRACKET, xtol=ROOT_TOL, full_output=True, disp=False
+    xm, converged, iterations = _brentq(
+        _two_level_stationarity, *ROOT_BRACKET, ROOT_TOL, _BRENT_MAXITER
     )
     return MinimumResult(
-        argmin=xm,
-        value=two_level_factor(xm),
-        converged=info.converged,
-        iterations=info.iterations,
+        argmin=xm, value=two_level_factor(xm), converged=converged, iterations=iterations
     )
 
 
@@ -171,16 +237,14 @@ def minimize_three_level_factor() -> MinimumResult:
     definite: the curvature along the diagonal because the stationarity increases, the one
     across it where a(t) > 0, which ``converged`` checks in closed form.
     """
-    from scipy.optimize import brentq
-
-    xd, info = brentq(
-        _diagonal_stationarity, *ROOT_BRACKET, xtol=ROOT_TOL, full_output=True, disp=False
+    xd, converged, iterations = _brentq(
+        _diagonal_stationarity, *ROOT_BRACKET, ROOT_TOL, _BRENT_MAXITER
     )
     return MinimumResult(
         argmin=(xd, xd),
         value=three_level_factor(xd, xd),
-        converged=info.converged and _cross_diagonal_curvature(xd) > 0.0,
-        iterations=info.iterations,
+        converged=converged and _cross_diagonal_curvature(xd) > 0.0,
+        iterations=iterations,
     )
 
 
@@ -214,6 +278,56 @@ def gapped_divergence_factor(T: float, gap: float) -> float:
 # ---------------------------------------------------------------------------
 # Gap families and tuning
 # ---------------------------------------------------------------------------
+
+def _pchip(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients c[k, i] of (lambda - x[i])^(3-k) of the PCHIP interpolant through (x, y).
+
+    scipy's ``PchipInterpolator`` operation for operation, so the bits match. Its
+    ``_find_derivatives`` gives the slopes: the Fritsch-Butland weighted harmonic mean of
+    the secants, 0 where they change sign or one vanishes, one-sided ends, and the secant
+    for two points. ``CubicHermiteSpline`` turns them into coefficients.
+    """
+    h = x[1:] - x[:-1]
+    m = (y[1:] - y[:-1]) / h
+    if len(x) == 2:
+        d = np.array([m[0], m[0]])
+    else:
+        sm = np.sign(m)
+        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d = np.empty_like(y)
+        d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+        d[0] = _pchip_end(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
+def _pchip_end(h0, h1, m0, m1):
+    """End slope of ``_pchip``: one-sided three-point, kept shape-preserving (``_edge_case``)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _cubic_value(xs: list[float], pieces: list[list[float]], lam: float) -> float:
+    """Value at ``lam`` of the piecewise cubic with breaks ``xs``, as scipy's PPoly gives it.
+
+    ``pieces[i]`` holds column i of ``_pchip``. The piece is PPoly's ``find_interval``:
+    xs[i] <= lam < xs[i + 1], the last closed and the end pieces extended beyond the
+    range. The sum runs in the order of PPoly's ``evaluate_poly1``.
+    """
+    i = min(max(bisect_right(xs, lam) - 1, 0), len(pieces) - 1)
+    c0, c1, c2, c3 = pieces[i]
+    s = lam - xs[i]
+    s2 = s * s
+    return 0.0 + c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
+
 
 @dataclass(frozen=True)
 class GapFamily:
@@ -290,9 +404,11 @@ class GapFamily:
 
     @classmethod
     def from_table(cls, points: Sequence[Sequence[float]], description=""):
-        """Monotone-cubic (PCHIP) interpolation through (lambda, gap) pairs."""
-        from scipy.interpolate import PchipInterpolator
+        """Monotone-cubic (PCHIP) interpolation through (lambda, gap) pairs.
 
+        The interpolant is scipy's ``PchipInterpolator`` to the bit (see ``_pchip``),
+        built and evaluated here; beyond the range its end pieces extend, as scipy's do.
+        """
         pts = sorted((float(l), float(g)) for l, g in points)
         if len(pts) < 2:
             raise ValueError("table family needs at least 2 points")
@@ -302,15 +418,18 @@ class GapFamily:
             raise ValueError("table family control values must be distinct")
         if np.any(gaps < 0.0) or not np.all(np.isfinite(gaps)):
             raise ValueError("table family gaps must be finite and >= 0")
+        if not np.all(np.isfinite(lams)):
+            raise ValueError("table family control values must be finite")
         # shape-preserving: stays >= 0 and is monotone between data points
         with np.errstate(all="ignore"):  # an overflow leaves a non-finite coefficient
-            interp = PchipInterpolator(lams, gaps)
-        if not np.all(np.isfinite(interp.c)):
+            c = _pchip(lams, gaps)
+        if not np.all(np.isfinite(c)):
             raise ValueError("table family interpolation overflows (points too close or far apart)")
+        xs, pieces = lams.tolist(), c.T.tolist()
         return cls(
             # the interpolant is >= 0; evaluating it can round a zero point to -1e-16
-            evaluate=lambda lam: max(float(interp(lam)), 0.0),
-            breaks=tuple(float(l) for l in lams),
+            evaluate=lambda lam: max(_cubic_value(xs, pieces, float(lam)), 0.0),
+            breaks=tuple(xs),
             description=description or f"tabulated gap ({len(pts)} points)",
         )
 
@@ -333,8 +452,6 @@ def tune_gap(family: GapFamily, T: float) -> TuneResult:
     """
     T = positive(T, "temperature")
     temperature_power(T, 2)  # the floor is T^2 times a factor
-    from scipy.optimize import brentq
-
     target = T * minimize_two_level_factor().argmin
 
     def bound(lam: float) -> float:
@@ -347,7 +464,10 @@ def tune_gap(family: GapFamily, T: float) -> TuneResult:
     candidates = list(family.breaks)
     for a, b in zip(family.breaks[:-1], family.breaks[1:]):
         if excess(a) * excess(b) < 0.0:
-            candidates.append(brentq(excess, a, b, xtol=ROOT_TOL, maxiter=_ROOT_MAXITER))
+            root, converged, iterations = _brentq(excess, a, b, ROOT_TOL, _ROOT_MAXITER)
+            if not converged:
+                raise RuntimeError(f"Failed to converge after {iterations} iterations.")
+            candidates.append(root)
     best_lam = min(candidates, key=bound)
     best = bound(best_lam)
     # each piece is monotone, so a gap of 0 at every break is 0 everywhere

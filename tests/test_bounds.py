@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize_scalar
+from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq, minimize_scalar
 
 from thermometry import (
     GapFamily,
@@ -22,7 +23,13 @@ from thermometry import (
     two_level_crb,
     two_level_factor,
 )
-from thermometry.bounds import _cross_diagonal_curvature, _diagonal_stationarity
+from thermometry.bounds import (
+    _brentq,
+    _cross_diagonal_curvature,
+    _cubic_value,
+    _diagonal_stationarity,
+    _pchip,
+)
 
 # 30-digit stationarity roots (x sinh x = 2(1+cosh x) and its diagonal
 # analogue), rounded to float64.
@@ -431,6 +438,89 @@ def test_table_family_keeps_a_zero_point_at_zero():
     res = tune_gap(family, 1.0)
     assert res.bound == pytest.approx(G_MIN, rel=1e-12)
     brute_force_certificate(family, 1.0, res)
+
+
+# The ports of scipy's brentq and PchipInterpolator, against the installed scipy, to the bit
+
+# smooth functions with one sign change, at r
+SIGN_CHANGES = [
+    lambda x, r: x - r,
+    lambda x, r: math.expm1(x - r),
+    lambda x, r: math.tanh(3.0 * (x - r)),
+    lambda x, r: (x - r) ** 3 + 0.1 * (x - r),
+    lambda x, r: math.atan(x - r) * (1.0 + (x - r) ** 2),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(SIGN_CHANGES),
+    st.floats(-5.0, 5.0),
+    st.floats(-3.0, 1.0),
+    st.floats(-3.0, 1.0),
+    st.sampled_from([1.0, -1.0, 1e-200, -1e150]),
+    st.floats(-14.0, -2.0),
+    st.sampled_from([100, 4000, 5, 0]),
+)
+def test_brentq_port_matches_scipy_to_the_bit(g, r, left, right, scale, log_xtol, maxiter):
+    def f(x):
+        return scale * g(x, r)
+
+    a, b, xtol = r - 10.0**left, r + 10.0**right, 10.0**log_xtol
+    root, info = brentq(f, a, b, xtol=xtol, maxiter=maxiter, full_output=True, disp=False)
+    got, converged, iterations = _brentq(f, a, b, xtol, maxiter)
+    assert (got.hex(), converged, iterations) == (root.hex(), info.converged, info.iterations)
+
+
+def test_brentq_port_returns_a_zero_end_and_rejects_one_sign():
+    # scipy leaves the iteration count unset at a zero end, so only the root is compared
+    for a, b in [(0.5, 1.0), (0.0, 0.5)]:
+        root = brentq(lambda x: x - 0.5, a, b)
+        assert _brentq(lambda x: x - 0.5, a, b, 1e-10, 100) == (root, True, 0)
+    with pytest.raises(ValueError, match="different signs") as ours:
+        _brentq(lambda x: x - 0.5, 1.0, 2.0, 1e-10, 100)
+    with pytest.raises(ValueError) as theirs:
+        brentq(lambda x: x - 0.5, 1.0, 2.0)
+    assert str(ours.value) == str(theirs.value)
+
+
+@st.composite
+def pchip_tables(draw):
+    """2-12 points whose spacings and values span 1e-3 to 1e3, with zero values and
+    repeated values (flat pieces), so slopes vanish and change sign."""
+    n = draw(st.integers(2, 12))
+    powers = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+    steps = draw(st.lists(powers, min_size=n - 1, max_size=n - 1))
+    x = draw(st.floats(-1e3, 1e3)) + np.concatenate(([0.0], np.cumsum(steps)))
+    values = st.one_of(st.just(0.0), st.just(1.0), powers)
+    y = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    inside = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    return x, y, [x[0] + u * (x[-1] - x[0]) for u in inside]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pchip_tables())
+def test_pchip_port_matches_scipy_to_the_bit(table):
+    x, y, inside = table
+    interp = PchipInterpolator(x, y)
+    with np.errstate(all="ignore"):
+        c = _pchip(x, y)
+    assert c.tobytes() == interp.c.tobytes()
+    family = GapFamily.from_table(list(zip(x.tolist(), y.tolist())))
+    xs, pieces = x.tolist(), c.T.tolist()
+    # the breakpoints (the ends among them), points inside, and beyond either end
+    for lam in xs + inside + [xs[0] - 1.0, xs[-1] + 1.0]:
+        value = float(interp(lam))
+        assert _cubic_value(xs, pieces, lam).hex() == value.hex(), lam
+        if xs[0] <= lam <= xs[-1]:
+            assert family.gap_at(lam).hex() == max(value, 0.0).hex(), lam
+
+
+@pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
+def test_table_family_rejects_a_non_finite_control_value(lam):
+    # JSON's Infinity and NaN reach from_table; scipy used to reject them
+    with pytest.raises(ValueError, match="control values must be finite"):
+        GapFamily.from_table([(0.0, 1.0), (lam, 2.0), (1.0, 3.0)])
 
 
 @pytest.mark.parametrize("T", [1e-200, 1e300])

@@ -222,6 +222,12 @@ def test_threshold_counts_equal_searchsorted_counts(data):
     assert _level_counts(u, cum).tolist() == np.array(expected).tolist()
 
 
+def test_level_counts_of_a_full_block_row_do_not_wrap():
+    # the counts are summed in uint16, which holds a row of DRAW_CHUNK uniforms
+    u = np.full((1, DRAW_CHUNK), 0.75)
+    assert _level_counts(u, np.array([0.25, 0.5])).tolist() == [[0, 0, DRAW_CHUNK]]
+
+
 def test_draw_memory_is_the_counts_plus_one_block():
     draw_counts(QUBIT, 0.4, 1000, _trial_streams(3, 10))
     tracemalloc.start()

@@ -55,10 +55,13 @@ def test_benchmark_metric_times_a_public_function(layer, name):
     assert inspect.isfunction(fn) and fn.__module__ == module.__name__
 
 
-# Runs two batches of argv lists through cli.main in a fresh interpreter. Prints, as JSON,
-# each run's (exit code, stdout) and the scipy modules loaded after each batch.
+# Runs batches of argv lists through cli.main in a fresh interpreter, with every scipy
+# import failing if the second argument is "block". Prints, as JSON, each run's
+# (exit code, stdout) and the scipy modules loaded after each batch.
 COLD_START = """
 import contextlib, io, json, sys
+if sys.argv[2] == "block":
+    sys.modules["scipy"] = None  # importing scipy or any submodule raises ImportError
 from thermometry import cli
 
 def run(argv):
@@ -82,7 +85,18 @@ def _write(path: Path, data) -> str:
     return str(path)
 
 
-def test_only_minima_tune_and_table_families_import_scipy(tmp_path, capsys):
+def _cold_start(batches: list, scipy: str) -> list[dict]:
+    env = dict(os.environ)
+    src = str(Path(thermometry.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, json.dumps(batches), scipy],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_no_command_imports_scipy(tmp_path, capsys):
     config = json.loads((ROOT / "configs" / "saturation_x24.cfg").read_text(encoding="utf-8"))
     config["trials"] = 200
     cfg = _write(tmp_path / "config.json", config)
@@ -91,9 +105,12 @@ def test_only_minima_tune_and_table_families_import_scipy(tmp_path, capsys):
     sample = _write(tmp_path / "sample.json", {"spectrum_label": "qubit", "counts": [731, 269]})
     linear = _write(tmp_path / "linear.json", {"kind": "linear", "slope": 1.0, "intercept": 0.0,
                                                "lambda_min": 0.01, "lambda_max": 10.0})
+    quadratic = _write(tmp_path / "quadratic.json",
+                       {"kind": "quadratic", "curvature": 2.0, "center": 1.0, "gap_min": 0.1,
+                        "lambda_min": 0.0, "lambda_max": 3.0})
     table = _write(tmp_path / "table.json",
                    {"kind": "table", "points": [[0.0, 0.5], [5.0, 2.4], [10.0, 9.0]]})
-    without_scipy = [
+    sampling = [
         ["simulate", "--config", cfg],
         ["sweep", "--spectrum", spectrum, "--temperatures", "0.4", "1.0", "-M", "100",
          "-R", "50"],
@@ -104,21 +121,13 @@ def test_only_minima_tune_and_table_families_import_scipy(tmp_path, capsys):
         ["gfun", "--min", "0.5", "--max", "3", "--step", "0.5"],
         ["hfun", "--min", "1", "--max", "3", "--step", "0.5"],
     ]
-    with_scipy = [
-        ["minima"],
-        ["tune", "--family", linear, "-T", "1.0"],
-        ["tune", "--family", table, "-T", "1.0"],
+    analytic = [["minima"]] + [
+        ["tune", "--family", family, "-T", "1.0"] for family in (linear, quadratic, table)
     ]
-    env = dict(os.environ)
-    src = str(Path(thermometry.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", COLD_START, json.dumps([without_scipy, with_scipy])],
-        capture_output=True, text=True, env=env, check=True, timeout=120,
-    )
-    cold, warm = json.loads(proc.stdout)
-    assert cold["scipy"] == []
-    assert "scipy.optimize" in warm["scipy"] and "scipy.interpolate" in warm["scipy"]
-    for argv, (code, out) in zip(without_scipy + with_scipy, cold["runs"] + warm["runs"]):
+    loaded = _cold_start([sampling, analytic], "load")
+    assert [batch["scipy"] for batch in loaded] == [[], []]
+    (blocked,) = _cold_start([analytic], "block")
+    runs = loaded[0]["runs"] + loaded[1]["runs"] + blocked["runs"]
+    for argv, (code, out) in zip(sampling + analytic + analytic, runs):
         assert code == 0 and out, argv
         assert main(argv) == 0 and capsys.readouterr().out == out, argv
