@@ -113,8 +113,8 @@ class SampleSet:
     @property
     def mean_energy(self) -> float:
         """Sample mean energy, E_0 plus the mean of E - E_0 (exact under a shift)."""
-        k = np.asarray(self.counts, dtype=float)
-        return self.spectrum.ground_energy + float((k @ self.spectrum._shifted) / self.total)
+        k = _counts_matrix(self.spectrum, [self.counts])
+        return self.spectrum.ground_energy + float(_sample_means(self.spectrum, k)[0])
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,23 @@ def _counts_matrix(spectrum: Spectrum, counts) -> np.ndarray:
     return counts
 
 
+def _power_of_two_below(x: float) -> float:
+    """The power of two at or below ``x`` > 0 (1/2 for 0)."""
+    return math.ldexp(1.0, math.frexp(x)[1] - 1)
+
+
+def _sample_means(spectrum: Spectrum, counts: np.ndarray) -> np.ndarray:
+    """Sample mean of E - E_0 of each row of a float (rows, levels) count array.
+
+    Above a spread of 1 the energies are summed in units of the power of two at or below it,
+    as Bayes sums S, so the sum stays below 2 M. Levels within ``MERGE_RTOL`` spreads are
+    merged, so below M = 4e295 every step is normal and the bits are the unscaled sum's
+    wherever that is finite. A unit below 1 would round a subnormal mean twice.
+    """
+    scale = max(1.0, _power_of_two_below(spectrum.spread))
+    return np.vecdot(counts, spectrum._shifted / scale) / counts.sum(axis=1) * scale
+
+
 def _sure_steps(width: float, top: float) -> int:
     """How many first steps of a bisection whose brackets are at least ``width`` wide, with
     upper ends at most ``top``, pass the stopping test in every row.
@@ -166,32 +183,28 @@ def _sure_steps(width: float, top: float) -> int:
     return steps
 
 
-def _bisect(lo0: float, hi0: float, n: int, above) -> np.ndarray:
-    """The MLE bisection of ``n`` >= 1 rows on the bracket (lo0, hi0); returns each row's
-    stopping midpoint.
+def _bisect(spectrum: Spectrum, target: np.ndarray, lo0: float, hi0: float) -> np.ndarray:
+    """The plain bisection for each root T of <H - E_0>_T = ``target`` on (lo0, hi0); returns
+    each row's stopping midpoint.
 
-    ``above(mid, rows)`` decides, for the still-active row indices ``rows`` and their
-    midpoints ``mid``, whether each root lies below its midpoint. A row's steps depend only on
-    the bracket and on its own decisions, so two rules that decide alike at every midpoint
-    a row visits give it the same midpoints and the same estimate. The stopping test is left
-    out of the first :func:`_sure_steps`, where no row can stop.
+    Each step takes one :func:`shifted_means` call for all active rows and decides that a
+    root lies below its midpoint where the mean there exceeds the target. A row stops when
+    its bracket is narrower than ``BISECT_RTOL`` times its midpoint or the midpoint stops
+    moving. A row's steps depend only on the bracket and on its own decisions.
     """
+    n = len(target)
     rows = np.arange(n)
     lo = np.full(n, lo0)
     hi = np.full(n, hi0)
     estimate = np.empty(n)
-    sure = _sure_steps(hi0 - lo0, hi0)
     while len(rows):
         total = lo + hi
         mid = 0.5 * total
-        if sure:
-            sure -= 1
-        else:
-            active = (hi - lo > BISECT_RTOL * 0.5 * total) & (mid > lo) & (mid < hi)
-            if np.count_nonzero(active) < len(rows):
-                estimate[rows[~active]] = mid[~active]
-                rows, lo, hi, mid = (a[active] for a in (rows, lo, hi, mid))
-        up = above(mid, rows)
+        active = (hi - lo > BISECT_RTOL * 0.5 * total) & (mid > lo) & (mid < hi)
+        if np.count_nonzero(active) < len(rows):
+            estimate[rows[~active]] = mid[~active]
+            rows, target, lo, hi, mid = (a[active] for a in (rows, target, lo, hi, mid))
+        up = shifted_means(spectrum, mid) > target
         np.copyto(hi, mid, where=up)
         np.copyto(lo, mid, where=~up)
     return estimate
@@ -201,10 +214,11 @@ def _scalar_walk(lo0: float, hi0: float, guess: np.ndarray, chunk: int, check) -
     """The bisection of each row in turn, in Python floats, on the decision "midpoint above
     ``guess``"; returns each row's stopping midpoint.
 
-    Every step has the float operations of a :func:`_bisect` step, stopping test included
-    after the :func:`_sure_steps`, so a row visits the midpoints that :func:`_bisect` gives
-    it under the same decisions. The midpoints go to ``check(rows, mid)`` at most ``chunk``
-    at a time, with their row indices.
+    Every step has the float operations of a :func:`_bisect` step, so a row visits the
+    midpoints that :func:`_bisect` gives it under the same decisions. The stopping test is
+    left out of the first :func:`_sure_steps`, where no row can stop, and taken at every
+    later step. The midpoints go to ``check(rows, mid)`` at most ``chunk`` at a time, with
+    their row indices.
     """
     rtol = BISECT_RTOL * 0.5
     # the sure steps that fit in one block, taken without the stopping test or a check for a
@@ -296,29 +310,26 @@ def _solve(spectrum: Spectrum, target: np.ndarray, lo0: float, hi0: float) -> np
     decision "midpoint above :func:`_root_guess`" (:func:`_scalar_walk`), and the real
     decisions at the midpoints it visits are taken in one :func:`shifted_means` call per
     block of at most ``BLOCK`` floats. A row whose decisions all agree visited the midpoints
-    of the real bisection and stopped at the same one, so its estimate has the same bits;
-    the other rows are bisected again with the real decision. Batches of more than
-    ``SCALAR_ROWS`` rows, or where a block holds fewer than 8 steps of all rows, are
-    bisected with the real decision from the start.
+    of the plain bisection and stopped at the same one, so its estimate has the same bits;
+    the other rows go through the plain bisection, :func:`_bisect`, again. Batches of more
+    than ``SCALAR_ROWS`` rows, or where a block holds fewer than 8 steps of all rows, go
+    through :func:`_bisect` from the start.
     """
-    def real(mid, rows):
-        return shifted_means(spectrum, mid) > target[rows]
-
     n = len(target)
     chunk = max(1, BLOCK // spectrum.n_levels)
     # with fewer than 8 steps to a check block, the calls saved do not pay for the guessed walk
     if not 0 < n <= min(SCALAR_ROWS, chunk // 8):
-        return _bisect(lo0, hi0, n, real)
+        return _bisect(spectrum, target, lo0, hi0)
     guess = _root_guess(spectrum, target, lo0, hi0)
     wrong = np.zeros(n, dtype=bool)
 
     def check(rows, mid):
-        wrong[rows[real(mid, rows) != (mid > guess[rows])]] = True
+        wrong[rows[(shifted_means(spectrum, mid) > target[rows]) != (mid > guess[rows])]] = True
 
     found = _scalar_walk(lo0, hi0, guess, chunk, check)
     if wrong.any():
         again = np.flatnonzero(wrong)
-        found[again] = _bisect(lo0, hi0, len(again), lambda mid, rows: real(mid, again[rows]))
+        found[again] = _bisect(spectrum, target[again], lo0, hi0)
     return found
 
 
@@ -356,8 +367,7 @@ def mle_batch(
     m = spectrum._weights
     # -(E_n - E_0)/T past the float range at a tiny T is an occupation of exactly 0
     with np.errstate(over="ignore"):
-        ebar, inverse = np.unique(np.vecdot(counts, de) / counts.sum(axis=1),
-                                  return_inverse=True)
+        ebar, inverse = np.unique(_sample_means(spectrum, counts), return_inverse=True)
         edges = shifted_means(spectrum, np.array((lo0, hi0)))
         # later masks win: all-ground, then non-invertible, then the bracket ends
         status = np.full(len(ebar), INTERIOR, dtype=object)
@@ -395,11 +405,6 @@ class Posterior:
     sd: float
     temperatures: np.ndarray
     density: np.ndarray
-
-
-def _power_of_two_below(x: float) -> float:
-    """The power of two at or below ``x`` > 0 (1/2 for 0)."""
-    return math.ldexp(1.0, math.frexp(x)[1] - 1)
 
 
 def _bayes_grid(spectrum: Spectrum, prior: tuple[float, float], grid_size: int):
@@ -547,7 +552,7 @@ def sample_from_dict(data: dict, spectrum: Spectrum) -> SampleSet:
     except ValueError as exc:
         raise InputFormatError(f"invalid sample: {exc}") from exc
     declared = data.get("M")
-    if declared is not None and declared != sample.total:
+    if declared is not None and integer(declared, "M") != sample.total:
         raise InputFormatError(
             f"declared M={declared!r} does not match the sum of counts {sample.total}"
         )

@@ -11,11 +11,11 @@ Bayes takes every row.
 The sampling floor is reached in two steps, each bit for bit the same as
 the plain construction. Trial streams are built in bulk: the PCG64
 ``(state, inc)`` of ``trial_rng(seed, t)`` is derived for a block of
-trials at once by numpy's ``SeedSequence`` hash (seed words mixed once,
-the spawn words of the block vectorized) and PCG64's seeding step, and set
-on one reused generator. Levels are counted by thresholds: a block of
-uniforms is compared with each cumulative boundary, which makes the same
-float comparisons as ``searchsorted(side="right")``.
+trials at once by numpy's ``SeedSequence`` hash (the seed's pool taken
+from numpy once, the spawn words of the block vectorized) and PCG64's
+seeding step, and set on one reused generator. Levels are counted by
+thresholds: a block of uniforms is compared with each cumulative boundary,
+which makes the same float comparisons as ``searchsorted(side="right")``.
 """
 
 from __future__ import annotations
@@ -194,50 +194,35 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _mix_in(pool: list, words, const: int):
+def _mix_in(pool: list, words, const: int) -> list:
     """Mix each word into every pool entry, in SeedSequence's order."""
     for word in words:
         for dst in range(_POOL_SIZE):
             value, const = _hashmix(word, const)
             pool[dst] = _mix(pool[dst], value)
-    return pool, const
-
-
-def _seed_pool(seed: int) -> tuple[list[int], int]:
-    """SeedSequence pool of ``seed`` before its spawn words, and the hash constant next in line.
-
-    Under a spawn key numpy pads the seed's words with zeros to the pool size, so the pool's
-    first fill and its all-pairs mix see the seed alone.
-    """
-    entropy = _words(seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    const = _INIT_A
-    pool = []
-    for word in entropy[:_POOL_SIZE]:
-        value, const = _hashmix(word, const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], value)
-    return _mix_in(pool, entropy[_POOL_SIZE:], const)
+    return pool
 
 
 def _stream_states(seed: int, trials: range) -> Iterator[tuple[int, int]]:
     """PCG64 ``(state, inc)`` of ``trial_rng(seed, t)`` for each t of ``trials`` (step 1).
 
-    The seed's part of the SeedSequence hash is done once. Each block of at most
-    ``STREAM_BLOCK`` trials whose spawn keys have the same number of words is hashed as
-    uint64 arrays of 32-bit words, then each trial takes PCG64's seeding step on Python ints.
+    The seed's part of the SeedSequence hash is numpy's own pool of ``SeedSequence(seed)``:
+    under a spawn key numpy pads the seed's words with zeros to the pool size, and those
+    zeros hash as the fill of a shorter seed does. The pool's fill and all-pairs mix take
+    16 hashes and each seed word past the pool size 4 more, each multiplying the hash
+    constant by ``_MULT_A``, so the constant next in line is a power of it times ``_INIT_A``.
+    Each block of at most ``STREAM_BLOCK`` trials whose spawn keys have the same number of
+    words is hashed as uint64 arrays of 32-bit words, then each trial takes PCG64's seeding
+    step on Python ints.
     """
-    pool, const = _seed_pool(seed)
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    const = _INIT_A * pow(_MULT_A, 4 * max(_POOL_SIZE, len(_words(seed))), 1 << 32) & _MASK32
     start = trials.start
     while start < trials.stop:
         n_words = len(_words(start))
         end = min(trials.stop, start + STREAM_BLOCK, 1 << 32 * n_words)
         t = np.arange(start, end, dtype=np.uint64)
-        block, _ = _mix_in(list(pool), [t >> 32 * j & _MASK32 for j in range(n_words)], const)
+        block = _mix_in(list(pool), [t >> 32 * j & _MASK32 for j in range(n_words)], const)
         # generate_state(4, np.uint64): eight 32-bit words, cycling through the pool
         words, const_b = [], _INIT_B
         for k in range(8):

@@ -677,6 +677,18 @@ def test_estimate_count_past_the_float_range_exits_3(capsys, tmp_path, spectrum_
     assert err == "error: counts[0] is beyond the float range\n"
 
 
+def test_estimate_declared_m_of_another_type_exits_2(capsys, tmp_path, spectrum_file):
+    sample_path = tmp_path / "sample.json"
+    sample_path.write_text(
+        json.dumps({"spectrum_label": "qubit", "counts": [731, 269], "M": "1000"})
+    )
+    code, out, err = run_cli(
+        capsys, "estimate", "--sample", str(sample_path), "--spectrum", spectrum_file
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: M must be an integer, got '1000'\n"
+
+
 def test_sweep_rejects_negative_seed(capsys, spectrum_file):
     code, out, err = run_cli(
         capsys, "sweep", "--spectrum", spectrum_file, "--temperatures", "0.5",

@@ -83,6 +83,8 @@ def test_sample_dict_round_trip():
         {"counts": [1.5, 2]},
         {"counts": [1, 2], "spectrum_label": "other"},
         {"counts": [1, 2], "M": 17},
+        {"counts": [1, 2], "M": 3.0},
+        {"counts": [0, 1], "M": True},
         {"counts": [1, 2, 3]},
     ],
 )
@@ -306,6 +308,28 @@ def test_mle_shift_example():
     assert moved.estimate == pytest.approx(base.estimate * lifted.gap / 1e-3, rel=1e-10)
 
 
+def test_mle_is_scale_equivariant_to_the_top_of_the_float_range():
+    # 300 x 2^1020 passes the float range, so an unscaled sum of k_n (E_n - E_0) is inf and
+    # the sample reads non-invertible; 2 hi0 = 2^1024 overflows, so no step is sure either
+    big = make_spectrum([(0.0, 1), (2.0**1020, 1)])
+    got = mle_temperature(SampleSet(spectrum=big, counts=(700, 300)),
+                          bracket=(2.0**1016, 2.0**1023))
+    base = mle_temperature(SampleSet(spectrum=QUBIT, counts=(700, 300)), bracket=(2**-4, 8.0))
+    assert got.status == base.status == INTERIOR
+    assert got.estimate == base.estimate * 2.0**1020
+
+
+@pytest.mark.parametrize("top, counts, bracket", [
+    (1e300, (10**9, 2 * 10**8), (2e299, 5e300)),
+    (1e304, (60_000, 40_000), None),
+])
+def test_mle_stays_interior_where_the_unscaled_energy_sum_overflows(top, counts, bracket):
+    s = make_spectrum([(0.0, 1), (top, 1)])
+    result = mle_temperature(SampleSet(spectrum=s, counts=counts), bracket=bracket)
+    assert result.status == INTERIOR
+    assert result.estimate == pytest.approx(top / math.log(counts[0] / counts[1]), rel=1e-12)
+
+
 def _plain_mle_batch(spectrum, counts, bracket=None):
     """``mle_batch`` as one bisection with a ``shifted_means`` call per step: the reference
     whose bits the guessed-then-checked bisection must keep."""
@@ -381,9 +405,9 @@ def _counting_walks(monkeypatch):
         walks.append("walk")
         return _scalar_walk(*a)
 
-    def bisect(lo0, hi0, n, above):
-        walks.append(n)
-        return _bisect(lo0, hi0, n, above)
+    def bisect(spectrum, target, lo0, hi0):
+        walks.append(len(target))
+        return _bisect(spectrum, target, lo0, hi0)
 
     monkeypatch.setattr(estimation, "_scalar_walk", walk)
     monkeypatch.setattr(estimation, "_bisect", bisect)
@@ -438,56 +462,6 @@ def test_rows_with_one_mean_share_one_solve(monkeypatch):
     assert solved == [1]
     _same_bits(got, _plain_mle_batch(s, counts))
     assert got[0].tolist() == [INTERIOR, INTERIOR]
-
-
-def _plain_bisect(lo0, hi0, n, above):
-    """The bisection loop with its stopping test taken at every step."""
-    rows = np.arange(n)
-    lo = np.full(n, lo0)
-    hi = np.full(n, hi0)
-    estimate = np.empty(n)
-    while len(rows):
-        total = lo + hi
-        mid = 0.5 * total
-        active = (hi - lo > BISECT_RTOL * 0.5 * total) & (mid > lo) & (mid < hi)
-        if np.count_nonzero(active) < len(rows):
-            estimate[rows[~active]] = mid[~active]
-            rows, lo, hi, mid = (a[active] for a in (rows, lo, hi, mid))
-        up = above(mid, rows)
-        np.copyto(hi, mid, where=up)
-        np.copyto(lo, mid, where=~up)
-    return estimate
-
-
-_MAX = np.finfo(float).max
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(st.floats(min_value=5e-324, max_value=_MAX), min_size=2, max_size=2, unique=True),
-    st.sampled_from([_MAX, 1e300, 1.0, 1e-300, 1e-310]),
-    st.booleans(),
-    st.integers(min_value=0, max_value=2**64 - 1),
-)
-def test_bisect_skips_the_stopping_test_only_where_no_row_can_stop(ends, scale, hashed, seed):
-    # _bisect leaves out the stopping test while every bracket is wider than
-    # 2 BISECT_RTOL hi0 + 1e-300; under any decisions, including ones that jump from side
-    # to side, it stops every row where the test at every step does, near the float range's
-    # ends too (subnormal brackets, lo + hi past the largest float)
-    lo0, hi0 = sorted(min(e, scale) for e in ends)
-    assume(lo0 < hi0)
-    n = 8
-    thresholds = np.sort(np.random.default_rng(seed % 2**32).uniform(lo0, hi0, n))
-    salt = np.uint64(seed | 1)
-
-    def above(mid, rows):
-        if hashed:  # the top bit of a product of the midpoint's bits
-            return (mid.view(np.uint64) * salt) >> np.uint64(63) == 1
-        return mid > thresholds[rows]
-
-    with np.errstate(over="ignore"):  # lo + hi past the largest float, as in mle_batch
-        got, want = _bisect(lo0, hi0, n, above), _plain_bisect(lo0, hi0, n, above)
-    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("shots,tolerance", [(100, 0.03), (1000, 0.01)])

@@ -146,7 +146,8 @@ def test_draw_sample_validation():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
-    "seed", [0, 7, 2**32 - 1, 20260809, 2**64, 2**64 + 12345, 2**128, 2**130 + 99]
+    "seed",
+    [0, 7, 2**32 - 1, 20260809, 2**64, 2**64 + 12345, 2**128, 2**130 + 99, 2**300 + 1],
 )
 @pytest.mark.parametrize(
     "trials", [range(0, 3), range(2**32 - 2, 2**32 + 2), range(2**40, 2**40 + 2)],
