@@ -13,12 +13,12 @@ Both estimators work on a batch: a (trials, levels) array of counts, taken as
 floats (exact for row totals below 2^53). :func:`mle_batch` reads a row only
 through its sample mean and bisects each distinct mean once. A batch of at most
 ``SCALAR_ROWS`` such rows walks each row in turn, in Python floats, with decisions
-guessed from a Newton root, then checks every guessed decision in one Gibbs evaluation
-per block; a row whose guesses all hold has the bits of the plain bisection, and any
-other row is bisected again with the real decision. Larger batches, and batches too
-large for 8 steps of every row in a check block, are bisected plainly, one Gibbs
-evaluation per step. The walk and the plain bisection cost the same at 71-87 rows of 5
-or of 2 levels.
+guessed from a Newton root; once the walked rows hold a block of midpoints, every guessed
+decision among them is checked, one Gibbs evaluation per block. A row whose guesses all
+hold has the bits of the plain bisection, and any other row is bisected again with the
+real decision. Larger batches, and batches too large for 8 steps of every row in a check
+block, are bisected plainly, one Gibbs evaluation per step. The walk and the plain
+bisection cost the same at 71-87 rows of 5 or of 2 levels.
 :func:`bayes_batch` builds the posterior grid once for all rows, then runs
 them through one posterior kernel in blocks of at most 2^14 floats, so its
 memory does not grow with the trial count. A row enters it only through
@@ -46,7 +46,7 @@ from .errors import (
     positive_interval,
     temperature_power,
 )
-from .thermal import Spectrum, gibbs_log_weights, gibbs_probs, shifted_means
+from .thermal import Spectrum, _variances, gibbs_log_weights, gibbs_probs, shifted_means
 
 __all__ = [
     "INTERIOR",
@@ -166,23 +166,6 @@ def _sample_means(spectrum: Spectrum, counts: np.ndarray) -> np.ndarray:
     return np.vecdot(counts, spectrum._shifted / scale) / counts.sum(axis=1) * scale
 
 
-def _sure_steps(width: float, top: float) -> int:
-    """How many first steps of a bisection whose brackets are at least ``width`` wide, with
-    upper ends at most ``top``, pass the stopping test in every row.
-
-    After k steps a row's bracket is within 2 (u top + 2^-1075) of its first width / 2^k, u
-    the unit roundoff: each midpoint rounds by at most u top plus half a subnormal. So while
-    ``width`` / 2^k exceeds 2 BISECT_RTOL top + 1e-300, no row can stop. When lo + hi can
-    overflow, no step is sure.
-    """
-    steps = 0
-    if 2.0 * top < math.inf:
-        while width > 2.0 * BISECT_RTOL * top + 1e-300:
-            width *= 0.5
-            steps += 1
-    return steps
-
-
 def _bisect(spectrum: Spectrum, target: np.ndarray, lo0: float, hi0: float) -> np.ndarray:
     """The plain bisection for each root T of <H - E_0>_T = ``target`` on (lo0, hi0); returns
     each row's stopping midpoint.
@@ -210,59 +193,48 @@ def _bisect(spectrum: Spectrum, target: np.ndarray, lo0: float, hi0: float) -> n
     return estimate
 
 
-def _scalar_walk(lo0: float, hi0: float, guess: np.ndarray, chunk: int, check) -> np.ndarray:
+def _scalar_walk(
+    spectrum: Spectrum, target: np.ndarray, guess: np.ndarray, lo0: float, hi0: float
+) -> tuple[np.ndarray, np.ndarray]:
     """The bisection of each row in turn, in Python floats, on the decision "midpoint above
-    ``guess``"; returns each row's stopping midpoint.
+    ``guess``"; returns each row's stopping midpoint and whether a real decision differs.
 
-    Every step has the float operations of a :func:`_bisect` step, so a row visits the
-    midpoints that :func:`_bisect` gives it under the same decisions. The stopping test is
-    left out of the first :func:`_sure_steps`, where no row can stop, and taken at every
-    later step. The midpoints go to ``check(rows, mid)`` at most ``chunk`` at a time, with
-    their row indices.
+    Every step has the float operations of a :func:`_bisect` step, stopping test included,
+    so a row visits the midpoints that :func:`_bisect` gives it under the same decisions.
+    Once the rows walked since the last check hold at least ``BLOCK`` // levels midpoints,
+    and after the last row, the real decision at each of them is taken by
+    :func:`shifted_means` on at most that many midpoints a call, so the record holds at most
+    one block plus one row of midpoints.
     """
+    chunk = max(1, BLOCK // spectrum.n_levels)
     rtol = BISECT_RTOL * 0.5
-    # the sure steps that fit in one block, taken without the stopping test or a check for a
-    # full block (about a third of the walk's time); a row starts them in a block with room
-    sure = min(_sure_steps(hi0 - lo0, hi0), chunk)
     found = []
-    mids = array("d")  # the block's midpoints, 8 B each
-    runs = []  # (row, block position) where a row's midpoints in the block begin
-
-    def flush():
-        row, start = (np.array(a) for a in zip(*runs))
-        check(np.repeat(row, np.diff(start, append=len(mids))), np.array(mids))
-        del mids[:]
-        runs.clear()
-
+    wrong = np.zeros(len(target), dtype=bool)
+    mids = array("d")  # the unchecked midpoints, 8 B each
+    ends = []  # where each unchecked row's midpoints end in ``mids``
     for row, g in enumerate(guess.tolist()):
-        if len(mids) + sure > chunk:
-            flush()
-        runs.append((row, len(mids)))
         lo, hi = lo0, hi0
-        for _ in range(sure):
-            mid = 0.5 * (lo + hi)
-            mids.append(mid)
-            if mid > g:
-                hi = mid
-            else:
-                lo = mid
         while True:
             total = lo + hi
             mid = 0.5 * total
             if not (hi - lo > rtol * total and lo < mid < hi):
                 break
-            if len(mids) == chunk:  # check the full block; the row goes on in a new one
-                flush()
-                runs.append((row, 0))
             mids.append(mid)
             if mid > g:
                 hi = mid
             else:
                 lo = mid
         found.append(mid)
-    if mids:
-        flush()
-    return np.array(found)
+        ends.append(len(mids))
+        if len(mids) >= chunk or row == len(target) - 1:
+            rows = np.repeat(np.arange(row + 1 - len(ends), row + 1), np.diff(ends, prepend=0))
+            checked = np.array(mids)
+            for start in range(0, len(checked), chunk):
+                r, m = rows[start:start + chunk], checked[start:start + chunk]
+                wrong[r[(shifted_means(spectrum, m) > target[r]) != (m > guess[r])]] = True
+            del mids[:]
+            ends.clear()
+    return np.array(found), wrong
 
 
 def _root_guess(spectrum: Spectrum, target: np.ndarray, lo0: float, hi0: float) -> np.ndarray:
@@ -295,7 +267,7 @@ def _root_guess(spectrum: Spectrum, target: np.ndarray, lo0: float, hi0: float) 
             t = np.exp(x)
             probs = gibbs_probs(spectrum, t)[0]
             mean = np.vecdot(probs, de)
-            var = np.vecdot(probs, (de - mean[:, None]) ** 2)
+            var = _variances(probs, mean, de)
             step = (mean - target) * t / var
             x = np.where(np.isfinite(step) & (var > 0.0), np.clip(x - step, lnlo, lnhi), x)
             if not (abs(step) > GUESS_STEP).any():
@@ -306,14 +278,13 @@ def _root_guess(spectrum: Spectrum, target: np.ndarray, lo0: float, hi0: float) 
 def _solve(spectrum: Spectrum, target: np.ndarray, lo0: float, hi0: float) -> np.ndarray:
     """Each root T of <H - E_0>_T = ``target`` where the bisection on (lo0, hi0) stops.
 
-    The bisection is guessed, then checked. Each row walks in Python floats with the
-    decision "midpoint above :func:`_root_guess`" (:func:`_scalar_walk`), and the real
-    decisions at the midpoints it visits are taken in one :func:`shifted_means` call per
-    block of at most ``BLOCK`` floats. A row whose decisions all agree visited the midpoints
-    of the plain bisection and stopped at the same one, so its estimate has the same bits;
-    the other rows go through the plain bisection, :func:`_bisect`, again. Batches of more
-    than ``SCALAR_ROWS`` rows, or where a block holds fewer than 8 steps of all rows, go
-    through :func:`_bisect` from the start.
+    The bisection is guessed, then checked: each row walks with the decision "midpoint
+    above :func:`_root_guess`" (:func:`_scalar_walk`), which also takes the real decision at
+    every midpoint it visits. A row whose decisions all agree visited the midpoints of the
+    plain bisection and stopped at the same one, so its estimate has the same bits; the
+    other rows go through the plain bisection, :func:`_bisect`, again. Batches of more than
+    ``SCALAR_ROWS`` rows, or where a block holds fewer than 8 steps of all rows, go through
+    :func:`_bisect` from the start.
     """
     n = len(target)
     chunk = max(1, BLOCK // spectrum.n_levels)
@@ -321,12 +292,7 @@ def _solve(spectrum: Spectrum, target: np.ndarray, lo0: float, hi0: float) -> np
     if not 0 < n <= min(SCALAR_ROWS, chunk // 8):
         return _bisect(spectrum, target, lo0, hi0)
     guess = _root_guess(spectrum, target, lo0, hi0)
-    wrong = np.zeros(n, dtype=bool)
-
-    def check(rows, mid):
-        wrong[rows[(shifted_means(spectrum, mid) > target[rows]) != (mid > guess[rows])]] = True
-
-    found = _scalar_walk(lo0, hi0, guess, chunk, check)
+    found, wrong = _scalar_walk(spectrum, target, guess, lo0, hi0)
     if wrong.any():
         again = np.flatnonzero(wrong)
         found[again] = _bisect(spectrum, target[again], lo0, hi0)
@@ -355,9 +321,10 @@ def mle_batch(
     the plain bisection that calls :func:`shifted_means` once per step. Memory past the
     per-row vectors (the float counts, the sample means, and the distinct means and
     inverse indices of ``np.unique``) is one step's Gibbs occupations (distinct means x
-    levels floats) or one check block: at most ``BLOCK`` // levels midpoints, each with
-    its row index and decision, and their occupations. It grows with neither the step
-    count (about 57 on the default bracket, over 1000 on (5e-324, 1e300)) nor steps x rows.
+    levels floats) or the walk's unchecked midpoints: at most one block (``BLOCK`` //
+    levels) plus one row's steps, each with its row index and decision, and the
+    occupations of at most a block of them. It grows with the step count (about 57 on the
+    default bracket, over 1000 on (5e-324, 1e300)) only by one row's, never by steps x rows.
     """
     if bracket is None:
         bracket = default_bracket(spectrum)
@@ -541,6 +508,7 @@ def sample_from_dict(data: dict, spectrum: Spectrum) -> SampleSet:
     counts = [integer(c, f"counts[{i}]") for i, c in enumerate(counts)]
     for i, c in enumerate(counts):
         number(c, f"counts[{i}]")  # estimators take counts as floats
+    number(sum(counts), "M")  # and sum them as floats
     label = data.get("spectrum_label")
     if label is not None and label != spectrum.label:
         raise InputFormatError(

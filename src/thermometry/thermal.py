@@ -252,11 +252,17 @@ def mean_energy(state: ThermalState) -> float:
     return _shifted_mean(state) + state.energy_shift
 
 
+def _variances(probs: np.ndarray, mean: np.ndarray, de: np.ndarray) -> np.ndarray:
+    """sum_n p_n (E_n - <H>)^2 of each row of ``probs``, from its mean of ``de`` = E - E_0."""
+    with np.errstate(over="ignore"):  # an empty level adds 0, even where its square is inf
+        sq = (de - mean[..., None]) ** 2
+    return np.vecdot(probs, np.where(probs > 0.0, sq, 0.0))
+
+
 def energy_variance(state: ThermalState) -> float:
     """Energy variance sum_n p_n (E_n - <H>)^2, computed in shifted coordinates."""
-    with np.errstate(over="ignore"):  # an empty level adds 0, even where its square is inf
-        sq = (state.spectrum._shifted - _shifted_mean(state)) ** 2
-    return float(state.probs @ np.where(state.probs > 0.0, sq, 0.0))
+    de = state.spectrum._shifted
+    return float(_variances(state.probs, np.vecdot(state.probs, de), de))
 
 
 def specific_heat(spectrum: Spectrum, T: float) -> float:

@@ -677,6 +677,18 @@ def test_estimate_count_past_the_float_range_exits_3(capsys, tmp_path, spectrum_
     assert err == "error: counts[0] is beyond the float range\n"
 
 
+@pytest.mark.parametrize("prior", [[], ["--prior", "0.2", "5.0"]], ids=["mle", "bayes"])
+def test_estimate_total_past_the_float_range_exits_3(capsys, tmp_path, spectrum_file, prior):
+    # every count is finite, but their float sum is not
+    sample_path = tmp_path / "sample.json"
+    sample_path.write_text(json.dumps({"spectrum_label": "qubit", "counts": [10**308, 10**308]}))
+    code, out, err = run_cli(
+        capsys, "estimate", "--sample", str(sample_path), "--spectrum", spectrum_file, *prior
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: M is beyond the float range\n"
+
+
 def test_estimate_declared_m_of_another_type_exits_2(capsys, tmp_path, spectrum_file):
     sample_path = tmp_path / "sample.json"
     sample_path.write_text(

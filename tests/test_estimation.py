@@ -93,6 +93,13 @@ def test_sample_from_dict_rejects(data):
         sample_from_dict(data, QUBIT)
 
 
+def test_sample_from_dict_rejects_a_total_beyond_the_float_range():
+    # each count is a finite float but their float sum is inf, which would read as a mean of
+    # 0; like a count beyond the float range, an OverflowError (exit 3), not a format error
+    with pytest.raises(OverflowError, match=r"^M is beyond the float range$"):
+        sample_from_dict({"counts": [10**308, 10**308]}, QUBIT)
+
+
 # ---------------------------------------------------------------------------
 # maximum likelihood
 # ---------------------------------------------------------------------------
@@ -310,7 +317,7 @@ def test_mle_shift_example():
 
 def test_mle_is_scale_equivariant_to_the_top_of_the_float_range():
     # 300 x 2^1020 passes the float range, so an unscaled sum of k_n (E_n - E_0) is inf and
-    # the sample reads non-invertible; 2 hi0 = 2^1024 overflows, so no step is sure either
+    # the sample reads non-invertible; the bracket ends at 2^1023, where 2 hi0 overflows
     big = make_spectrum([(0.0, 1), (2.0**1020, 1)])
     got = mle_temperature(SampleSet(spectrum=big, counts=(700, 300)),
                           bracket=(2.0**1016, 2.0**1023))
@@ -381,7 +388,7 @@ def _same_bits(got, want):
 )
 def test_mle_batch_equals_the_plain_bisection(s, bracket, log_t, shots, rows, seed):
     # every status and estimate, bit for bit: guessed and checked up to SCALAR_ROWS interior
-    # rows (streamed through several check blocks at 1000 steps), plainly bisected above
+    # rows (whole rows a block at a time, several blocks at 1000 steps), plainly bisected above
     if bracket is None and s.n_levels == 1:
         with pytest.raises(ValueError):
             mle_batch(s, [[1]])
@@ -444,6 +451,22 @@ def test_rows_with_a_wrong_guess_are_bisected_again_to_the_same_bits(monkeypatch
     walks = _counting_walks(monkeypatch)
     _same_bits(mle_batch(s, counts), want)
     assert walks == ["walk", len(roots)]  # the guessed walk, then every row again
+
+
+@pytest.mark.parametrize("miss", [None, 1 + 1e-10], ids=["root guess", "near miss"])
+def test_a_row_walks_through_many_check_slices(monkeypatch, miss):
+    # 2048 levels leave BLOCK // 2048 = 8 midpoints to a check slice, so one row walks, and
+    # on (5e-324, 1e300) its walk of about 1040 midpoints is checked in about 130 slices; a
+    # guess 1e-10 of T off the root parts from the real decisions only in a late slice
+    s = make_spectrum([(0.01 * n, 1) for n in range(2048)])
+    counts = np.random.default_rng(21).multinomial(10**4, gibbs_state(s, 3.0).probs, size=1)
+    bracket = (5e-324, 1e300)
+    want = _plain_mle_batch(s, counts, bracket)
+    if miss is not None:
+        monkeypatch.setattr(estimation, "_root_guess", lambda s_, t, lo0, hi0: want[1] * miss)
+    walks = _counting_walks(monkeypatch)
+    _same_bits(mle_batch(s, counts, bracket), want)
+    assert walks == (["walk"] if miss is None else ["walk", 1])
 
 
 def test_rows_with_one_mean_share_one_solve(monkeypatch):
@@ -653,8 +676,8 @@ def test_bayes_batch_memory_does_not_grow_with_the_rows():
 
 def test_mle_batch_memory_does_not_grow_with_the_rows():
     # past the per-row vectors (counts, sample means, statuses, estimates, brackets) and one
-    # step's Gibbs occupations, memory is at most one check block; steps x rows x levels
-    # floats of 18000 more rows would take 41 MB
+    # step's Gibbs occupations, memory is at most one block plus one row of unchecked
+    # midpoints; steps x rows x levels floats of 18000 more rows would take 41 MB
     s = make_spectrum([(0.0, 1), (1.0, 3), (2.0, 3), (3.0, 1), (4.0, 2)])
     counts = np.random.default_rng(12).multinomial(
         10**5, gibbs_state(s, 1.0).probs, size=20_000)
@@ -671,11 +694,11 @@ def test_mle_batch_memory_does_not_grow_with_the_rows():
 
 
 def test_mle_check_memory_does_not_grow_with_the_steps():
-    # the guessed walk of these 57 rows (at most SCALAR_ROWS, so in Python floats) hands its
-    # midpoints to the check a block at a time: 20 times the steps (a bracket of (5e-324,
-    # 1e300) takes about 1040) cost at most a block of midpoints, their row indices and
-    # decisions and the block's occupations, not a record of every step (about 1040 x 57 x
-    # 17 B = 1.0 MB)
+    # the guessed walk of these 57 rows (at most SCALAR_ROWS, so in Python floats) checks
+    # whole rows once their midpoints fill a block: 20 times the steps (a bracket of
+    # (5e-324, 1e300) takes about 1040) cost at most a block plus one row of midpoints,
+    # their row indices and decisions and one block's occupations, not a record of every
+    # step (about 1040 x 57 x 17 B = 1.0 MB)
     k = np.random.default_rng(13).binomial(1000, gibbs_state(QUBIT, 0.4).probs[1], size=4000)
     counts = np.unique(np.column_stack([1000 - k, k]), axis=0)[:120]
     peaks = []
