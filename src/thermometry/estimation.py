@@ -287,9 +287,8 @@ def _solve(spectrum: Spectrum, target: np.ndarray, lo0: float, hi0: float) -> np
     :func:`_bisect` from the start.
     """
     n = len(target)
-    chunk = max(1, BLOCK // spectrum.n_levels)
     # with fewer than 8 steps to a check block, the calls saved do not pay for the guessed walk
-    if not 0 < n <= min(SCALAR_ROWS, chunk // 8):
+    if not 0 < n <= min(SCALAR_ROWS, BLOCK // spectrum.n_levels // 8):
         return _bisect(spectrum, target, lo0, hi0)
     guess = _root_guess(spectrum, target, lo0, hi0)
     found, wrong = _scalar_walk(spectrum, target, guess, lo0, hi0)
