@@ -19,11 +19,11 @@ hold has the bits of the plain bisection, and any other row is bisected again wi
 real decision. Larger batches, and batches too large for 8 steps of every row in a check
 block, are bisected plainly, one Gibbs evaluation per step. The walk and the plain
 bisection cost the same at 71-87 rows of 5 or of 2 levels.
-:func:`bayes_batch` builds the posterior grid once for all rows, then runs
-them through one posterior kernel in blocks of at most 2^14 floats, so its
-memory does not grow with the trial count. A row enters it only through
-S = sum_n k_n (E_n - E_0) and M, and no step mixes rows, so a row has the bits
-of its posterior alone wherever it sits in a block. The single-sample functions
+:func:`bayes_batch` builds the posterior grid once for all rows. A row enters
+it only through S = sum_n k_n (E_n - E_0) and M, so each distinct pair (S, M)
+takes one posterior, in blocks of at most 2^14 floats, and its memory does not
+grow with the trial count; no step mixes samples, so a row has the bits of its
+posterior alone wherever its pair sits in a block. The single-sample functions
 :func:`mle_temperature` and :func:`bayes_posterior` are batches of one.
 Energies enter only through E - E_0, so shifting the whole spectrum by a
 constant leaves every estimate unchanged.
@@ -160,10 +160,41 @@ def _sample_means(spectrum: Spectrum, counts: np.ndarray) -> np.ndarray:
     Above a spread of 1 the energies are summed in units of the power of two at or below it,
     as Bayes sums S, so the sum stays below 2 M. Levels within ``MERGE_RTOL`` spreads are
     merged, so below M = 4e295 every step is normal and the bits are the unscaled sum's
-    wherever that is finite. A unit below 1 would round a subnormal mean twice.
+    wherever that is finite. A unit below 1 would round a subnormal mean twice. A row whose
+    sum passes the float range (M above half of it) is summed again in units of twice that
+    power of two, below M; every finite sum keeps its bits.
     """
     scale = max(1.0, _power_of_two_below(spectrum.spread))
-    return np.vecdot(counts, spectrum._shifted / scale) / counts.sum(axis=1) * scale
+    with np.errstate(over="ignore"):
+        totals = counts.sum(axis=1)
+        sums = np.vecdot(counts, spectrum._shifted / scale)
+    means = sums / totals * scale
+    over = np.isinf(sums)
+    if over.any():
+        halves = np.vecdot(counts[over], spectrum._shifted / scale / 2.0)
+        means[over] = halves / totals[over] * 2.0 * scale
+    return means
+
+
+def _distinct(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct tuple of ``keys`` (equal-length vectors) and each row's
+    index among those first rows.
+
+    Rows are ordered by ``np.lexsort`` (stable, so the first of equal rows comes first) and a
+    new tuple starts wherever a key changes; past the keys, memory is three index vectors
+    and one sorted key at a time.
+    """
+    order = np.lexsort(keys)
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    group = np.cumsum(new)
+    group -= 1
+    inverse = np.empty_like(order)
+    inverse[order] = group
+    return order[new], inverse
 
 
 def _bisect(spectrum: Spectrum, target: np.ndarray, lo0: float, hi0: float) -> np.ndarray:
@@ -298,6 +329,31 @@ def _solve(spectrum: Spectrum, target: np.ndarray, lo0: float, hi0: float) -> np
     return found
 
 
+def _mle_of_means(
+    spectrum: Spectrum, ebar: np.ndarray, lo0: float, hi0: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Status and maximum-likelihood temperature on the bracket (lo0, hi0) for each sample
+    mean ``ebar`` of E - E_0, as :func:`mle_batch` gives them to a row with that mean.
+
+    Every mean is solved, equal ones too: :func:`mle_batch` passes each distinct mean once.
+    """
+    de = spectrum._shifted
+    m = spectrum._weights
+    # -(E_n - E_0)/T past the float range at a tiny T is an occupation of exactly 0
+    with np.errstate(over="ignore"):
+        edges = shifted_means(spectrum, np.array((lo0, hi0)))
+        # later masks win: all-ground, then non-invertible, then the bracket ends
+        status = np.full(len(ebar), INTERIOR, dtype=object)
+        status[edges[1] <= ebar] = AT_UPPER_BOUND
+        status[edges[0] >= ebar] = AT_LOWER_BOUND
+        status[ebar >= (m @ de) / m.sum()] = NON_INVERTIBLE
+        status[ebar <= 0.0] = AT_LOWER_BOUND
+        estimate = np.full(len(ebar), np.nan)
+        interior = status == INTERIOR
+        estimate[interior] = _solve(spectrum, ebar[interior], lo0, hi0)
+    return status, estimate
+
+
 def mle_batch(
     spectrum: Spectrum,
     counts,
@@ -313,13 +369,13 @@ def mle_batch(
     INTERIOR / AT_LOWER_BOUND / AT_UPPER_BOUND / NON_INVERTIBLE) and the
     estimate, NaN wherever the status is not INTERIOR. Counts are taken as
     floats, exact for row totals below 2^53. Status and estimate follow from
-    the sample mean alone, so each distinct mean is solved once and its result
-    goes to every row with it.
+    the sample mean alone (:func:`_sample_means`), so each distinct mean is
+    solved once (:func:`_mle_of_means`) and its result goes to every row with it.
 
     The bisection is guessed, then checked (:func:`_solve`); every estimate has the bits of
     the plain bisection that calls :func:`shifted_means` once per step. Memory past the
-    per-row vectors (the float counts, the sample means, and the distinct means and
-    inverse indices of ``np.unique``) is one step's Gibbs occupations (distinct means x
+    per-row vectors (the float counts, the sample means, and the index vectors of
+    :func:`_distinct`) is one step's Gibbs occupations (distinct means x
     levels floats) or the walk's unchecked midpoints: at most one block (``BLOCK`` //
     levels) plus one row's steps, each with its row index and decision, and the
     occupations of at most a block of them. It grows with the step count (about 57 on the
@@ -328,22 +384,9 @@ def mle_batch(
     if bracket is None:
         bracket = default_bracket(spectrum)
     lo0, hi0 = positive_interval(bracket, "bracket")
-    counts = _counts_matrix(spectrum, counts)
-    de = spectrum._shifted
-    m = spectrum._weights
-    # -(E_n - E_0)/T past the float range at a tiny T is an occupation of exactly 0
-    with np.errstate(over="ignore"):
-        ebar, inverse = np.unique(_sample_means(spectrum, counts), return_inverse=True)
-        edges = shifted_means(spectrum, np.array((lo0, hi0)))
-        # later masks win: all-ground, then non-invertible, then the bracket ends
-        status = np.full(len(ebar), INTERIOR, dtype=object)
-        status[edges[1] <= ebar] = AT_UPPER_BOUND
-        status[edges[0] >= ebar] = AT_LOWER_BOUND
-        status[ebar >= (m @ de) / m.sum()] = NON_INVERTIBLE
-        status[ebar <= 0.0] = AT_LOWER_BOUND
-        estimate = np.full(len(ebar), np.nan)
-        interior = status == INTERIOR
-        estimate[interior] = _solve(spectrum, ebar[interior], lo0, hi0)
+    means = _sample_means(spectrum, _counts_matrix(spectrum, counts))
+    first, inverse = _distinct(means)
+    status, estimate = _mle_of_means(spectrum, means[first], lo0, hi0)
     return status[inverse], estimate[inverse]
 
 
@@ -403,30 +446,40 @@ def _bayes_grid(spectrum: Spectrum, prior: tuple[float, float], grid_size: int):
     return temps, t, unit, spectrum._shifted / scale, -scale / temps, logz, w, w * t
 
 
-def _posterior_means(grid, counts: np.ndarray, density: np.ndarray | None = None) -> np.ndarray:
-    """Posterior mean per ``unit`` of every row of a float (rows, levels) count array, on a
-    prebuilt grid; with ``density``, of shape (rows, grid size), each row's normalised
-    density per ``unit`` goes there too.
+def _statistics(grid, spectrum: Spectrum, counts) -> tuple[np.ndarray, np.ndarray]:
+    """S = sum_n k_n (E_n - E_0), in units of the grid's ``scale``, and M of every row of a
+    (trials, levels) count array; the float counts are released on return."""
+    counts = _counts_matrix(spectrum, counts)
+    with np.errstate(over="ignore"):  # an S past the float range has no finite maximum
+        return np.vecdot(counts, grid[3]), counts.sum(axis=1)
 
-    The counts enter only through S = sum_n k_n (E_n - E_0), in units of ``scale``, and M:
-    the log-likelihood is -S/T - M ln Z'(T) up to the T-independent sum_n k_n ln m_n, which
-    the maximum shift removes. Rows go through in blocks of at most ``BLOCK`` floats, in two
-    buffers, so memory does not grow with the row count. A block's log-likelihood is two
-    broadcast products, S x basis and M x log Z', and its norm and first moment are one dot
-    product per row with the trapezoid weights w and w t: no operation mixes rows, so each
-    row gets the bits of its posterior alone, wherever it sits in a block.
+
+def _posterior_means(
+    grid, S: np.ndarray, M: np.ndarray, density: np.ndarray | None = None
+) -> np.ndarray:
+    """Posterior mean per ``unit`` of every sample given by its statistics S (in units of
+    ``scale``, see :func:`_statistics`) and M, on a prebuilt grid; with ``density``, of shape
+    (samples, grid size), each sample's normalised density per ``unit`` goes there too.
+
+    A sample enters the likelihood only through S and M: the log-likelihood is
+    -S/T - M ln Z'(T) up to the T-independent sum_n k_n ln m_n, which the maximum shift
+    removes. Samples go through in blocks of at most ``BLOCK`` floats, in two buffers, so
+    memory does not grow with their number. A block's log-likelihood is two broadcast
+    products, S x basis and M x log Z', and its norm and first moment are one dot product
+    per sample with the trapezoid weights w and w t: no operation mixes samples, so each
+    gets the bits of its posterior alone, wherever it sits in a block.
     """
-    temps, _, _, de, basis, logz, w, wt = grid
+    temps, _, _, _, basis, logz, w, wt = grid
     step = max(1, BLOCK // len(temps))
-    loglik = np.empty((min(step, len(counts)), len(temps)))
+    loglik = np.empty((min(step, len(S)), len(temps)))
     terms = np.empty_like(loglik)
-    means = np.empty(len(counts))
-    with np.errstate(over="ignore"):  # each row checks its maximum
-        for start in range(0, len(counts), step):
-            rows = counts[start:start + step]
-            block, term = loglik[:len(rows)], terms[:len(rows)]
-            np.multiply(np.vecdot(rows, de)[:, None], basis, out=block)
-            np.multiply(rows.sum(axis=1)[:, None], logz, out=term)
+    means = np.empty(len(S))
+    with np.errstate(over="ignore"):  # each sample checks its maximum
+        for start in range(0, len(S), step):
+            stop = min(start + step, len(S))
+            block, term = loglik[:stop - start], terms[:stop - start]
+            np.multiply(S[start:stop, None], basis, out=block)
+            np.multiply(M[start:stop, None], logz, out=term)
             block -= term
             top = block.max(axis=1)
             if not np.isfinite(top).all():  # a sample impossible (likelihood 0) everywhere
@@ -435,9 +488,9 @@ def _posterior_means(grid, counts: np.ndarray, density: np.ndarray | None = None
             block -= top[:, None]
             np.exp(block, out=block)
             norm = np.vecdot(block, w)
-            np.divide(np.vecdot(block, wt), norm, out=means[start:start + len(rows)])
+            np.divide(np.vecdot(block, wt), norm, out=means[start:stop])
             if density is not None:
-                np.divide(block, norm[:, None], out=density[start:start + len(rows)])
+                np.divide(block, norm[:, None], out=density[start:stop])
     return means
 
 
@@ -452,16 +505,19 @@ def bayes_batch(
     The grid is built once. A row enters only through S = sum_n k_n (E_n - E_0) and its
     total M: its log-likelihood is -S/T - M ln Z'(T), less a constant, on the uniform grid
     (``grid_size`` >= ``MIN_GRID_SIZE`` points). It is shifted by its maximum before
-    exponentiation, and normalised and averaged with trapezoid weights. Rows go through
-    in blocks of at most ``BLOCK`` floats (2^14), so memory does not grow with the trial
-    count, and a row's mean has the same bits in any block. A row whose log-likelihood
-    has no finite maximum on the grid raises ValueError.
+    exponentiation, and normalised and averaged with trapezoid weights. Each distinct
+    (S, M) pair (:func:`_distinct`) takes one posterior, whose mean goes to every row with
+    it; no step mixes samples, so a row has the bits of its own posterior. Posteriors go
+    through in blocks of at most ``BLOCK`` floats (2^14), and past the float counts, which
+    are released once S and M are taken, memory is a few vectors per row. A row whose
+    log-likelihood has no finite maximum on the grid raises ValueError.
     """
     grid = _bayes_grid(spectrum, prior, grid_size)
-    counts = _counts_matrix(spectrum, counts)
-    means = _posterior_means(grid, counts)
+    S, M = _statistics(grid, spectrum, counts)
+    first, inverse = _distinct(S, M)
+    means = _posterior_means(grid, S[first], M[first])
     means *= grid[2]
-    return means
+    return means[inverse]
 
 
 def bayes_posterior(
@@ -475,8 +531,8 @@ def bayes_posterior(
     """
     temps, t, unit, *_ = grid = _bayes_grid(sample.spectrum, prior, grid_size)
     density = np.empty((1, grid_size))
-    counts = _counts_matrix(sample.spectrum, [sample.counts])
-    mean = float(_posterior_means(grid, counts, density)[0])
+    S, M = _statistics(grid, sample.spectrum, [sample.counts])
+    mean = float(_posterior_means(grid, S, M, density)[0])
     density = density[0]
     with np.errstate(over="ignore"):  # a density beyond the float range is inf
         sd = math.sqrt(max(float(np.trapezoid((t - mean) ** 2 * density, t)), 0.0))

@@ -5,8 +5,8 @@ reports are bitwise reproducible for a given config and trials could run
 in any order; the reduction below sums in trial order, which fixes
 the float accumulation order as well. A run draws every trial's counts
 into one (trials, levels) array and hands it to the batched estimators in
-:mod:`thermometry.estimation`: the MLE solves each distinct sample mean once,
-Bayes takes every row.
+:mod:`thermometry.estimation`, which estimate each distinct sufficient statistic
+once: the MLE each sample mean, Bayes each pair (S, M) of energy sum and shots.
 
 The sampling floor is reached in two steps, each bit for bit the same as
 the plain construction. Trial streams are built in bulk: the PCG64
@@ -273,10 +273,10 @@ def draw_counts(
     Inverse-CDF sampling: each uniform is placed among the cumulative
     occupations of all levels but the top one, so a uniform past every one
     of those boundaries lands in the top level, even where the cumulative
-    sum ends a few ulp below 1. Uniforms are drawn in blocks of at most
-    ``DRAW_CHUNK``: whole streams' draws side by side, or one stream's draw
-    in chunks, which continue the stream exactly as one draw would. A
-    stream is used up before the next is taken.
+    sum ends a few ulp below 1. Uniforms are drawn in place, into one reused
+    block of at most ``DRAW_CHUNK``: whole streams' draws side by side, or one
+    stream's draw in chunks, which continue the stream exactly as one draw
+    would. A stream is used up before the next is taken.
     """
     shots = at_least(integer(shots, "shots"), 1, "shots")
     cum = np.cumsum(gibbs_state(spectrum, T).probs)[:-1]
@@ -284,10 +284,11 @@ def draw_counts(
     rngs = iter(rngs)
     if shots > DRAW_CHUNK:
         rows = []
+        buffer = np.empty(DRAW_CHUNK)
         for rng in rngs:
             counts = np.zeros(n, dtype=np.int64)
             for start in range(0, shots, DRAW_CHUNK):
-                u = rng.random(min(DRAW_CHUNK, shots - start))
+                u = rng.random(out=buffer[:min(DRAW_CHUNK, shots - start)])
                 counts += _level_counts(u[None], cum)[0]
             rows.append(counts)
         return np.array(rows, dtype=np.int64).reshape(-1, n)
@@ -296,7 +297,7 @@ def draw_counts(
     while True:
         k = 0
         for k, rng in enumerate(itertools.islice(rngs, len(block)), 1):
-            block[k - 1] = rng.random(shots)
+            rng.random(out=block[k - 1])
         parts.append(_level_counts(block[:k], cum))
         if k < len(block):
             return np.concatenate(parts)
@@ -313,10 +314,11 @@ def draw_sample(
 def _estimate(cfg: ExperimentConfig, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Status and estimate of every count row by the configured estimator.
 
-    The MLE solves each distinct sample mean once (see :func:`mle_batch`). Bayes takes one
-    posterior per row, so on distinct rows its cost would follow how often rows repeat,
-    which varies severalfold with the spectrum and the seed; it takes every row, and a
-    run's cost depends only on its size.
+    Each estimator reads a row only through its sufficient statistic and estimates each
+    distinct one once: the MLE each sample mean (see :func:`mle_batch`), Bayes each pair
+    (S, M) (see :func:`bayes_batch`). Rows repeat more on a lattice spectrum and at fewer
+    shots, so a run's cost follows how often they do; without repeats the extra cost is
+    one sort of the statistics.
     """
     if cfg.estimator == BAYES:
         estimate = bayes_batch(cfg.spectrum, counts, cfg.effective_prior(), cfg.bayes_grid_size)
@@ -328,7 +330,7 @@ def run_experiment(cfg: ExperimentConfig) -> SaturationReport:
     """Run all trials and compare the mean squared error to the floor.
 
     One pass: the batched estimator gives every trial's status and estimate
-    (the MLE solves each distinct sample mean once, see ``_estimate``), the
+    (each distinct sufficient statistic once, see ``_estimate``), the
     policy reads the statuses, and the reduction works on the usable
     estimates as arrays. The error is the mean of
     (estimate - true T)^2 over usable trials, i.e. squared error about the
@@ -336,7 +338,9 @@ def run_experiment(cfg: ExperimentConfig) -> SaturationReport:
     ``ratio_stderr`` is the standard error of ``ratio`` as the mean of the
     per-trial values (estimate - true T)^2 / crb. Degenerate (boundary /
     non-invertible) trials are excluded and counted, or abort the run at
-    the first one in trial order, per the configured policy.
+    the first one in trial order, per the configured policy. A squared error
+    sum past the float range (estimates past about 1e154, as a Bayes prior
+    reaching that far allows) raises OverflowError.
     """
     T = cfg.true_temperature
     fisher = fisher_information(cfg.spectrum, T)
@@ -363,10 +367,14 @@ def run_experiment(cfg: ExperimentConfig) -> SaturationReport:
         raise DegenerateExperimentError(
             f"all {cfg.trials} trials were degenerate; no usable estimates"
         )
-    sq = (estimates - T) ** 2
-    # cumsum adds in trial order, as the serialized sums always have; np.sum is pairwise
-    mse = float(np.cumsum(sq)[-1]) / used
-    var_sq = float(np.var(sq, ddof=1)) if used > 1 else math.nan
+    with np.errstate(over="ignore"):  # an error past about 1e154 squares to inf
+        sq = (estimates - T) ** 2
+        # cumsum adds in trial order, as the serialized sums always have; np.sum is pairwise
+        mse = float(np.cumsum(sq)[-1]) / used
+    if math.isinf(mse):
+        raise OverflowError("empirical_mse is beyond the float range")
+    with np.errstate(over="ignore"):  # past about 1e154 a square's variance is inf
+        var_sq = float(np.var(sq, ddof=1)) if used > 1 else math.nan
     return SaturationReport(
         empirical_mse=mse,
         crb=crb,

@@ -393,6 +393,21 @@ def test_simulate_report_bytes_pinned(capsys, tmp_path, config, digest):
     assert _report_digest(out) == digest
 
 
+@pytest.mark.parametrize("top, code, err", [
+    (2.661268303156555e154, 3, "error: empirical_mse is beyond the float range\n"),
+    (2.9848569586298445e77, 0, ""),
+], ids=["mse", "variance"])
+def test_simulate_errors_squared_past_the_float_range(capsys, tmp_path, top, code, err):
+    # posterior means near 1e154 square past the float range, and near 1e77 their squares'
+    # variance does (ratio_stderr, which no report prints); neither may warn
+    config = {"spectrum": TWO_LEVEL_SPECTRUM, "true_temperature": 0.4, "shots_per_trial": 10,
+              "trials": 5, "seed": 0, "estimator": "bayes", "bayes_prior": [0.1, top],
+              "bayes_grid_size": 64}
+    path = tmp_path / "run.cfg"
+    path.write_text(json.dumps(config))
+    assert run_cli(capsys, "simulate", "--config", str(path))[::2] == (code, err)
+
+
 def test_sweep_csv_bytes_pinned(capsys, spectrum_file):
     code, out, _ = run_cli(
         capsys,
@@ -665,6 +680,29 @@ def test_estimate_counts_beyond_int64(capsys, tmp_path, spectrum_file, counts, s
     report = json.loads(out)
     assert report["status"] == status
     assert report["estimate"] == estimate
+
+
+def test_estimate_sum_past_the_float_range_stays_interior(capsys, tmp_path):
+    # M = 1.7e308 and mean 1.1, below the T -> inf mean 1.133: the energy sum 1.5 b passes
+    # the float range, so it is taken in units of 2, and the estimate is that of the same
+    # float counts scaled down by 2^900, whose sum is finite
+    spectrum = tmp_path / "three.json"
+    spectrum.write_text(json.dumps({"label": "three", "levels": [
+        {"energy": 0.0}, {"energy": 1.5}, {"energy": 1.9}]}))
+    M = 17 * 10**307
+    b = 11 * M // 15
+    reports = []
+    for counts in ([M - b, b, 0], [int(float(c) / 2.0**900) for c in (M - b, b, 0)]):
+        sample = tmp_path / "sample.json"
+        sample.write_text(json.dumps({"spectrum_label": "three", "counts": counts}))
+        code, out, err = run_cli(
+            capsys, "estimate", "--sample", str(sample), "--spectrum", str(spectrum)
+        )
+        assert (code, err) == (0, "")
+        reports.append(json.loads(out))
+    assert [r["status"] for r in reports] == ["interior", "interior"]
+    assert reports[0]["estimate"] == reports[1]["estimate"]
+    assert reports[0]["estimate"] == pytest.approx(20.2937684, rel=1e-8)
 
 
 def test_estimate_count_past_the_float_range_exits_3(capsys, tmp_path, spectrum_file):

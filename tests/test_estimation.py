@@ -31,6 +31,7 @@ from thermometry.estimation import (
     SCALAR_ROWS,
     _bisect,
     _counts_matrix,
+    _posterior_means,
     _scalar_walk,
     _solve,
     bayes_batch,
@@ -576,6 +577,55 @@ def test_bayes_batch_of_no_rows_is_empty():
     s = make_spectrum([(0.0, 1), (0.5, 2), (1.5, 1)])
     means = bayes_batch(s, np.zeros((0, 3), dtype=np.int64), (0.1, 5.0), 256)
     assert means.shape == (0,)
+
+
+def _counting_posteriors(monkeypatch):
+    """A list recording the number of samples of each posterior kernel call."""
+    calls = []
+
+    def kernel(grid, S, M, density=None):
+        calls.append(len(S))
+        return _posterior_means(grid, S, M, density)
+
+    monkeypatch.setattr(estimation, "_posterior_means", kernel)
+    return calls
+
+
+@pytest.mark.parametrize("counts, posteriors", [
+    ([[1, 0, 1], [0, 2, 0], [1, 0, 1]], 1),  # one (S, M) = (2, 2) from two count vectors
+    ([[1, 0, 1], [2, 0, 1], [0, 1, 0]], 3),  # S = 2 at M = 2 and 3, and S = 1 at M = 1
+], ids=["same-statistic", "same-S-other-M"])
+def test_bayes_batch_takes_one_posterior_per_distinct_statistic(monkeypatch, counts, posteriors):
+    s = make_spectrum([(0.0, 1), (1.0, 1), (2.0, 1)])
+    want = [bayes_posterior(SampleSet(spectrum=s, counts=tuple(row)), (0.2, 5.0), 256).mean
+            for row in counts]
+    calls = _counting_posteriors(monkeypatch)
+    means = bayes_batch(s, counts, (0.2, 5.0), 256)
+    assert calls == [posteriors]
+    assert means.tolist() == want
+    assert len(set(want)) == posteriors
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    multi_level_spectra(max_levels=6),
+    st.sampled_from([1, 5, 30, 1000]),
+    st.integers(min_value=1, max_value=120),
+    st.floats(min_value=0.1, max_value=3.0),
+    st.randoms(use_true_random=False),
+)
+def test_permuting_rows_permutes_the_estimates(s, shots, rows, scale, random):
+    # a row's status and estimates follow from its own statistic, wherever its duplicates
+    # sit: few shots give many repeated rows, many shots few
+    T = scale * s.spread
+    counts = np.random.default_rng(random.getrandbits(32)).multinomial(
+        shots, gibbs_state(s, T).probs, size=rows)
+    perm = np.array(random.sample(range(rows), rows))
+    prior = (T / 5.0, 5.0 * T)
+    means = bayes_batch(s, counts, prior, 128)
+    assert bayes_batch(s, counts[perm], prior, 128).tobytes() == means[perm].tobytes()
+    status, estimate = mle_batch(s, counts)
+    _same_bits(mle_batch(s, counts[perm]), (status[perm], estimate[perm]))
 
 
 @settings(max_examples=40, deadline=None)

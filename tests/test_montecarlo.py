@@ -123,9 +123,10 @@ def test_chunked_draw_equals_one_shot_draw():
 
 
 def test_uniform_past_a_cumulative_sum_below_one_lands_in_the_top_level():
-    class LargestUniform:
-        def random(self, k):
-            return np.full(k, 1.0 - 2.0**-53)
+    class LargestUniform:  # draw_counts draws in place, as Generator.random(out=...) does
+        def random(self, out):
+            out.fill(1.0 - 2.0**-53)
+            return out
 
     s = make_spectrum([(e, 1) for e in (0.05, 0.12, 0.81, 1.82, 1.91, 2.19, 2.44, 2.74)])
     T = 2.946
