@@ -42,6 +42,7 @@ __all__ = [
     "TuneResult",
     "two_level_factor",
     "three_level_factor",
+    "three_level_factor_grid",
     "three_level_factor_diagonal",
     "minimize_two_level_factor",
     "minimize_three_level_factor",
@@ -93,29 +94,76 @@ def three_level_factor(x: float, y: float) -> float:
         (x-y)^2 e^{-x-y} + x^2 e^{-x} + y^2 e^{-y}
 
     which involves only non-positive exponents and is exact for x, y up
-    to 700. The denominator is algebraically positive for x, y > 0; it
-    can only vanish by underflow (x, y beyond ~745), which is reported
-    as an explicit error rather than returned as inf/NaN.
+    to 700. A term whose exponential underflows to 0 adds 0, so for any
+    finite x beyond ~745 the factor is that of the other terms
+    (algebraically the two-level factor in y). The denominator is
+    algebraically positive for x, y > 0; it can only vanish where every
+    term underflows (x and y both beyond ~745, or both below ~1e-162),
+    which raises ValueError naming x and y rather than returning NaN. A
+    subnormal denominator can leave the factor past the float range,
+    where it saturates to ``inf``.
     """
-    x = positive(x, "x")
-    y = positive(y, "y")
-    ex = math.exp(-x)
-    ey = math.exp(-y)
-    num = (1.0 + ex + ey) ** 2
-    den = (x - y) ** 2 * (ex * ey) + x * x * ex + y * y * ey
-    if den == 0.0:
-        raise ValueError(
-            f"three-level factor denominator vanished (underflow) at x={x!r}, y={y!r}"
-        )
-    return num / den
+    return _three_level_grid([positive(x, "x")], [positive(y, "y")])[0][0]
+
+
+def three_level_factor_grid(xs: Sequence[float], ys: Sequence[float]) -> list[list[float]]:
+    """``[[three_level_factor(x, y) for y in ys] for x in xs]``: the same bits, or the same error.
+
+    Each value is checked, and its e^{-v} taken, once rather than once per cell. A value
+    that is not a float in (0, inf) sends the whole grid through ``three_level_factor``
+    cell by cell, so the first error is the one that names it.
+    """
+    if all(type(v) is float and 0.0 < v < math.inf for v in (*xs, *ys)):
+        return _three_level_grid(xs, ys)
+    return [[three_level_factor(x, y) for y in ys] for x in xs]
+
+
+def _three_level_grid(xs: Sequence[float], ys: Sequence[float]) -> list[list[float]]:
+    """``three_level_factor`` on the grid xs x ys, every value a float in (0, inf).
+
+    e^{-v} and the term v^2 e^{-v} of each value are taken once (``_point``). A term whose
+    exponential is 0 adds 0 and is not formed, so no square overflows into inf * 0.
+    """
+    cols = list(map(_point, ys))
+    rows = []
+    for x, ex, x_term in map(_point, xs):
+        one_ex = 1.0 + ex
+        row = []
+        for y, ey, y_term in cols:
+            exy = ex * ey
+            den = ((x - y) ** 2 * exy if exy else 0.0) + x_term + y_term
+            if den == 0.0:
+                raise ValueError(
+                    f"three-level factor denominator vanished (underflow) at x={x!r}, y={y!r}"
+                )
+            row.append((one_ex + ey) ** 2 / den)
+        rows.append(row)
+    return rows
+
+
+def _point(v: float) -> tuple[float, float, float]:
+    """v, e^{-v} and the term v^2 e^{-v}: 0 where e^{-v} is, so v^2 cannot overflow into inf * 0."""
+    e = math.exp(-v)
+    return v, e, v * v * e if e else 0.0
 
 
 def three_level_factor_diagonal(x: float) -> float:
-    """Closed form (2 + e^x)^2 / (2 x^2 e^x) on the diagonal; inf where x^2 underflows."""
+    """Closed form (2 + e^x)^2 / (2 x^2 e^x) on the diagonal.
+
+    Where e^x overflows, the e^x / (2 x^2) branch is used (relative error ~ 4 e^{-x}); if
+    even that exceeds the float64 range, or x^2 underflows to 0, the factor saturates to
+    ``inf``.
+    """
     x = positive(x, "x")
-    half = math.exp(0.5 * x) if x < 1400.0 else math.inf
     den = 2.0 * x * x
-    return (2.0 / half + half) ** 2 / den if den > 0.0 else math.inf
+    if den == 0.0:
+        return math.inf
+    try:
+        half = math.exp(0.5 * x)
+        return (2.0 / half + half) ** 2 / den
+    except OverflowError:  # e^x is past the float range, from x ~ 709.8 on
+        t = x - math.log(2.0) - 2.0 * math.log(x)
+        return math.exp(t) if t < 709.0 else math.inf
 
 
 def _brentq(

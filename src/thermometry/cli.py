@@ -21,7 +21,7 @@ from .bounds import (
     family_from_dict,
     minimize_three_level_factor,
     minimize_two_level_factor,
-    three_level_factor,
+    three_level_factor_grid,
     tune_gap,
     two_level_factor,
 )
@@ -138,9 +138,10 @@ def _cmd_hfun(args) -> str:
         f"# x and y from {args.min!r} to {args.max!r} step {args.step!r}",
         "x,y,h",
     ]
-    for x in axis:
-        for y in axis:
-            lines.append(f"{x!r},{y!r},{three_level_factor(x, y)!r}")
+    texts = [repr(x) for x in axis]
+    for tx, row in zip(texts, three_level_factor_grid(axis, axis)):
+        for ty, h in zip(texts, row):
+            lines.append(f"{tx},{ty},{h!r}")
     return "\n".join(lines) + "\n"
 
 

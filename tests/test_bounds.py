@@ -19,6 +19,7 @@ from thermometry import (
     minimize_two_level_factor,
     three_level_factor,
     three_level_factor_diagonal,
+    three_level_factor_grid,
     tune_gap,
     two_level_crb,
     two_level_factor,
@@ -138,12 +139,43 @@ def test_three_level_factor_stable_to_700():
 def test_three_level_factor_underflow_reported():
     with pytest.raises(ValueError, match="denominator"):
         three_level_factor(800.0, 800.0)
+    # every term underflows, also where x^2 or (x - y)^2 is past the float range
+    for x, y in [(1e160, 1e160), (1e200, 2e200), (1e-170, 1e160)]:
+        with pytest.raises(ValueError) as info:
+            three_level_factor(x, y)
+        assert str(info.value) == (
+            f"three-level factor denominator vanished (underflow) at x={x!r}, y={y!r}"
+        )
 
 
 @pytest.mark.parametrize("x,y", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (math.nan, 1.0)])
 def test_three_level_factor_rejects(x, y):
     with pytest.raises(ValueError):
         three_level_factor(x, y)
+
+
+@pytest.mark.parametrize("x,y", [(1e160, 5.0), (5.0, 1e160), (1e200, 5.0), (1.7e308, 5.0)])
+def test_three_level_factor_past_the_square_range(x, y):
+    # the terms carrying e^{-x} = 0 add 0, as for 745 < x < 1e154, also where x^2 and
+    # (x - y)^2 are past the float range
+    assert three_level_factor(x, y) == three_level_factor(800.0, 5.0) == 6.016795881983026
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(min_value=1e-3, max_value=60.0) | st.floats(), min_size=1, max_size=5),
+    st.lists(st.floats(min_value=1e-3, max_value=60.0) | st.floats(), min_size=1, max_size=5),
+)
+def test_three_level_factor_grid_is_the_factor_cell_by_cell(xs, ys):
+    # the same bits, or the same first error (a bad value, or an underflow)
+    try:
+        expected = [[three_level_factor(x, y) for y in ys] for x in xs]
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            three_level_factor_grid(xs, ys)
+        assert str(info.value) == str(exc)
+    else:
+        assert repr(three_level_factor_grid(xs, ys)) == repr(expected)
 
 
 def test_diagonal_closed_form():
@@ -154,6 +186,18 @@ def test_diagonal_closed_form():
     assert three_level_factor_diagonal(2.66) == pytest.approx(
         (2 + math.exp(2.66)) ** 2 / (2 * 2.66**2 * math.exp(2.66)), rel=1e-13
     )
+
+
+def test_diagonal_past_the_exponential_range():
+    # e^x overflows from x ~ 709.8, where e^x / (2 x^2) takes over; past the float range the
+    # factor is inf, also from x ~ 1.3e154 on, where 2 x^2 is inf too
+    assert three_level_factor_diagonal(709.0) == 8.174575388322787e301  # the closed form's bits
+    x = 711.0
+    assert three_level_factor_diagonal(x) == pytest.approx(
+        math.exp(x - math.log(2.0 * x * x)), rel=1e-13
+    )
+    for x in (800.0, 1399.0, 1400.0, 1e154, 1e200, 1.7e308):
+        assert three_level_factor_diagonal(x) == math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,14 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from _strategies import spectra, temperatures
-from thermometry import GENERATOR_ID, cli, make_spectrum, save_spectrum, two_level_factor
+from thermometry import (
+    GENERATOR_ID,
+    cli,
+    make_spectrum,
+    save_spectrum,
+    three_level_factor,
+    two_level_factor,
+)
 from thermometry.cli import main
 
 BUNDLED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "saturation_x24.cfg"
@@ -107,6 +115,77 @@ def test_bound_report_bytes_pinned(capsys, tmp_path):
     assert len(json.loads(out)["sld_eigenvalues"]) == 211
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "6191f2c811bed6bb7c2c01d463a61b32f7a6cb61fb40fc582b1fbde48d13dc40"
+    )
+
+
+def _tied_levels():
+    # 2000 levels on a 2^-14 lattice, 100 exact repeats and 100 near-ties: 50 within the
+    # merge tolerance (1e-12 of the spread, about 6.4e-11), 50 kept as levels 2e-10 apart
+    rng = random.Random(22)
+    energies = [rng.randrange(2**20) / 2**14 for _ in range(2000)]
+    energies += rng.sample(energies, 100)
+    near = rng.sample(energies, 100)
+    energies += [e + 5e-12 for e in near[:50]] + [e + 2e-10 for e in near[50:]]
+    return [{"energy": e, "degeneracy": 1 + rng.randrange(3)} for e in energies]
+
+
+@pytest.mark.parametrize("order", ["drawn", "sorted"])
+def test_bound_report_with_ties_bytes_pinned(capsys, tmp_path, order):
+    # the digest is that of the report the per-level loop wrote; the input order changes
+    # nothing once levels are merged
+    levels = _tied_levels()
+    if order == "sorted":
+        levels.sort(key=lambda level: level["energy"])
+    path = tmp_path / "tied.json"
+    path.write_text(json.dumps({"label": "tied", "levels": levels}))
+    code, out, _ = run_cli(capsys, "bound", "--spectrum", str(path), "-T", "3.0", "-M", "77")
+    assert code == 0
+    assert len(json.loads(out)["sld_eigenvalues"]) == 2050
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "917c89341c5636988766c3c60b8656b5bfd2f8616461d4988a6d7af1694e51ec"
+    )
+
+
+NOT_A_LEVEL = "levels[{i}] must be an object with an 'energy' field"
+# one bad level of each kind: its exit code and message, with {i} for its index
+LEVEL_FAULTS = [
+    ([0.5], 2, NOT_A_LEVEL),
+    ("level", 2, NOT_A_LEVEL),
+    (None, 2, NOT_A_LEVEL),
+    ({"degeneracy": 2}, 2, NOT_A_LEVEL),
+    ({"energy": "0.5"}, 2, "levels[{i}].energy must be a number, got '0.5'"),
+    ({"energy": None}, 2, "levels[{i}].energy must be a number, got None"),
+    ({"energy": True}, 2, "levels[{i}].energy must be a number, got True"),
+    ({"energy": 10**400}, 3, "levels[{i}].energy is beyond the float range"),
+    ({"energy": 0.5, "degeneracy": 2.0}, 2, "levels[{i}].degeneracy must be an integer, got 2.0"),
+    ({"energy": 0.5, "degeneracy": None}, 2,
+     "levels[{i}].degeneracy must be an integer, got None"),
+    ({"energy": 0.5, "degeneracy": False}, 2,
+     "levels[{i}].degeneracy must be an integer, got False"),
+    ({"energy": math.inf}, 2, "invalid spectrum: energy must be finite, got inf"),
+    ({"energy": math.nan}, 2, "invalid spectrum: energy must be finite, got nan"),
+    ({"energy": 0.5, "degeneracy": 0}, 2, "invalid spectrum: multiplicity must be >= 1, got 0"),
+]
+# valid levels: float or int energies, with or without a degeneracy
+_valid_levels = st.builds(
+    lambda e, as_int, m: {"energy": e if as_int else e / 4} | ({"degeneracy": m} if m else {}),
+    st.integers(-40, 40), st.booleans(), st.integers(0, 3),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_valid_levels, min_size=1, max_size=40), st.data())
+def test_one_bad_level_is_named_whatever_its_neighbours(capsys, tmp_path, levels, data):
+    # levels read in one pass fall back to one at a time at the first doubt, so one bad level
+    # anywhere gives the per-level message and exit code
+    i = data.draw(st.integers(0, len(levels) - 1))
+    level, code, message = data.draw(st.sampled_from(LEVEL_FAULTS))
+    levels[i] = level
+    path = tmp_path / "spectrum.json"
+    path.write_text(json.dumps({"label": "one-bad", "levels": levels}))
+    assert run_cli(capsys, "bound", "--spectrum", str(path), "-T", "1.0") == (
+        code, "", f"error: {message.format(i=i)}\n"
     )
 
 
@@ -228,6 +307,35 @@ def test_hfun_grid(capsys):
     assert xm == pytest.approx(2.65, abs=0.001)
     assert ym == pytest.approx(2.65, abs=0.001)
     assert hm == pytest.approx(1.3127, abs=1e-3)
+
+
+def test_hfun_round_trips_losslessly(capsys):
+    code, out, _ = run_cli(capsys, "hfun", "--min", "0.05", "--max", "12", "--step", "0.35")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 35 * 35
+    for x_text, y_text, h_text in rows:
+        assert float(h_text) == three_level_factor(float(x_text), float(y_text))
+
+
+def test_hfun_default_grid_bytes_pinned(capsys):
+    code, out, _ = run_cli(capsys, "hfun")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "40051217c5a586e704b91a496e91502024eeb8b4731edff1b91f58e56f567322"
+    )
+
+
+@pytest.mark.parametrize("lo, hi, step, x", [
+    ("1e160", "1.000001e160", "5e153", "1e+160"),
+    ("1e200", "2e200", "5e199", "1e+200"),
+])
+def test_hfun_past_the_square_range_names_the_vanishing_cell(capsys, lo, hi, step, x):
+    # every term of the first cell's denominator underflows, though x^2 and (x - y)^2 are
+    # past the float range: the terms are not formed
+    code, out, err = run_cli(capsys, "hfun", "--min", lo, "--max", hi, "--step", step)
+    assert (code, out) == (3, "")
+    assert err == f"error: three-level factor denominator vanished (underflow) at x={x}, y={x}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1040,6 +1148,8 @@ def test_numeric_flags_exit_cleanly(capsys, tmp_path, spectrum_file, command, da
     out, err = capsys.readouterr()
     assert code in (0, 2, 3, 4)
     assert "NaN" not in out
+    if command in ("gfun", "hfun"):  # CSV writes repr, and a NaN's is "nan"
+        assert "nan" not in out
     if code:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     else:

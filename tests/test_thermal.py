@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from _strategies import multi_level_spectra, spectra, temperatures
@@ -310,15 +310,28 @@ def test_mean_energy_increases_with_temperature(s):
 
 @settings(max_examples=100, deadline=None)
 @given(spectra(), temperatures(0.1, 100.0), st.floats(-50.0, 50.0))
+@example(make_spectrum([(0.01, 1), (0.02, 1)]), 1.0, 32.0)
 def test_ground_shift_invariance(s, T, c):
+    # the shift itself rounds (32.02 - 32.01 is 0.00999999999999801, so the variance
+    # moves by 1e-12), so the shifted spectrum is compared with the spectrum of its own
+    # float gaps, as test_fisher_report_of_a_shifted_spectrum_is_that_of_its_gaps does
     shifted = make_spectrum(
         [(e + c, m) for e, m in zip(s.energies, s.multiplicities)]
     )
-    st_a, st_b = gibbs_state(s, T), gibbs_state(shifted, T)
+    gaps = make_spectrum(zip(shifted.gaps, shifted.multiplicities))
+    assume(gaps.energies == shifted.gaps)  # the merge may group rounded gaps differently
+    st_a, st_b = gibbs_state(gaps, T), gibbs_state(shifted, T)
     assert st_b.probs == pytest.approx(st_a.probs, rel=1e-12)
     assert energy_variance(st_b) == pytest.approx(energy_variance(st_a), rel=1e-12, abs=1e-300)
-    assert specific_heat(shifted, T) == pytest.approx(specific_heat(s, T), rel=1e-12, abs=1e-300)
-    assert mean_energy(st_b) - mean_energy(st_a) == pytest.approx(c, abs=1e-12 * max(1.0, abs(c)))
+    assert specific_heat(shifted, T) == pytest.approx(
+        specific_heat(gaps, T), rel=1e-12, abs=1e-300
+    )
+    assert mean_energy(st_b) - mean_energy(st_a) == pytest.approx(
+        shifted.ground_energy, abs=1e-12 * max(1.0, abs(c))
+    )
+    assert mean_energy(st_b) - mean_energy(gibbs_state(s, T)) == pytest.approx(
+        c, abs=1e-12 * max(1.0, abs(c))
+    )
 
 
 @pytest.mark.parametrize("T", [1e-6, 1.0, 1e9])
@@ -461,6 +474,38 @@ def test_non_float_numbers_load_like_floats():
     ]})
     assert loaded == plain
     assert all(type(m) is int for m in loaded.multiplicities)
+
+
+_ENERGY_KINDS = {"float": lambda k: k / 4, "int": int, "np.float64": lambda k: np.float64(k / 4)}
+_DEGENERACY_KINDS = {"int": int, "np.int64": np.int64, "missing": None}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(
+    st.tuples(st.integers(-40, 40), st.sampled_from(sorted(_ENERGY_KINDS)),
+              st.integers(1, 3), st.sampled_from(sorted(_DEGENERACY_KINDS))),
+    min_size=1, max_size=30,
+))
+def test_mixed_valid_levels_give_the_spectrum_of_their_values(draws):
+    # a level read in one pass or one at a time is the same level
+    levels, pairs = [], []
+    for k, energy_kind, m, degeneracy_kind in draws:
+        energy = _ENERGY_KINDS[energy_kind](k)
+        level = {"energy": energy}
+        if degeneracy_kind == "missing":
+            m = 1
+        else:
+            level["degeneracy"] = _DEGENERACY_KINDS[degeneracy_kind](m)
+        levels.append(level)
+        pairs.append((float(energy), m))
+    expected = make_spectrum(pairs, label="mixed")
+    plain = [{"energy": e, "degeneracy": m} for e, m in pairs]
+    for spectrum in (spectrum_from_dict({"label": "mixed", "levels": levels}),
+                     spectrum_from_dict({"label": "mixed", "levels": plain})):
+        assert spectrum == expected
+        assert [e.hex() for e in spectrum.energies] == [e.hex() for e in expected.energies]
+        assert all(type(e) is float for e in spectrum.energies)
+        assert all(type(m) is int for m in spectrum.multiplicities)
 
 
 @pytest.mark.parametrize(
