@@ -5,10 +5,11 @@ temperature estimator is floored by T^2 * f2(D/T) with
 f2(x) = 2 (1 + cosh x) / x^2; a three-level system with gaps D1 <= D2 is
 floored by T^2 * f3(D1/T, D2/T). Both factors are evaluated with the
 largest exponent factored out so they stay finite for arguments up to
-several hundred. ``tune_gap`` minimizes the two-level floor over an
-external control parameter that moves the gap: the gap is monotone
-between given breaks, so the optimum is a root of gap = x_m T on some
-piece or a break.
+several hundred. A factor or floor past the float range is ``inf``; an
+argument that is not finite and > 0 is a ValueError. ``tune_gap``
+minimizes the two-level floor over an external control parameter that
+moves the gap: the gap is monotone between given breaks, so the optimum
+is a root of gap = x_m T on some piece or a break.
 
 Brent's root finder and the PCHIP interpolant of table families are ported
 from scipy (``scipy.optimize.brentq`` and ``scipy.interpolate.PchipInterpolator``)
@@ -21,6 +22,7 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,7 +45,6 @@ __all__ = [
     "two_level_factor",
     "three_level_factor",
     "three_level_factor_grid",
-    "three_level_factor_diagonal",
     "minimize_two_level_factor",
     "minimize_three_level_factor",
     "two_level_crb",
@@ -70,100 +71,68 @@ def two_level_factor(x: float) -> float:
     """Two-level bound factor 2 (1 + cosh x) / x^2 at x = gap/T.
 
     Diverges as 4/x^2 for x -> 0 and as e^x/x^2 for x -> infinity. Above
-    x = 700 the e^x/x^2 branch is used (relative error ~ 2 e^{-x}); if even
-    that exceeds the float64 range, or x^2 underflows to 0, the factor
-    saturates to ``inf``.
+    x = 700 the e^x/x^2 branch is used (relative error ~ 2 e^{-x}). A factor
+    past the float range (e^x/x^2 overflows, or x^2 underflows to 0) is ``inf``.
     """
     x = positive(x, "x")
     if x > _ASYMPTOTIC_X:
-        t = x - 2.0 * math.log(x)
-        return math.exp(t) if t < 709.0 else math.inf
+        try:
+            return math.exp(x - 2.0 * math.log(x))
+        except OverflowError:
+            return math.inf
     x2 = x * x
     return 2.0 * (1.0 + math.cosh(x)) / x2 if x2 > 0.0 else math.inf
 
 
 def three_level_factor(x: float, y: float) -> float:
-    """Three-level bound factor at x = gap1/T, y = gap2/T.
+    """Three-level bound factor at x = gap1/T, y = gap2/T: the one cell of its grid.
 
-    Equals e^{-x-y} (e^x + e^y + e^{x+y})^2 /
-    ((1+e^y) x^2 - 2xy + (1+e^x) y^2), evaluated here with e^{x+y}
-    factored out of numerator and denominator:
+    Equals e^{-x-y} (e^x + e^y + e^{x+y})^2 / ((1+e^y) x^2 - 2xy + (1+e^x) y^2), and
+    (2 + e^x)^2 / (2 x^2 e^x) on the diagonal. It is evaluated with e^{x+y} factored out:
 
         (1 + e^{-x} + e^{-y})^2
         ------------------------------------------
         (x-y)^2 e^{-x-y} + x^2 e^{-x} + y^2 e^{-y}
 
-    which involves only non-positive exponents and is exact for x, y up
-    to 700. A term whose exponential underflows to 0 adds 0, so for any
-    finite x beyond ~745 the factor is that of the other terms
-    (algebraically the two-level factor in y). The denominator is
-    algebraically positive for x, y > 0; it can only vanish where every
-    term underflows (x and y both beyond ~745, or both below ~1e-162),
-    which raises ValueError naming x and y rather than returning NaN. A
-    subnormal denominator can leave the factor past the float range,
-    where it saturates to ``inf``.
+    which involves only non-positive exponents and is exact for x, y up to 700. A term
+    whose exponential underflows to 0 adds 0, so for any finite x beyond ~745 the factor
+    is that of the other terms (algebraically the two-level factor in y). A factor past
+    the float range is ``inf``, also where every term underflows (x and y both beyond
+    ~745, or both below ~1e-162): the true denominator is then below ~1e-322 and the
+    numerator at least 1.
     """
-    return _three_level_grid([positive(x, "x")], [positive(y, "y")])[0][0]
+    return three_level_factor_grid([x], [y])[0][0]
 
 
 def three_level_factor_grid(xs: Sequence[float], ys: Sequence[float]) -> list[list[float]]:
     """``[[three_level_factor(x, y) for y in ys] for x in xs]``: the same bits, or the same error.
 
-    Each value is checked, and its e^{-v} taken, once rather than once per cell. A value
-    that is not a float in (0, inf) sends the whole grid through ``three_level_factor``
-    cell by cell, so the first error is the one that names it.
+    Each value is checked, and its e^{-v} and term v^2 e^{-v} taken (``_point``), once
+    rather than once per cell, in the order the cells reach it: x0, every y, the other x.
+    A term whose exponential is 0 adds 0 and is not formed, so no square overflows.
     """
-    if all(type(v) is float and 0.0 < v < math.inf for v in (*xs, *ys)):
-        return _three_level_grid(xs, ys)
-    return [[three_level_factor(x, y) for y in ys] for x in xs]
-
-
-def _three_level_grid(xs: Sequence[float], ys: Sequence[float]) -> list[list[float]]:
-    """``three_level_factor`` on the grid xs x ys, every value a float in (0, inf).
-
-    e^{-v} and the term v^2 e^{-v} of each value are taken once (``_point``). A term whose
-    exponential is 0 adds 0 and is not formed, so no square overflows into inf * 0.
-    """
-    cols = list(map(_point, ys))
+    if not len(ys):  # no cell, so no value is checked
+        return [[] for _ in xs]
+    cols = None
     rows = []
-    for x, ex, x_term in map(_point, xs):
+    for x, ex, x_term in map(_point, xs, repeat("x")):
+        if cols is None:  # the first cell checks x before y
+            cols = [_point(y, "y") for y in ys]
         one_ex = 1.0 + ex
         row = []
         for y, ey, y_term in cols:
             exy = ex * ey
             den = ((x - y) ** 2 * exy if exy else 0.0) + x_term + y_term
-            if den == 0.0:
-                raise ValueError(
-                    f"three-level factor denominator vanished (underflow) at x={x!r}, y={y!r}"
-                )
-            row.append((one_ex + ey) ** 2 / den)
+            row.append((one_ex + ey) ** 2 / den if den else math.inf)
         rows.append(row)
     return rows
 
 
-def _point(v: float) -> tuple[float, float, float]:
-    """v, e^{-v} and the term v^2 e^{-v}: 0 where e^{-v} is, so v^2 cannot overflow into inf * 0."""
+def _point(v: float, name: str) -> tuple[float, float, float]:
+    """v checked as ``name``, e^{-v}, and the term v^2 e^{-v}: 0 where e^{-v} is."""
+    v = positive(v, name)
     e = math.exp(-v)
     return v, e, v * v * e if e else 0.0
-
-
-def three_level_factor_diagonal(x: float) -> float:
-    """Closed form (2 + e^x)^2 / (2 x^2 e^x) on the diagonal.
-
-    Where e^x overflows, the e^x / (2 x^2) branch is used (relative error ~ 4 e^{-x}); if
-    even that exceeds the float64 range, or x^2 underflows to 0, the factor saturates to
-    ``inf``.
-    """
-    x = positive(x, "x")
-    den = 2.0 * x * x
-    if den == 0.0:
-        return math.inf
-    try:
-        half = math.exp(0.5 * x)
-        return (2.0 / half + half) ** 2 / den
-    except OverflowError:  # e^x is past the float range, from x ~ 709.8 on
-        t = x - math.log(2.0) - 2.0 * math.log(x)
-        return math.exp(t) if t < 709.0 else math.inf
 
 
 def _brentq(
@@ -300,7 +269,9 @@ def two_level_crb(T: float, gap: float) -> float | _Unbounded:
     """Single-shot variance floor T^2 * f2(gap/T) for a two-level system.
 
     A zero gap carries no temperature information, so the floor is
-    :data:`UNBOUNDED` there (the factor diverges as 4/x^2).
+    :data:`UNBOUNDED` there (the factor diverges as 4/x^2). A floor past the
+    float range is ``inf``, also where gap/T leaves (0, inf): the factor is
+    then past it too.
     """
     T = positive(T, "temperature")
     gap = float(gap)
@@ -308,7 +279,8 @@ def two_level_crb(T: float, gap: float) -> float | _Unbounded:
         raise ValueError(f"gap must be finite and >= 0, got {gap!r}")
     if gap == 0.0:
         return UNBOUNDED
-    return temperature_power(T, 2) * two_level_factor(gap / T)
+    x = gap / T
+    return temperature_power(T, 2) * (two_level_factor(x) if 0.0 < x < math.inf else math.inf)
 
 
 def gapped_divergence_factor(T: float, gap: float) -> float:
@@ -504,7 +476,7 @@ def tune_gap(family: GapFamily, T: float) -> TuneResult:
 
     def bound(lam: float) -> float:
         gap = family.gap_at(lam)
-        return T * T * two_level_factor(gap / T) if gap > 0.0 else math.inf
+        return two_level_crb(T, gap) if gap > 0.0 else math.inf
 
     def excess(lam: float) -> float:
         return family.gap_at(lam) - target

@@ -92,7 +92,10 @@ def _axis(args) -> list[float]:
     step = positive(args.step, "--step")
     if step > hi - lo:
         raise ValueError(f"--step {step!r} exceeds the range [{lo!r}, {hi!r}]")
-    n = int(math.floor((hi - lo) / step + 1e-9))
+    span = (hi - lo) / step
+    if not math.isfinite(span):
+        raise ValueError(f"--step {step!r} gives no finite point count on [{lo!r}, {hi!r}]")
+    n = int(math.floor(span + 1e-9))
     return [lo + i * step for i in range(n + 1)]
 
 

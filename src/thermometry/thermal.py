@@ -50,9 +50,6 @@ __all__ = [
 # treated as one degenerate level; avoids spurious near-zero gaps from noisy
 # input. The spread, unlike |E|, does not change when every energy is shifted.
 MERGE_RTOL = 1e-12
-# From this many levels on, spectrum_from_dict reads the levels in one pass over each field;
-# below it the per-level loop is cheaper (a fixed 0.8 us against 0.12 us a level).
-_BULK_LEVELS = 12
 
 
 @dataclass(frozen=True)
@@ -297,14 +294,12 @@ def spectrum_from_dict(data: dict) -> Spectrum:
     if not isinstance(raw_levels, list) or not raw_levels:
         raise InputFormatError("'levels' must be a non-empty array")
     n = len(raw_levels)
-    bulk = False
-    if n >= _BULK_LEVELS:  # taken if every energy is a float and every degeneracy an int
-        try:
-            energies = list(map(dict.get, raw_levels, repeat("energy")))
-            mults = list(map(dict.get, raw_levels, repeat("degeneracy"), repeat(1)))
-            bulk = countOf(map(type, energies), float) == n and countOf(map(type, mults), int) == n
-        except TypeError:  # a level that is not an object
-            pass
+    try:  # one pass over each field, kept if every energy is a float and every degeneracy an int
+        energies = list(map(dict.get, raw_levels, repeat("energy")))
+        mults = list(map(dict.get, raw_levels, repeat("degeneracy"), repeat(1)))
+        bulk = countOf(map(type, energies), float) == n and countOf(map(type, mults), int) == n
+    except TypeError:  # a level that is not an object
+        bulk = False
     if not bulk:  # one level at a time: convert each, or name the first at fault
         energies, mults = [], []
         for i, entry in enumerate(raw_levels):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq, minimize_scalar
@@ -18,7 +18,6 @@ from thermometry import (
     minimize_three_level_factor,
     minimize_two_level_factor,
     three_level_factor,
-    three_level_factor_diagonal,
     three_level_factor_grid,
     tune_gap,
     two_level_crb,
@@ -49,6 +48,17 @@ def naive_three_level_factor(x, y):
     return num / den
 
 
+def diagonal_closed_form(x):
+    """(2 + e^x)^2 / (2 x^2 e^x) as (2 e^{-x/2} + e^{x/2})^2 / (2 x^2), finite for x <= 700.
+
+    ``inf`` where 2 x^2 underflows to 0, below x ~ 1e-162: the factor is past the float
+    range there.
+    """
+    half = math.exp(0.5 * x)
+    den = 2.0 * x * x
+    return (2.0 / half + half) ** 2 / den if den else math.inf
+
+
 # ---------------------------------------------------------------------------
 # two-level factor
 # ---------------------------------------------------------------------------
@@ -70,7 +80,7 @@ def test_two_level_factor_small_x_law():
     # 4/x^2 beyond the float range: saturate, also where x^2 underflows to 0
     assert math.isinf(two_level_factor(1e-160))
     assert math.isinf(two_level_factor(1e-200))
-    assert math.isinf(three_level_factor_diagonal(1e-200))
+    assert math.isinf(three_level_factor(1e-200, 1e-200))
 
 
 def test_two_level_factor_large_x_law():
@@ -86,6 +96,8 @@ def test_two_level_factor_asymptotic_branch():
         math.exp(699.9 - 2 * math.log(699.9)), rel=1e-12
     )
     assert math.isfinite(two_level_factor(720.0))
+    # inf only where e^{x - 2 ln x} itself overflows
+    assert two_level_factor(722.5) == 1.1483848970269577e308
     assert math.isinf(two_level_factor(760.0))
 
 
@@ -137,15 +149,10 @@ def test_three_level_factor_stable_to_700():
 
 
 def test_three_level_factor_underflow_reported():
-    with pytest.raises(ValueError, match="denominator"):
-        three_level_factor(800.0, 800.0)
-    # every term underflows, also where x^2 or (x - y)^2 is past the float range
-    for x, y in [(1e160, 1e160), (1e200, 2e200), (1e-170, 1e160)]:
-        with pytest.raises(ValueError) as info:
-            three_level_factor(x, y)
-        assert str(info.value) == (
-            f"three-level factor denominator vanished (underflow) at x={x!r}, y={y!r}"
-        )
+    # every term of the denominator underflows, also where x^2 or (x - y)^2 is past the
+    # float range: the true denominator is below ~1e-322, so the factor is past the range
+    for x, y in [(800.0, 800.0), (1e160, 1e160), (1e200, 2e200), (1e-170, 1e160)]:
+        assert three_level_factor(x, y) == math.inf
 
 
 @pytest.mark.parametrize("x,y", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (math.nan, 1.0)])
@@ -161,13 +168,22 @@ def test_three_level_factor_past_the_square_range(x, y):
     assert three_level_factor(x, y) == three_level_factor(800.0, 5.0) == 6.016795881983026
 
 
+# axis values: floats in range or not, and the ints and numpy floats the grid reads as floats
+AXIS_VALUES = (
+    st.floats(min_value=1e-3, max_value=60.0)
+    | st.floats()
+    | st.integers(-2, 60)
+    | st.floats().map(np.float64)
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(st.floats(min_value=1e-3, max_value=60.0) | st.floats(), min_size=1, max_size=5),
-    st.lists(st.floats(min_value=1e-3, max_value=60.0) | st.floats(), min_size=1, max_size=5),
+    st.lists(AXIS_VALUES, max_size=5),
+    st.lists(AXIS_VALUES, max_size=5),
 )
 def test_three_level_factor_grid_is_the_factor_cell_by_cell(xs, ys):
-    # the same bits, or the same first error (a bad value, or an underflow)
+    # the same bits, or the same first error (a bad value)
     try:
         expected = [[three_level_factor(x, y) for y in ys] for x in xs]
     except ValueError as exc:
@@ -180,24 +196,43 @@ def test_three_level_factor_grid_is_the_factor_cell_by_cell(xs, ys):
 
 def test_diagonal_closed_form():
     for x in (0.8, 2.66, 10.0, 300.0):
-        assert three_level_factor_diagonal(x) == pytest.approx(
-            three_level_factor(x, x), rel=1e-12
-        )
-    assert three_level_factor_diagonal(2.66) == pytest.approx(
+        assert three_level_factor(x, x) == pytest.approx(diagonal_closed_form(x), rel=1e-12)
+    assert three_level_factor(2.66, 2.66) == pytest.approx(
         (2 + math.exp(2.66)) ** 2 / (2 * 2.66**2 * math.exp(2.66)), rel=1e-13
     )
+    # past x ~ 708 the denominator is subnormal and keeps fewer bits, yet stays finite
+    assert three_level_factor(723.0, 723.0) == 9.453743739482051e307
 
 
-def test_diagonal_past_the_exponential_range():
-    # e^x overflows from x ~ 709.8, where e^x / (2 x^2) takes over; past the float range the
-    # factor is inf, also from x ~ 1.3e154 on, where 2 x^2 is inf too
-    assert three_level_factor_diagonal(709.0) == 8.174575388322787e301  # the closed form's bits
-    x = 711.0
-    assert three_level_factor_diagonal(x) == pytest.approx(
-        math.exp(x - math.log(2.0 * x * x)), rel=1e-13
-    )
-    for x in (800.0, 1399.0, 1400.0, 1e154, 1e200, 1.7e308):
-        assert three_level_factor_diagonal(x) == math.inf
+# log-uniform over the positive floats, subnormals included
+POSITIVE_FLOATS = st.floats(math.log(5e-324), math.log(1.7e308)).map(math.exp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(POSITIVE_FLOATS, POSITIVE_FLOATS)
+@example(1e-170, 1e-170)
+@example(722.5, 722.5)
+@example(723.0, 723.0)
+@example(745.2, 745.2)
+@example(800.0, 800.0)
+@example(1e160, 1e160)
+@example(1e200, 1e200)
+@example(1e-170, 1e160)
+@example(1e-10, 1e300)
+@example(1e150, 1e-300)
+def test_bounds_saturate_and_never_refuse(x, y):
+    # a value past the float range is inf, never an error; only a bad input is refused
+    def saturated(v):
+        return type(v) is float and 0.0 < v <= math.inf
+
+    assert saturated(two_level_factor(x))
+    assert saturated(three_level_factor(x, y))
+    assert all(saturated(h) for row in three_level_factor_grid([x, y], [y, x]) for h in row)
+    for T, gap in ((x, y), (y, x)):
+        if 0.0 < T * T < math.inf:  # else T^2 leaves the float range: a bad temperature
+            assert saturated(two_level_crb(T, gap))
+    if x <= 700.0:
+        assert three_level_factor(x, x) == pytest.approx(diagonal_closed_form(x), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +299,7 @@ def test_cross_diagonal_curvature_matches_finite_differences(t):
 @pytest.mark.parametrize("t", np.linspace(1.5, 3.5, 21).tolist())
 def test_diagonal_slope_matches_finite_differences(t):
     h = 1e-4 * t
-    slope = (three_level_factor_diagonal(t + h) - three_level_factor_diagonal(t - h)) / (2 * h)
+    slope = (three_level_factor(t + h, t + h) - three_level_factor(t - h, t - h)) / (2 * h)
     closed = _diagonal_stationarity(t) * (math.exp(t) + 2) ** 2 * math.exp(-t) / (2 * t**2)
     assert closed == pytest.approx(slope, rel=1e-5, abs=1e-9)
 
@@ -298,6 +333,8 @@ def test_two_level_crb_values():
     assert two_level_crb(1.0, 0.0) is UNBOUNDED
     with pytest.raises(ValueError):
         two_level_crb(1.0, -0.5)
+    # gap/T past the float range, or underflowing to 0: the floor is past the range too
+    assert two_level_crb(1e-10, 1e300) == two_level_crb(1e150, 1e-300) == math.inf
 
 
 @pytest.mark.parametrize("T", [1e-200, 1e200])
@@ -394,6 +431,15 @@ def test_tune_linear_fixed_range_low_temperature():
     assert res.bound / T**2 == pytest.approx(G_MIN, rel=1e-9)
     assert res.lambda_star == pytest.approx(X_M * T, rel=1e-6)
     brute_force_certificate(family, T, res)
+
+
+def test_tune_where_gap_over_T_leaves_the_float_range():
+    # gap/T reaches inf at the top of the range, where the floor saturates rather than fails
+    T = 1e-10
+    res = tune_gap(GapFamily.linear(1.0, 0.0, 1e-20, 1e300), T)
+    assert res.bound / T**2 == pytest.approx(G_MIN, rel=1e-9)
+    res = tune_gap(GapFamily.linear(1.0, 0.0, 1e200, 1e300), T)
+    assert (res.lambda_star, res.bound) == (1e200, math.inf)
 
 
 def test_tune_linear_boundary_optimum():

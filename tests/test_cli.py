@@ -294,6 +294,11 @@ def test_gfun_step_larger_than_range(capsys):
     code, _, err = run_cli(capsys, "gfun", "--min", "1", "--max", "2", "--step", "5")
     assert code == 3
     assert "step" in err
+    # a step so small that the range holds no finite number of them is named too
+    for command in ("gfun", "hfun"):
+        code, out, err = run_cli(capsys, command, "--min", "1", "--max", "2", "--step", "5e-324")
+        assert (code, out) == (3, "")
+        assert err == "error: --step 5e-324 gives no finite point count on [1.0, 2.0]\n"
 
 
 def test_hfun_grid(capsys):
@@ -329,13 +334,16 @@ def test_hfun_default_grid_bytes_pinned(capsys):
 @pytest.mark.parametrize("lo, hi, step, x", [
     ("1e160", "1.000001e160", "5e153", "1e+160"),
     ("1e200", "2e200", "5e199", "1e+200"),
+    ("800", "801", "0.5", "800.0"),
 ])
 def test_hfun_past_the_square_range_names_the_vanishing_cell(capsys, lo, hi, step, x):
-    # every term of the first cell's denominator underflows, though x^2 and (x - y)^2 are
-    # past the float range: the terms are not formed
+    # every term of each cell's denominator underflows, also where x^2 and (x - y)^2 are
+    # past the float range (the terms are not formed): every factor is past the range
     code, out, err = run_cli(capsys, "hfun", "--min", lo, "--max", hi, "--step", step)
-    assert (code, out) == (3, "")
-    assert err == f"error: three-level factor denominator vanished (underflow) at x={x}, y={x}\n"
+    assert (code, err) == (0, "")
+    _, rows = parse_csv(out)
+    assert rows[0] == [x, x, "inf"]
+    assert len(rows) >= 4 and all(h == "inf" for _, _, h in rows)
 
 
 # ---------------------------------------------------------------------------
