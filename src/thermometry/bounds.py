@@ -74,7 +74,11 @@ def two_level_factor(x: float) -> float:
     x = 700 the e^x/x^2 branch is used (relative error ~ 2 e^{-x}). A factor
     past the float range (e^x/x^2 overflows, or x^2 underflows to 0) is ``inf``.
     """
-    x = positive(x, "x")
+    return _two_level_factor(positive(x, "x"))
+
+
+def _two_level_factor(x: float) -> float:
+    """:func:`two_level_factor` at a float ``x`` already checked finite and > 0."""
     if x > _ASYMPTOTIC_X:
         try:
             return math.exp(x - 2.0 * math.log(x))

@@ -18,12 +18,12 @@ import sys
 from .bounds import (
     ROOT_BRACKET,
     ROOT_TOL,
+    _two_level_factor,
     family_from_dict,
     minimize_three_level_factor,
     minimize_two_level_factor,
     three_level_factor_grid,
     tune_gap,
-    two_level_factor,
 )
 from .errors import (
     DegenerateExperimentError,
@@ -129,8 +129,8 @@ def _cmd_gfun(args) -> str:
         f"# x from {args.min!r} to {args.max!r} step {args.step!r}",
         "x,g",
     ]
-    for x in axis:
-        lines.append(f"{x!r},{two_level_factor(x)!r}")
+    for x in axis:  # _axis checked every point
+        lines.append(f"{x!r},{_two_level_factor(x)!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -13,12 +13,13 @@ Both estimators work on a batch: a (trials, levels) array of counts, taken as
 floats (exact for row totals below 2^53). :func:`mle_batch` reads a row only
 through its sample mean and bisects each distinct mean once. A batch of at most
 ``SCALAR_ROWS`` such rows walks each row in turn, in Python floats, with decisions
-guessed from a Newton root; once the walked rows hold a block of midpoints, every guessed
-decision among them is checked, one Gibbs evaluation per block. A row whose guesses all
-hold has the bits of the plain bisection, and any other row is bisected again with the
-real decision. Larger batches, and batches too large for 8 steps of every row in a check
-block, are bisected plainly, one Gibbs evaluation per step. The walk and the plain
-bisection cost the same at 71-87 rows of 5 or of 2 levels.
+guessed from a root guess (a closed form for two levels, a table otherwise, then Newton
+steps); once the walked rows hold a block of midpoints, every guessed decision among them
+is checked, one Gibbs evaluation per block. A row whose guesses all hold has the bits of
+the plain bisection, and any other row is bisected again with the real decision. Larger
+batches, and batches too large for 8 steps of every row in a check block, are bisected
+plainly, one Gibbs evaluation per step. The walk and the plain bisection cost the same at
+71-87 rows of 5 or of 2 levels.
 :func:`bayes_batch` builds the posterior grid once for all rows. A row enters
 it only through S = sum_n k_n (E_n - E_0) and M, so each distinct pair (S, M)
 takes one posterior, in blocks of at most 2^14 floats, and its memory does not
@@ -73,8 +74,8 @@ NON_INVERTIBLE = "non_invertible"
 BRACKET_SPAN = (1e-4, 1e4)
 # Bisection stops when the bracket width falls below this fraction of T.
 BISECT_RTOL = 1e-12
-# MLE root guess: log-spaced table temperatures, then at most GUESS_NEWTON Newton steps in
-# ln T, fewer once every step is below GUESS_STEP.
+# MLE root guess: log-spaced table temperatures (more than two levels), then at most
+# GUESS_NEWTON Newton steps in ln T, fewer once every step is below GUESS_STEP.
 GUESS_TABLE = 128
 GUESS_NEWTON = 12
 GUESS_STEP = 1e-13
@@ -271,28 +272,40 @@ def _scalar_walk(
 def _root_guess(spectrum: Spectrum, target: np.ndarray, lo0: float, hi0: float) -> np.ndarray:
     """A guess at each root T of <H - E_0>_T = ``target`` in [lo0, hi0].
 
-    1/T is interpolated against the logit y = ln(<H - E_0>) - ln(spread - <H - E_0>) on a
-    table of ``GUESS_TABLE`` log-spaced temperatures; for two levels y is linear in 1/T, so
-    the interpolation is exact. Newton steps in ln T, d<H>/d ln T = Var(H)/T, follow until
-    every step is below ``GUESS_STEP`` or ``GUESS_NEWTON`` were taken, each clipped to the
-    bracket; where the variance is 0 or a step is not finite, the guess stays where it was.
-    Its accuracy sets how many rows are bisected again, never the bits of an estimate.
+    1/T follows from the logit y = ln(<H - E_0>) - ln(spread - <H - E_0>) of the target. For
+    two levels y = ln(m_1/m_0) - spread/T, so 1/T has a closed form, taken where the exact
+    <H> passes the target by half its ulp: the bisection's decision "<H> above the target"
+    turns there. For more levels 1/T is interpolated against y on a table of
+    ``GUESS_TABLE`` log-spaced temperatures. Newton steps in ln T, d<H>/d ln T = Var(H)/T,
+    follow until every step is below ``GUESS_STEP`` or ``GUESS_NEWTON`` were taken, each
+    clipped to the bracket; where the variance is 0 or a step is not finite, the guess stays
+    where it was. They take the guess to the root of the computed <H>, which a formula
+    can miss by rounding. Its accuracy sets how many rows are bisected again, never the bits
+    of an estimate.
     """
     de = spectrum._shifted
     top = spectrum.spread
     lnlo, lnhi = math.log(lo0), math.log(hi0)
-    # below E_1/1000 every excited occupation is exp(-1000) = 0, so no root lies there; a
-    # root above 1e18 times the spread needs a target within 1e-18 spreads of the T -> inf mean
-    a, b = max(lo0, de[1] / 1e3), min(hi0, 1e18 * top)
-    if a >= b:
-        a, b = lo0, hi0
-    table = np.exp(np.linspace(math.log(a), math.log(b), GUESS_TABLE))
-    table[[0, -1]] = a, b  # exp(ln T) need not round back to T
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        means = shifted_means(spectrum, table)
-        y = np.log(means) - np.log(top - means)
-        finite = np.isfinite(y)  # a table mean of 0 has y = -inf
-        beta = np.interp(np.log(target) - np.log(top - target), y[finite], 1.0 / table[finite])
+        logit = np.log(target) - np.log(top - target)
+        if spectrum.n_levels == 2:
+            # y half an ulp of <H> above the target, by dy/d<H> = spread / (<H> (spread - <H>))
+            logit += np.spacing(target) / 2.0 * top / (target * (top - target))
+            m0, m1 = spectrum.multiplicities
+            beta = (math.log(m1 / m0) - logit) / top
+        else:
+            # below E_1/1000 every excited occupation is exp(-1000) = 0, so no root lies
+            # there; a root above 1e18 times the spread needs a target within 1e-18 spreads
+            # of the T -> inf mean
+            a, b = max(lo0, de[1] / 1e3), min(hi0, 1e18 * top)
+            if a >= b:
+                a, b = lo0, hi0
+            table = np.exp(np.linspace(math.log(a), math.log(b), GUESS_TABLE))
+            table[[0, -1]] = a, b  # exp(ln T) need not round back to T
+            means = shifted_means(spectrum, table)
+            y = np.log(means) - np.log(top - means)
+            finite = np.isfinite(y)  # a table mean of 0 has y = -inf
+            beta = np.interp(logit, y[finite], 1.0 / table[finite])
         x = np.clip(-np.log(beta), lnlo, lnhi)
         for _ in range(GUESS_NEWTON):
             t = np.exp(x)

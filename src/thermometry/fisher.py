@@ -57,9 +57,16 @@ def sld_eigenvalues(spectrum: Spectrum, T: float) -> np.ndarray:
     return _sld(gibbs_state(spectrum, T))
 
 
+def _variance_and_fisher(state: ThermalState) -> tuple[float, float]:
+    """Energy variance <dH^2> under ``state`` and the Fisher information <dH^2>/T^4."""
+    var = energy_variance(state)
+    return var, var / temperature_power(state.temperature, 4)
+
+
 def fisher_information(spectrum: Spectrum, T: float) -> float:
-    """Fisher information of energy measurement, F = <dH^2>/T^4, as in :func:`fisher_report`."""
-    return fisher_report(spectrum, T).fisher
+    """Fisher information of energy measurement, F = <dH^2>/T^4: the ``fisher`` of
+    :func:`fisher_report`, from the Gibbs state alone, without the SLD spectrum."""
+    return _variance_and_fisher(gibbs_state(spectrum, T))[1]
 
 
 @dataclass(frozen=True)
@@ -87,8 +94,7 @@ def fisher_report(spectrum: Spectrum, T: float) -> FisherReport:
     """Evaluate the full estimation-precision report for ``spectrum`` at ``T``."""
     state = gibbs_state(spectrum, T)
     T = state.temperature
-    var = energy_variance(state)
-    fisher = var / temperature_power(T, 4)
+    var, fisher = _variance_and_fisher(state)
     sld = _sld(state)
     sld.flags.writeable = False
     crb = 1.0 / fisher if fisher > 0.0 else UNBOUNDED

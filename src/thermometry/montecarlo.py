@@ -12,7 +12,7 @@ The sampling floor is reached in two steps, each bit for bit the same as
 the plain construction. Trial streams are built in bulk: the PCG64
 ``(state, inc)`` of ``trial_rng(seed, t)`` is derived for a block of
 trials at once by numpy's ``SeedSequence`` hash (the seed's pool taken
-from numpy once, the spawn words of the block vectorized) and PCG64's
+from numpy once, the block's spawn words hashed as one array) and PCG64's
 seeding step, and set on one reused generator. Levels are counted by
 thresholds: a block of uniforms is compared with each cumulative boundary,
 which makes the same float comparisons as ``searchsorted(side="right")``.
@@ -179,13 +179,21 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _hashmix(value, const: int, mult: int = _MULT_A):
-    """SeedSequence's hashmix of ``value`` (an int, or a uint64 array of 32-bit words) under
-    the hash constant ``const``; returns the hashed value and the next constant."""
-    value = value ^ const
-    const = const * mult & _MASK32
-    value = value * const & _MASK32
-    return value ^ value >> 16, const
+def _hash_columns(const: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """SeedSequence's hash constants for ``count`` hashmixes in a row from ``const``: the one
+    each value is XORed with and the one it is then multiplied by, as (count, 1) uint64
+    columns."""
+    consts = [const]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return tuple(np.array(c, dtype=np.uint64)[:, None] for c in (consts[:-1], consts[1:]))
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of ``value`` (a uint64 array of 32-bit words) under the
+    constant columns of :func:`_hash_columns`, one row per constant."""
+    value = (value ^ xor) * mul & _MASK32
+    return value ^ value >> 16
 
 
 def _mix(x, y):
@@ -194,13 +202,9 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _mix_in(pool: list, words, const: int) -> list:
-    """Mix each word into every pool entry, in SeedSequence's order."""
-    for word in words:
-        for dst in range(_POOL_SIZE):
-            value, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], value)
-    return pool
+# generate_state(4, np.uint64): eight 32-bit words, hashed from the pool entries in turn
+_STATE_ENTRIES = np.arange(8) % _POOL_SIZE
+_STATE_XOR, _STATE_MUL = _hash_columns(_INIT_B, _MULT_B, 8)
 
 
 def _stream_states(seed: int, trials: range) -> Iterator[tuple[int, int]]:
@@ -212,24 +216,24 @@ def _stream_states(seed: int, trials: range) -> Iterator[tuple[int, int]]:
     16 hashes and each seed word past the pool size 4 more, each multiplying the hash
     constant by ``_MULT_A``, so the constant next in line is a power of it times ``_INIT_A``.
     Each block of at most ``STREAM_BLOCK`` trials whose spawn keys have the same number of
-    words is hashed as uint64 arrays of 32-bit words, then each trial takes PCG64's seeding
-    step on Python ints.
+    words is hashed as (4, trials) uint64 arrays of 32-bit words: each spawn word into all
+    four pool entries at once, then the eight state words as one (8, trials) array. Each
+    trial then takes PCG64's seeding step on Python ints.
     """
-    pool = np.random.SeedSequence(seed).pool.tolist()
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
     const = _INIT_A * pow(_MULT_A, 4 * max(_POOL_SIZE, len(_words(seed))), 1 << 32) & _MASK32
     start = trials.start
     while start < trials.stop:
         n_words = len(_words(start))
         end = min(trials.stop, start + STREAM_BLOCK, 1 << 32 * n_words)
         t = np.arange(start, end, dtype=np.uint64)
-        block = _mix_in(list(pool), [t >> 32 * j & _MASK32 for j in range(n_words)], const)
-        # generate_state(4, np.uint64): eight 32-bit words, cycling through the pool
-        words, const_b = [], _INIT_B
-        for k in range(8):
-            value, const_b = _hashmix(block[k % _POOL_SIZE], const_b, _MULT_B)
-            words.append(value)
-        s_hi, s_lo, i_hi, i_lo = ((words[2 * k] | words[2 * k + 1] << 32).tolist()
-                                  for k in range(4))
+        xor, mul = _hash_columns(const, _MULT_A, _POOL_SIZE * n_words)
+        block = pool
+        for j in range(n_words):
+            rows = slice(_POOL_SIZE * j, _POOL_SIZE * (j + 1))
+            block = _mix(block, _hashmix(t >> 32 * j & _MASK32, xor[rows], mul[rows]))
+        words = _hashmix(block[_STATE_ENTRIES], _STATE_XOR, _STATE_MUL)
+        s_hi, s_lo, i_hi, i_lo = (words[0::2] | words[1::2] << 32).tolist()
         for s0, s1, i0, i1 in zip(s_hi, s_lo, i_hi, i_lo):
             inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
             yield ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128, inc

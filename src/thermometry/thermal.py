@@ -209,7 +209,8 @@ def gibbs_log_weights(spectrum: Spectrum, temps: np.ndarray) -> tuple[np.ndarray
     """
     with np.errstate(over="ignore"):  # a log weight of -inf is an occupation of exactly 0
         logw = -np.outer(1.0 / temps, spectrum._shifted) + np.log(spectrum._weights)
-    # the largest entry of a row is log(m_0) at the ground level; shift by it for the sum
+    # shift each row by its largest entry for the sum (not always the ground level's log m_0:
+    # with m = (1, 3), gaps (0, 1) and T = 10 the excited entry is log 3 - 0.1 > 0)
     top = logw.max(axis=1, keepdims=True)
     return logw, top[:, 0] + np.log(np.exp(logw - top).sum(axis=1))
 

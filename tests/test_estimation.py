@@ -432,6 +432,27 @@ def test_the_row_count_picks_the_walk(monkeypatch, rows):
     assert walks == (["walk"] if rows <= SCALAR_ROWS else [rows])
 
 
+@pytest.mark.parametrize("shots", [3, 50, 1000, 10**5])
+@pytest.mark.parametrize("m", [(1, 1), (1, 3), (2, 1)])
+@pytest.mark.parametrize("x", [0.05, 0.5, 2.4, 6.0, 20.0])
+def test_two_level_root_guess_leaves_no_row_to_bisect_again(monkeypatch, x, m, shots):
+    # every upper-level count within 20 of the most likely one at gap/T = x; the closed-form
+    # guess, polished on the computed <H>, predicts every real decision of the walk
+    s = make_spectrum([(0.0, m[0]), (1.0, m[1])])
+    k = round(shots * gibbs_state(s, 1.0 / x).probs[1]) + np.arange(-20, 21)
+    k = np.unique(np.clip(k, 0, shots))
+    counts = np.column_stack([shots - k, k])
+    want = _plain_mle_batch(s, counts)
+    walks = _counting_walks(monkeypatch)
+    _same_bits(mle_batch(s, counts), want)
+    interior = np.count_nonzero(want[0] == INTERIOR)
+    assert walks[:1] == (["walk"] if interior else [0])  # m = (2, 1) at M = 3 has none
+    # at gap/T = 0.05 (roots near 20 gaps) the computed <H> is flat over tens to
+    # thousands of ulps of T, so a midpoint can fall between the guess and the crossing: 17 of
+    # the 3820 rows within 4 sd of the mode in these 12 cases
+    assert sum(walks[1:]) <= (1 if x < 0.5 else 0)
+
+
 @pytest.mark.parametrize("guess", ["lower end", "upper end", "near miss"])
 def test_rows_with_a_wrong_guess_are_bisected_again_to_the_same_bits(monkeypatch, guess):
     s = make_spectrum([(0.0, 1), (0.5, 2), (1.2, 1), (2.0, 3), (3.5, 1)])

@@ -68,15 +68,23 @@ def test_sld_rejects_temperature_whose_square_leaves_float_range(T):
 
 @pytest.mark.parametrize("T", [1e-100, 1e100])
 def test_fisher_rejects_temperature_whose_fourth_power_leaves_float_range(T):
-    with pytest.raises(ValueError, match="temperature"):
+    with pytest.raises(ValueError, match=r"temperature .* T\^4 under- or overflows") as alone:
         fisher_information(TWO_LEVEL, T)
-    with pytest.raises(ValueError, match="temperature"):
+    with pytest.raises(ValueError) as report:
         fisher_report(TWO_LEVEL, T)
+    assert str(alone.value) == str(report.value)
 
 
 # ---------------------------------------------------------------------------
 # Fisher information
 # ---------------------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(spectra(min_levels=1), temperatures(0.01, 100.0))
+def test_fisher_information_is_the_report_fisher(s, T):
+    # the same formula on the same Gibbs state, without the SLD spectrum
+    assert fisher_information(s, T) == fisher_report(s, T).fisher
+
 
 def test_single_level_has_no_information():
     assert fisher_information(make_spectrum([(0.0, 1)]), 1.0) == 0.0

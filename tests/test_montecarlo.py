@@ -151,8 +151,10 @@ def test_draw_sample_validation():
     [0, 7, 2**32 - 1, 20260809, 2**64, 2**64 + 12345, 2**128, 2**130 + 99, 2**300 + 1],
 )
 @pytest.mark.parametrize(
-    "trials", [range(0, 3), range(2**32 - 2, 2**32 + 2), range(2**40, 2**40 + 2)],
-    ids=["first", "one_to_two_words", "two_words"],
+    "trials",
+    [range(0, 3), range(5, 3 * STREAM_BLOCK + 7), range(2**32 - 2, 2**32 + 2),
+     range(2**40, 2**40 + 2)],
+    ids=["first", "several_blocks", "one_to_two_words", "two_words"],
 )
 def test_bulk_stream_states_equal_numpy_seeding(seed, trials):
     expected = [
