@@ -15,11 +15,14 @@ through its sample mean and bisects each distinct mean once. A batch of at most
 ``SCALAR_ROWS`` such rows walks each row in turn, in Python floats, with decisions
 guessed from a root guess (a closed form for two levels, a table otherwise, then Newton
 steps); once the walked rows hold a block of midpoints, every guessed decision among them
-is checked, one Gibbs evaluation per block. A row whose guesses all hold has the bits of
+is checked, one mean evaluation per block. A row whose guesses all hold has the bits of
 the plain bisection, and any other row is bisected again with the real decision. Larger
 batches, and batches too large for 8 steps of every row in a check block, are bisected
-plainly, one Gibbs evaluation per step. The walk and the plain bisection cost the same at
-71-87 rows of 5 or of 2 levels.
+plainly, one mean evaluation per step. On two levels every mean, the checked midpoints, the
+bisection steps, the bracket edges and the Newton steps of the guess, takes the closed form
+of :func:`shifted_means`, about 5 ns a midpoint where the Gibbs rows took about 50; more
+levels take the Gibbs rows. The walk and the plain bisection cost the same at 77-82 rows of
+2 or of 5 levels.
 :func:`bayes_batch` builds the posterior grid once for all rows. A row enters
 it only through S = sum_n k_n (E_n - E_0) and M, so each distinct pair (S, M)
 takes one posterior, in blocks of at most 2^14 floats, and its memory does not
@@ -80,7 +83,7 @@ GUESS_TABLE = 128
 GUESS_NEWTON = 12
 GUESS_STEP = 1e-13
 # Batches of at most this many rows walk the guessed bisection in Python floats, larger
-# ones are bisected plainly: the two cost the same at 71-87 rows of 5 or of 2 levels.
+# ones are bisected plainly: the two cost the same at 77-82 rows of 2 or of 5 levels.
 SCALAR_ROWS = 80
 # Fewest points of a Bayes posterior grid.
 MIN_GRID_SIZE = 64
@@ -243,6 +246,7 @@ def _scalar_walk(
     found = []
     wrong = np.zeros(len(target), dtype=bool)
     mids = array("d")  # the unchecked midpoints, 8 B each
+    record = mids.append
     ends = []  # where each unchecked row's midpoints end in ``mids``
     for row, g in enumerate(guess.tolist()):
         lo, hi = lo0, hi0
@@ -251,7 +255,7 @@ def _scalar_walk(
             mid = 0.5 * total
             if not (hi - lo > rtol * total and lo < mid < hi):
                 break
-            mids.append(mid)
+            record(mid)
             if mid > g:
                 hi = mid
             else:
@@ -277,11 +281,11 @@ def _root_guess(spectrum: Spectrum, target: np.ndarray, lo0: float, hi0: float) 
     <H> passes the target by half its ulp: the bisection's decision "<H> above the target"
     turns there. For more levels 1/T is interpolated against y on a table of
     ``GUESS_TABLE`` log-spaced temperatures. Newton steps in ln T, d<H>/d ln T = Var(H)/T,
-    follow until every step is below ``GUESS_STEP`` or ``GUESS_NEWTON`` were taken, each
-    clipped to the bracket; where the variance is 0 or a step is not finite, the guess stays
-    where it was. They take the guess to the root of the computed <H>, which a formula
-    can miss by rounding. Its accuracy sets how many rows are bisected again, never the bits
-    of an estimate.
+    with Var(H) = <H - E_0> (spread - <H - E_0>) on two levels, follow until every step is
+    below ``GUESS_STEP`` or ``GUESS_NEWTON`` were taken, each clipped to the bracket; where
+    the variance is 0 or a step is not finite, the guess stays where it was. They take the
+    guess to the root of the computed <H>, which a formula can miss by rounding. Its accuracy
+    sets how many rows are bisected again, never the bits of an estimate.
     """
     de = spectrum._shifted
     top = spectrum.spread
@@ -309,9 +313,13 @@ def _root_guess(spectrum: Spectrum, target: np.ndarray, lo0: float, hi0: float) 
         x = np.clip(-np.log(beta), lnlo, lnhi)
         for _ in range(GUESS_NEWTON):
             t = np.exp(x)
-            probs = gibbs_probs(spectrum, t)[0]
-            mean = np.vecdot(probs, de)
-            var = _variances(probs, mean, de)
+            if spectrum.n_levels == 2:  # p_0 p_1 d_1^2 = <H - E_0> (d_1 - <H - E_0>)
+                mean = shifted_means(spectrum, t)
+                var = mean * (top - mean)
+            else:
+                probs = gibbs_probs(spectrum, t)[0]
+                mean = np.vecdot(probs, de)
+                var = _variances(probs, mean, de)
             step = (mean - target) * t / var
             x = np.where(np.isfinite(step) & (var > 0.0), np.clip(x - step, lnlo, lnhi), x)
             if not (abs(step) > GUESS_STEP).any():

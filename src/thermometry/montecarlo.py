@@ -48,8 +48,14 @@ from .estimation import (
     bayes_batch,
     mle_batch,
 )
-from .fisher import fisher_information
-from .thermal import Spectrum, gibbs_state, spectrum_from_dict, spectrum_to_dict
+from .fisher import _variance_and_fisher
+from .thermal import (
+    Spectrum,
+    ThermalState,
+    gibbs_state,
+    spectrum_from_dict,
+    spectrum_to_dict,
+)
 
 __all__ = [
     "GENERATOR_ID",
@@ -283,7 +289,14 @@ def draw_counts(
     would. A stream is used up before the next is taken.
     """
     shots = at_least(integer(shots, "shots"), 1, "shots")
-    cum = np.cumsum(gibbs_state(spectrum, T).probs)[:-1]
+    return _draw_counts(gibbs_state(spectrum, T), shots, rngs)
+
+
+def _draw_counts(
+    state: ThermalState, shots: int, rngs: Iterable[np.random.Generator]
+) -> np.ndarray:
+    """:func:`draw_counts` from the Gibbs state ``state`` and a checked ``shots``."""
+    cum = np.cumsum(state.probs)[:-1]
     n = len(cum) + 1
     rngs = iter(rngs)
     if shots > DRAW_CHUNK:
@@ -344,19 +357,21 @@ def run_experiment(cfg: ExperimentConfig) -> SaturationReport:
     non-invertible) trials are excluded and counted, or abort the run at
     the first one in trial order, per the configured policy. A squared error
     sum past the float range (estimates past about 1e154, as a Bayes prior
-    reaching that far allows) raises OverflowError.
+    reaching that far allows) raises OverflowError. The Gibbs state of the
+    true temperature is built once: F and the cumulative occupations of the
+    draw both come from it, with the bits of :func:`fisher_information` and
+    :func:`draw_counts`.
     """
     T = cfg.true_temperature
-    fisher = fisher_information(cfg.spectrum, T)
+    state = gibbs_state(cfg.spectrum, T)
+    fisher = _variance_and_fisher(state)[1]
     if fisher <= 0.0:
         raise ValueError(
             "spectrum carries no temperature information; the variance floor is unbounded"
         )
     crb = 1.0 / (cfg.shots_per_trial * fisher)
 
-    counts = draw_counts(
-        cfg.spectrum, T, cfg.shots_per_trial, _trial_streams(cfg.seed, cfg.trials)
-    )
+    counts = _draw_counts(state, cfg.shots_per_trial, _trial_streams(cfg.seed, cfg.trials))
     status, estimate = _estimate(cfg, counts)
     usable = status == INTERIOR
     if cfg.degenerate_sample_policy == ABORT and not usable.all():

@@ -216,8 +216,25 @@ def gibbs_log_weights(spectrum: Spectrum, temps: np.ndarray) -> tuple[np.ndarray
 
 
 def shifted_means(spectrum: Spectrum, temps: np.ndarray) -> np.ndarray:
-    """<H - E_0> at each of ``temps``; row for row equal to :func:`mean_energy` - E_0."""
-    return np.vecdot(gibbs_probs(spectrum, temps)[0], spectrum._shifted)
+    """<H - E_0> at each of ``temps``; row for row equal to :func:`mean_energy` - E_0.
+
+    Two levels take the closed form w_1 = m_1 exp(-d_1/T), p_1 = w_1/(m_0 + w_1),
+    <H - E_0> = p_1 d_1 on whole vectors, with the bits of the row-major
+    ``vecdot(gibbs_probs(...)[0], d)``: the ground weight there is m_0 exp(-0/T) = m_0, a row
+    of two sums as w_0 + w_1, and the dot product of a short row is a chain of fused
+    multiply-adds from 0, so with p_0 * 0 = 0 it is the one rounded product p_1 d_1. More
+    levels take the row-major path: numpy has no fused multiply-add to repeat that chain.
+    """
+    de = spectrum._shifted
+    if len(de) == 2:
+        m0, m1 = spectrum._weights.tolist()
+        d1 = float(de[1])
+        w1 = np.exp(-d1 / temps)
+        w1 *= m1
+        p1 = w1 / (m0 + w1)
+        p1 *= d1
+        return p1
+    return np.vecdot(gibbs_probs(spectrum, temps)[0], de)
 
 
 def gibbs_state(spectrum: Spectrum, T: float) -> ThermalState:

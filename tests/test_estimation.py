@@ -40,7 +40,7 @@ from thermometry.estimation import (
 )
 from thermometry.errors import positive_interval
 from thermometry.montecarlo import draw_counts
-from thermometry.thermal import gibbs_log_probs, gibbs_log_weights, gibbs_state, shifted_means
+from thermometry.thermal import gibbs_log_probs, gibbs_log_weights, gibbs_probs, gibbs_state
 
 QUBIT = make_spectrum([(0.0, 1), (1.0, 1)], label="qubit")
 
@@ -338,9 +338,15 @@ def test_mle_stays_interior_where_the_unscaled_energy_sum_overflows(top, counts,
     assert result.estimate == pytest.approx(top / math.log(counts[0] / counts[1]), rel=1e-12)
 
 
+def _row_major_means(spectrum, temps):
+    """<H - E_0> at each of ``temps`` as the dot product of each row of Gibbs occupations,
+    not through the closed form :func:`shifted_means` takes on two levels."""
+    return np.vecdot(gibbs_probs(spectrum, temps)[0], spectrum._shifted)
+
+
 def _plain_mle_batch(spectrum, counts, bracket=None):
-    """``mle_batch`` as one bisection with a ``shifted_means`` call per step: the reference
-    whose bits the guessed-then-checked bisection must keep."""
+    """``mle_batch`` as one bisection with a row-major mean per step: the reference whose bits
+    the guessed-then-checked bisection must keep."""
     if bracket is None:
         bracket = default_bracket(spectrum)
     lo0, hi0 = positive_interval(bracket, "bracket")
@@ -349,7 +355,7 @@ def _plain_mle_batch(spectrum, counts, bracket=None):
     m = spectrum._weights
     with np.errstate(over="ignore"):
         ebar = np.vecdot(counts.astype(float), de) / counts.sum(axis=1)
-        edges = shifted_means(spectrum, np.array((lo0, hi0)))
+        edges = _row_major_means(spectrum, np.array((lo0, hi0)))
         status = np.full(len(ebar), INTERIOR, dtype=object)
         status[edges[1] <= ebar] = AT_UPPER_BOUND
         status[edges[0] >= ebar] = AT_LOWER_BOUND
@@ -367,7 +373,7 @@ def _plain_mle_batch(spectrum, counts, bracket=None):
             if np.count_nonzero(active) < len(rows):
                 estimate[rows[~active]] = mid[~active]
                 rows, target, lo, hi, mid = (a[active] for a in (rows, target, lo, hi, mid))
-            above = shifted_means(spectrum, mid) > target
+            above = _row_major_means(spectrum, mid) > target
             np.copyto(hi, mid, where=above)
             np.copyto(lo, mid, where=~above)
     return status, estimate

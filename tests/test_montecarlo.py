@@ -33,6 +33,7 @@ from thermometry import (
     trial_rng,
     two_level_factor,
 )
+from thermometry import fisher, montecarlo
 from thermometry.estimation import bayes_batch, mle_batch
 from thermometry.montecarlo import (
     DRAW_CHUNK,
@@ -277,6 +278,29 @@ def test_seed_stability_of_ratio():
 def test_reports_are_bitwise_reproducible():
     cfg = saturation_config(trials=500)
     assert run_experiment(cfg) == run_experiment(cfg)
+
+
+@pytest.mark.parametrize("levels", [[(0.0, 1), (1.0, 1)], [(0.0, 1), (0.5, 2), (1.3, 1)]])
+def test_a_run_builds_one_gibbs_state(monkeypatch, levels):
+    # F and the cumulative occupations of the draw come from one state of the true
+    # temperature, with the bits of fisher_information and draw_counts
+    s = make_spectrum(levels)
+    cfg = saturation_config(spectrum=s, trials=300, shots_per_trial=200)
+    states = []
+
+    def state(spectrum, T):
+        states.append(T)
+        return gibbs_state(spectrum, T)
+
+    for module in (fisher, montecarlo):
+        monkeypatch.setattr(module, "gibbs_state", state)
+    report = run_experiment(cfg)
+    assert states == [cfg.true_temperature]
+    T, shots = cfg.true_temperature, cfg.shots_per_trial
+    assert report.crb == 1.0 / (shots * fisher_information(s, T))
+    status, estimate = mle_batch(s, draw_counts(s, T, shots, _trial_streams(cfg.seed, cfg.trials)))
+    usable = estimate[status == INTERIOR]
+    assert report.mean_estimate == float(np.cumsum(usable)[-1]) / len(usable)
 
 
 def test_bayes_estimator_runs():

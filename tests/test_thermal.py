@@ -293,6 +293,30 @@ def test_batched_gibbs_rows_equal_gibbs_state(s, temps):
         assert np.all(abs(np.exp(lp) - p) <= 1e-13 * np.maximum(1.0, abs(lp) / 100.0) * p)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([0.0, -3.7, 1e8, -2.0**40]),
+    st.floats(min_value=1e-6, max_value=1e6),
+    st.tuples(*[st.sampled_from([1, 2, 3, 4, 10**12])] * 2),
+    st.lists(st.floats(min_value=-300.0, max_value=312.0), min_size=1, max_size=12),
+)
+@example(0.0, 1.0, (1, 1), [310.0, 308.5, 1.0, -300.0])  # d/T past the float range: p_1 = 0
+@example(-3.7, 2.4, (4, 10**12), [0.38, 0.0])
+def test_two_level_means_are_the_row_major_means(ground, gap, m, log_x):
+    # the closed form on two levels has the bits of the row-major dot product of every row,
+    # from gap/T past the float range (exponent -inf, occupation 0) to gap/T = 1e-300
+    s = make_spectrum([(ground, m[0]), (ground + gap, m[1])])
+    assume(s.n_levels == 2)  # a gap below the ulp of the ground energy merges the levels
+    with np.errstate(over="ignore"):  # as the callers take it: 10^312 is inf, -d/T can be -inf
+        temps = s.gap / 10.0 ** np.array(log_x)
+        temps = temps[(temps > 0.0) & np.isfinite(temps)]
+        assume(len(temps))
+        want = np.vecdot(gibbs_probs(s, temps)[0], s._shifted)
+        assert shifted_means(s, temps).tobytes() == want.tobytes()
+        for i in range(len(temps)):
+            assert shifted_means(s, temps[i:i + 1]).tobytes() == want[i:i + 1].tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(multi_level_spectra())
 @example(make_spectrum([(-8.09, 4), (10.0, 1)]))
