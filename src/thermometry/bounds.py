@@ -3,7 +3,9 @@
 For a two-level system with gap D at temperature T, the variance of any
 temperature estimator is floored by T^2 * f2(D/T) with
 f2(x) = 2 (1 + cosh x) / x^2; a three-level system with gaps D1 <= D2 is
-floored by T^2 * f3(D1/T, D2/T). Both factors are evaluated with the
+floored by T^2 * f3(D1/T, D2/T). f2 and the diagonal of f3 are the m = 1 and m = 2
+members of the optimal thermometers of Correa, Mehboudi, Adesso & Sanpera, PRL 114,
+220405 (2015): levels (0, gap) of multiplicities (1, m). Both factors are evaluated with the
 largest exponent factored out so they stay finite for arguments up to
 several hundred. A factor or floor past the float range is ``inf``; an
 argument that is not finite and > 0 is a ValueError. ``tune_gap``
@@ -55,14 +57,12 @@ __all__ = [
 
 # Absolute tolerance of every Brent root in this module.
 ROOT_TOL = 1e-10
-# Interval in gap/T that holds both stationarity roots (x_m ~ 2.4, x_h ~ 2.65).
+# Interval in gap/T that holds the roots of s_m for m = 1 (x_m ~ 2.4) and m = 2 (x_h ~ 2.65).
 ROOT_BRACKET = (0.5, 10.0)
 # Above this argument cosh overflows float64; switch to the asymptotic branch.
 _ASYMPTOTIC_X = 700.0
-# Brent steps per tuning root: ~6.5 per decade of width/ROOT_TOL, so any float64 range fits.
+# Brent steps per root: ~6.5 per decade of width/ROOT_TOL, so any float64 range fits.
 _ROOT_MAXITER = 4000
-# Brent steps per stationarity root, scipy's default maxiter
-_BRENT_MAXITER = 100
 # Relative tolerance of every Brent root, scipy's default and smallest allowed rtol
 _BRENT_RTOL = 4 * sys.float_info.epsilon
 
@@ -217,31 +217,29 @@ class MinimumResult:
     iterations: int
 
 
-def _two_level_stationarity(x: float) -> float:
-    """x tanh(x/2) - 2; increasing on (0, inf), zero at the factor minimum.
+def _degenerate_stationarity(x: float, m: int) -> float:
+    """s_m(x) = 2 / (1 + m e^{-x}) - 2/x - 1; increasing, zero at the minimum of g_m.
 
-    f2'(x) has the sign of x sinh x - 2 (1 + cosh x), which factors as
-    (1 + cosh x) (x tanh(x/2) - 2).
+    g_m(x) = (1 + m e^{-x})^2 / (m x^2 e^{-x}) is 1/F at T = 1 of levels (0, x) with
+    multiplicities (1, m), and g_m'(x) = s_m(x) g_m(x). g_1 is the two-level factor,
+    where s_1 = tanh(x/2) - 2/x, and g_2(t) = f3(t, t) is the three-level diagonal.
     """
-    return x * math.tanh(0.5 * x) - 2.0
+    return 2.0 / (1.0 + m * math.exp(-x)) - 2.0 / x - 1.0
+
+
+def _degenerate_minimum(m: int) -> tuple[float, bool, int]:
+    """Brent root of s_m on ``ROOT_BRACKET`` to ``ROOT_TOL``: (root, converged, iterations)."""
+    return _brentq(
+        lambda x: _degenerate_stationarity(x, m), *ROOT_BRACKET, ROOT_TOL, _ROOT_MAXITER
+    )
 
 
 def minimize_two_level_factor() -> MinimumResult:
-    """Minimum of the two-level bound factor: the single root of x tanh(x/2) = 2.
-
-    Brent's root finder locates it on ``ROOT_BRACKET`` to ``ROOT_TOL`` in x.
-    """
-    xm, converged, iterations = _brentq(
-        _two_level_stationarity, *ROOT_BRACKET, ROOT_TOL, _BRENT_MAXITER
-    )
+    """Minimum of the two-level bound factor: the root of s_1, the m = 1 member."""
+    xm, converged, iterations = _degenerate_minimum(1)
     return MinimumResult(
         argmin=xm, value=two_level_factor(xm), converged=converged, iterations=iterations
     )
-
-
-def _diagonal_stationarity(x: float) -> float:
-    """s(x), increasing; g(t) = f3(t, t) has g'(t) = s(t) (e^t + 2)^2 e^{-t} / (2 t^2)."""
-    return 2.0 / (1.0 + 2.0 * math.exp(-x)) - 2.0 / x - 1.0
 
 
 def _cross_diagonal_curvature(t: float) -> float:
@@ -253,14 +251,12 @@ def _cross_diagonal_curvature(t: float) -> float:
 def minimize_three_level_factor() -> MinimumResult:
     """Strict local minimum of the three-level bound factor, on the diagonal x = y.
 
-    The factor is symmetric, so its gradient vanishes at the Brent root (to ``ROOT_TOL``)
-    of the diagonal stationarity on ``ROOT_BRACKET``. Its Hessian there is positive
-    definite: the curvature along the diagonal because the stationarity increases, the one
-    across it where a(t) > 0, which ``converged`` checks in closed form.
+    The factor is symmetric and its diagonal is g_2, so its gradient vanishes at the root
+    of s_2, the m = 2 member. Its Hessian there is positive definite: the
+    curvature along the diagonal because s_2 increases, the one across it where a(t) > 0,
+    which ``converged`` checks in closed form.
     """
-    xd, converged, iterations = _brentq(
-        _diagonal_stationarity, *ROOT_BRACKET, ROOT_TOL, _BRENT_MAXITER
-    )
+    xd, converged, iterations = _degenerate_minimum(2)
     return MinimumResult(
         argmin=(xd, xd),
         value=three_level_factor(xd, xd),

@@ -155,8 +155,9 @@ def _cmd_minima(args) -> str:
     return "".join(
         [
             "# minima of the low-temperature bound factors\n",
-            f"# two-level: Brent root of x tanh(x/2) = 2 on [{lo:g}, {hi:g}], tol {ROOT_TOL!r}\n",
-            f"# three-level: Brent root of the diagonal stationarity on [{lo:g}, {hi:g}]"
+            f"# two-level: Brent root of s_m(x) = 2/(1 + m e^-x) - 2/x - 1 at m = 1"
+            f" on [{lo:g}, {hi:g}], tol {ROOT_TOL!r}\n",
+            f"# three-level: Brent root of s_m at m = 2 (the diagonal) on [{lo:g}, {hi:g}]"
             f" + closed-form cross-diagonal Hessian check, tol {ROOT_TOL!r}\n",
             f"two_level_xm = {two.argmin:.8f}\n",
             f"two_level_min = {two.value:.8f}\n",

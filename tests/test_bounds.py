@@ -13,6 +13,7 @@ from thermometry import (
     UNBOUNDED,
     family_from_dict,
     fisher_information,
+    fisher_report,
     gapped_divergence_factor,
     make_spectrum,
     minimize_three_level_factor,
@@ -24,14 +25,16 @@ from thermometry import (
     two_level_factor,
 )
 from thermometry.bounds import (
+    ROOT_BRACKET,
     _brentq,
     _cross_diagonal_curvature,
     _cubic_value,
-    _diagonal_stationarity,
+    _degenerate_minimum,
+    _degenerate_stationarity,
     _pchip,
 )
 
-# 30-digit stationarity roots (x sinh x = 2(1+cosh x) and its diagonal
+# 30-digit roots of s_1 and s_2 (x sinh x = 2(1+cosh x) and its diagonal
 # analogue), rounded to float64.
 X_M = 2.3993572805154675
 G_MIN = 2.2767175312280727
@@ -39,6 +42,15 @@ X_H = 2.654657972462592
 H_MIN = 1.3126766377485912
 
 ratios = st.floats(min_value=0.01, max_value=100.0, allow_nan=False)
+
+
+def degenerate_factor(x, m):
+    """g_m(x) = (1 + m e^{-x})^2 / (m x^2 e^{-x}).
+
+    1/F at T = 1 of levels (0, x) with degeneracies (1, m).
+    """
+    e = math.exp(-x)
+    return (1 + m * e) ** 2 / (m * x * x * e)
 
 
 def naive_three_level_factor(x, y):
@@ -241,7 +253,7 @@ def test_bounds_saturate_and_never_refuse(x, y):
 
 def test_two_level_minimum_default_bracket():
     res = minimize_two_level_factor()
-    assert res.argmin == pytest.approx(X_M, abs=1e-9)
+    assert res.argmin == pytest.approx(X_M, abs=1e-14)
     assert res.value == pytest.approx(G_MIN, rel=1e-12)
     assert res.argmin == pytest.approx(2.4, abs=0.05)
     assert res.value == pytest.approx(2.27, abs=0.01)
@@ -300,8 +312,47 @@ def test_cross_diagonal_curvature_matches_finite_differences(t):
 def test_diagonal_slope_matches_finite_differences(t):
     h = 1e-4 * t
     slope = (three_level_factor(t + h, t + h) - three_level_factor(t - h, t - h)) / (2 * h)
-    closed = _diagonal_stationarity(t) * (math.exp(t) + 2) ** 2 * math.exp(-t) / (2 * t**2)
+    closed = _degenerate_stationarity(t, 2) * (math.exp(t) + 2) ** 2 * math.exp(-t) / (2 * t**2)
     assert closed == pytest.approx(slope, rel=1e-5, abs=1e-9)
+
+
+@pytest.mark.parametrize("t", np.linspace(1.5, 3.5, 21).tolist())
+def test_two_level_slope_matches_finite_differences(t):
+    h = 1e-4 * t
+    slope = (two_level_factor(t + h) - two_level_factor(t - h)) / (2 * h)
+    closed = _degenerate_stationarity(t, 1) * two_level_factor(t)
+    # the difference is off by ~h^2 f2'''/6, up to 5e-8 here; the slope crosses 0 at x_m
+    assert closed == pytest.approx(slope, rel=1e-5, abs=1e-7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(*ROOT_BRACKET), m=st.integers(1, 32))
+def test_degenerate_level_crb_is_the_family_factor(x, m):
+    report = fisher_report(make_spectrum([(0.0, 1), (x, m)]), 1.0)
+    assert report.crb_single_shot == pytest.approx(degenerate_factor(x, m), rel=1e-12)
+
+
+def test_three_level_minimum_is_the_m2_member():
+    root, converged, iterations = _degenerate_minimum(2)
+    res = minimize_three_level_factor()
+    assert res.argmin == (root, root)
+    assert (res.converged, res.iterations) == (converged, iterations)
+
+
+@pytest.mark.parametrize(
+    "m, x_star, g_star", [(3, 2.845, 0.977), (7, 3.333, 0.563), (31, 4.412, 0.259)]
+)
+def test_degenerate_minimum_of_more_excited_levels(m, x_star, g_star):
+    root, converged, _ = _degenerate_minimum(m)
+    assert converged
+    assert root == pytest.approx(x_star, abs=5e-4)
+    assert degenerate_factor(root, m) == pytest.approx(g_star, abs=5e-4)
+
+
+def test_s1_has_the_sign_of_the_tanh_form():
+    for x in np.linspace(*ROOT_BRACKET, 2001).tolist():
+        tanh_form = x * math.tanh(0.5 * x) - 2.0
+        assert np.sign(_degenerate_stationarity(x, 1)) == np.sign(tanh_form)
 
 
 def test_cross_diagonal_curvature_changes_sign():

@@ -368,6 +368,15 @@ def test_minima_report(capsys):
     assert fields["three_level_converged"] == "true"
 
 
+def test_minima_bytes_pinned(capsys):
+    # both roots of s_m: m = 1 within 1.1e-15 of x_m, m = 2 within ROOT_TOL of x_h
+    code, out, _ = run_cli(capsys, "minima")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "aac7b76e15c2ea0941829044aa09798473e16816355fae739613e479a2633a11"
+    )
+
+
 def test_minima_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, "minima")
     _, second, _ = run_cli(capsys, "minima")
@@ -618,6 +627,20 @@ def test_tune_table_family(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["bound_over_T2"] == pytest.approx(2.2767175312280727, rel=1e-6)
+
+
+def test_tune_table_family_bytes_pinned(capsys, tmp_path):
+    # an interior optimum: the root of gap(lambda) = x_m T on the middle piece
+    path = tmp_path / "table.json"
+    path.write_text(
+        json.dumps({"kind": "table", "points": [[0.0, 0.5], [5.0, 2.4], [10.0, 9.0]]})
+    )
+    code, out, _ = run_cli(capsys, "tune", "--family", str(path), "-T", "1.0")
+    assert code == 0
+    assert json.loads(out)["bound_over_T2"] == 2.2767175312280727
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d86301f7b973d3c5bac13c7e5458b3c88a79481557d6e339a643117341d7e741"
+    )
 
 
 @pytest.mark.parametrize("points", [[[None, 1], [1, 2]], [[0, 1], [1, [2]]]])
