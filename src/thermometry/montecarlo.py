@@ -11,11 +11,14 @@ once: the MLE each sample mean, Bayes each pair (S, M) of energy sum and shots.
 The sampling floor is reached in two steps, each bit for bit the same as
 the plain construction. Trial streams are built in bulk: the PCG64
 ``(state, inc)`` of ``trial_rng(seed, t)`` is derived for a block of
-trials at once by numpy's ``SeedSequence`` hash (the seed's pool taken
-from numpy once, the block's spawn words hashed as one array) and PCG64's
-seeding step, and set on one reused generator. Levels are counted by
-thresholds: a block of uniforms is compared with each cumulative boundary,
-which makes the same float comparisons as ``searchsorted(side="right")``.
+trials at once, as uint64 arrays, by numpy's ``SeedSequence`` hash (the
+seed's pool taken from numpy once, the block's spawn words hashed as one
+array) and PCG64's seeding step in 64-bit halves. Each trial's four words
+are then written in place into one reused generator, through numpy's
+documented ``BitGenerator.ctypes.state_address``, after a check of that
+memory's layout. Levels are counted by thresholds: a block of uniforms is
+compared with each cumulative boundary, which makes the same float
+comparisons as ``searchsorted(side="right")``.
 """
 
 from __future__ import annotations
@@ -92,14 +95,28 @@ DRAW_CHUNK = 1 << 14
 STREAM_BLOCK = 1024
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) on 32-bit words, and the
-# PCG64 multiplier of its seeding step
+# PCG64 multiplier of its seeding step, in 64-bit halves
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_PCG_MULT_HI, _PCG_MULT_LO = divmod(_PCG_MULT, 1 << 64)
+
+# The probe of the state layout check: a PCG64 state and inc, and a buffered 32-bit half,
+# each 32-bit word distinct, so that a swapped or shifted read shows. Each of numpy's two
+# pcg128_t layouts holds the probe's words (state_lo, state_hi, inc_lo, inc_hi) in its own
+# column order, the one a row of stream words is written in: a native __uint128_t keeps the
+# low word first, the emulated {high, low} struct swaps each pair. The flags word is
+# has_uint32 = 1 and the half, the two 32-bit fields after the state pointer.
+_PROBE_STATE = 0x0123456789ABCDEF_F0E1D2C3B4A59687
+_PROBE_INC = 0x1032547698BADCFE_0F1E2D3C4B5A6979
+_PROBE_HALF = 0x5EEDC0DE
+_PROBE_WORDS = (*divmod(_PROBE_STATE, 1 << 64)[::-1], *divmod(_PROBE_INC, 1 << 64)[::-1])
+_PROBE_LAYOUTS = {tuple(_PROBE_WORDS[i] for i in order): order
+                  for order in ([0, 1, 2, 3], [1, 0, 3, 2])}
+_PROBE_FLAGS = 1 | _PROBE_HALF << 32
 
 
 @dataclass(frozen=True)
@@ -213,18 +230,31 @@ _STATE_ENTRIES = np.arange(8) % _POOL_SIZE
 _STATE_XOR, _STATE_MUL = _hash_columns(_INIT_B, _MULT_B, 8)
 
 
-def _stream_states(seed: int, trials: range) -> Iterator[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``trial_rng(seed, t)`` for each t of ``trials`` (step 1).
+def _mul_high(a: np.ndarray, m: int) -> np.ndarray:
+    """The high 64 bits of the 128-bit products ``a * m``, for a uint64 array ``a`` and a
+    64-bit constant ``m``, on 32-bit limbs: each partial product fits in 64 bits."""
+    a0, a1 = a & _MASK32, a >> 32
+    m0, m1 = m & _MASK32, m >> 32
+    mid = (a0 * m0 >> 32) + (a0 * m1 & _MASK32) + (a1 * m0 & _MASK32)
+    return a1 * m1 + (a0 * m1 >> 32) + (a1 * m0 >> 32) + (mid >> 32)
+
+
+def _stream_states(seed: int, trials: range) -> Iterator[np.ndarray]:
+    """PCG64 ``(state, inc)`` of ``trial_rng(seed, t)`` for each t of ``trials``, as one
+    (trials, 4) uint64 block of words state_lo, state_hi, inc_lo, inc_hi per block of at
+    most ``STREAM_BLOCK`` trials.
 
     The seed's part of the SeedSequence hash is numpy's own pool of ``SeedSequence(seed)``:
     under a spawn key numpy pads the seed's words with zeros to the pool size, and those
     zeros hash as the fill of a shorter seed does. The pool's fill and all-pairs mix take
     16 hashes and each seed word past the pool size 4 more, each multiplying the hash
     constant by ``_MULT_A``, so the constant next in line is a power of it times ``_INIT_A``.
-    Each block of at most ``STREAM_BLOCK`` trials whose spawn keys have the same number of
-    words is hashed as (4, trials) uint64 arrays of 32-bit words: each spawn word into all
-    four pool entries at once, then the eight state words as one (8, trials) array. Each
-    trial then takes PCG64's seeding step on Python ints.
+    Each block of trials whose spawn keys have the same number of words is hashed as
+    (4, trials) uint64 arrays of 32-bit words: each spawn word into all four pool entries at
+    once, then the eight state words as one (8, trials) array. PCG64's seeding step follows
+    on the same arrays: with s and i the hashed 128-bit words, inc = 2i + 1 and state =
+    (inc + s) * ``_PCG_MULT`` + inc mod 2^128, in 64-bit halves that wrap as uint64 does,
+    with each carry out of a low half taken by comparison.
     """
     pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
     const = _INIT_A * pow(_MULT_A, 4 * max(_POOL_SIZE, len(_words(seed))), 1 << 32) & _MASK32
@@ -239,24 +269,63 @@ def _stream_states(seed: int, trials: range) -> Iterator[tuple[int, int]]:
             rows = slice(_POOL_SIZE * j, _POOL_SIZE * (j + 1))
             block = _mix(block, _hashmix(t >> 32 * j & _MASK32, xor[rows], mul[rows]))
         words = _hashmix(block[_STATE_ENTRIES], _STATE_XOR, _STATE_MUL)
-        s_hi, s_lo, i_hi, i_lo = (words[0::2] | words[1::2] << 32).tolist()
-        for s0, s1, i0, i1 in zip(s_hi, s_lo, i_hi, i_lo):
-            inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
-            yield ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128, inc
+        s_hi, s_lo, i_hi, i_lo = words[0::2] | words[1::2] << 32
+        out = np.empty((end - start, 4), dtype=np.uint64)
+        out[:, 2] = inc_lo = i_lo << 1 | 1
+        out[:, 3] = inc_hi = i_hi << 1 | i_lo >> 63
+        a_lo = inc_lo + s_lo
+        a_hi = inc_hi + s_hi + (a_lo < inc_lo)
+        out[:, 0] = state_lo = a_lo * _PCG_MULT_LO + inc_lo
+        out[:, 1] = (_mul_high(a_lo, _PCG_MULT_LO) + a_lo * _PCG_MULT_HI + a_hi * _PCG_MULT_LO
+                     + inc_hi + (state_lo < inc_lo))
+        yield out
         start = end
 
 
+def _state_words(bits: np.random.PCG64) -> tuple:
+    """The state words and the flags word of ``bits`` in numpy's memory, as ctypes views,
+    and the column order that puts a row of :func:`_stream_states` into the words.
+
+    ``bits.ctypes.state_address`` is numpy's ``pcg64_state {pcg64_random_t *pcg_state;
+    int has_uint32; uint32_t uinteger}``, and ``pcg_state`` points at the 128-bit state and
+    inc. The check sets a known state, inc and buffered 32-bit half through the public
+    setter and reads them back through those addresses; a layout it does not know raises
+    ``RuntimeError``, before anything is written.
+    """
+    import ctypes  # loaded by numpy already
+
+    bits.state = {"bit_generator": "PCG64", "state": {"state": _PROBE_STATE, "inc": _PROBE_INC},
+                  "has_uint32": 1, "uinteger": _PROBE_HALF}
+    address = bits.ctypes.state_address
+    words = (ctypes.c_uint64 * 4).from_address(ctypes.c_void_p.from_address(address).value)
+    flags = ctypes.c_uint64.from_address(address + 8)
+    order = _PROBE_LAYOUTS.get(tuple(words))
+    if order is None or flags.value != _PROBE_FLAGS:
+        raise RuntimeError(
+            f"numpy {np.__version__}: PCG64 state memory does not have a known layout "
+            f"(read {[hex(w) for w in words]}, flags {flags.value:#x})"
+        )
+    return words, flags, order
+
+
 def _trial_streams(seed: int, trials: int) -> Iterator[np.random.Generator]:
-    """``trial_rng(seed, t)`` for t = 0 .. trials - 1, as one generator whose state is set
-    anew for each trial: draw from each before taking the next."""
+    """``trial_rng(seed, t)`` for t = 0 .. trials - 1, as one generator whose state is
+    rewritten in place for each trial: draw from each before taking the next.
+
+    Each trial writes its four words of :func:`_stream_states` over the generator's state
+    and inc, and clears ``has_uint32`` and ``uinteger``, as numpy's setter and a new PCG64
+    do: otherwise the 32-bit half that an odd count of 32-bit draws left buffered would be
+    the next trial's first draw. :func:`_state_words` checks the layout before the first
+    write.
+    """
     bits = np.random.PCG64(0)
     rng = np.random.Generator(bits)
-    pcg = {}
-    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for state, inc in _stream_states(seed, range(trials)):
-        pcg["state"], pcg["inc"] = state, inc
-        bits.state = full
-        yield rng
+    words, flags, order = _state_words(bits)
+    for block in _stream_states(seed, range(trials)):
+        for row in block[:, order].tolist():
+            words[:] = row
+            flags.value = 0
+            yield rng
 
 
 def _level_counts(u: np.ndarray, cum: np.ndarray) -> np.ndarray:

@@ -147,29 +147,64 @@ def test_draw_sample_validation():
 # sampling kernel: bulk-seeded streams and threshold counting
 # ---------------------------------------------------------------------------
 
+# seeds of one to ten 32-bit words, and spawn keys of one and two words
+STREAM_SEEDS = [0, 7, 2**32 - 1, 20260809, 2**64, 2**64 + 12345, 2**128, 2**130 + 99, 2**300 + 1]
+STREAM_TRIALS = [range(0, 3), range(5, 3 * STREAM_BLOCK + 7), range(2**32 - 2, 2**32 + 2),
+                 range(2**40, 2**40 + 2)]
+LOW64 = 2**64 - 1
+
+
+def numpy_pcg_states(seed, trials):
+    """``(state, inc)`` of numpy's own PCG64 under ``SeedSequence(seed, spawn_key=(t,))``."""
+    for t in trials:
+        pcg = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(t,))).state["state"]
+        yield pcg["state"], pcg["inc"]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
 @pytest.mark.parametrize(
-    "seed",
-    [0, 7, 2**32 - 1, 20260809, 2**64, 2**64 + 12345, 2**128, 2**130 + 99, 2**300 + 1],
-)
-@pytest.mark.parametrize(
-    "trials",
-    [range(0, 3), range(5, 3 * STREAM_BLOCK + 7), range(2**32 - 2, 2**32 + 2),
-     range(2**40, 2**40 + 2)],
-    ids=["first", "several_blocks", "one_to_two_words", "two_words"],
+    "trials", STREAM_TRIALS, ids=["first", "several_blocks", "one_to_two_words", "two_words"]
 )
 def test_bulk_stream_states_equal_numpy_seeding(seed, trials):
-    expected = [
-        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(t,))).state["state"]
-        for t in trials
-    ]
-    assert list(_stream_states(seed, trials)) == [(s["state"], s["inc"]) for s in expected]
+    expected = [[state & LOW64, state >> 64, inc & LOW64, inc >> 64]
+                for state, inc in numpy_pcg_states(seed, trials)]
+    blocks = list(_stream_states(seed, trials))
+    assert all(b.dtype == np.uint64 and len(b) <= STREAM_BLOCK for b in blocks)
+    assert np.concatenate(blocks).tolist() == expected
+
+
+def test_bulk_stream_states_cover_both_carries():
+    # the seeding step's two 128-bit additions, inc + s and (inc + s) * mult + inc, each
+    # carry out of the low word in some tested trials and not in others
+    first, second = set(), set()
+    for seed in STREAM_SEEDS:
+        for trials in STREAM_TRIALS:
+            for t, (state, inc) in zip(trials, numpy_pcg_states(seed, trials)):
+                words = np.random.SeedSequence(seed, spawn_key=(t,)).generate_state(4, np.uint64)
+                s_lo, product_lo = int(words[1]), state - inc & LOW64
+                first.add((inc & LOW64) + s_lo > LOW64)
+                second.add(product_lo + (inc & LOW64) > LOW64)
+    assert first == second == {False, True}
 
 
 def test_trial_streams_continue_as_trial_rng():
-    # the reused generator across a block boundary of the state derivation
+    # the reused generator across a block boundary of the state derivation; an odd count of
+    # 32-bit draws leaves a half buffered, which the next trial must not draw
     trials = STREAM_BLOCK + 2
-    draws = [rng.random(3).tolist() for rng in _trial_streams(5, trials)]
-    assert draws == [trial_rng(5, t).random(3).tolist() for t in range(trials)]
+
+    def draw(rng):
+        return rng.integers(0, 2**32, 3, dtype=np.uint32).tolist() + rng.random(3).tolist()
+
+    draws = [draw(rng) for rng in _trial_streams(5, trials)]
+    assert draws == [draw(trial_rng(5, t)) for t in range(trials)]
+
+
+@pytest.mark.parametrize("expected", ["_PROBE_LAYOUTS", "_PROBE_FLAGS"])
+def test_trial_streams_refuse_an_unknown_state_layout(monkeypatch, expected):
+    # the probe reads back as no known layout: expected words or flags that numpy does not hold
+    monkeypatch.setattr(montecarlo, expected, {} if expected == "_PROBE_LAYOUTS" else 0)
+    with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+        next(_trial_streams(5, 3))
 
 
 def searchsorted_counts(spectrum, T, shots, rngs):
