@@ -1,21 +1,18 @@
 import contextlib
 import copy
-import hashlib
 import io
 import json
 import math
-import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from _pins import PINS, output_digest, run_pin
 from _strategies import spectra, temperatures
 from thermometry import (
-    GENERATOR_ID,
     cli,
     make_spectrum,
     save_spectrum,
@@ -24,7 +21,6 @@ from thermometry import (
 )
 from thermometry.cli import main
 
-BUNDLED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "saturation_x24.cfg"
 TWO_LEVEL_SPECTRUM = {"label": "qubit", "levels": [{"energy": 0.0}, {"energy": 1.0}]}
 SINGLE_LEVEL_SPECTRUM = {"label": "flat", "levels": [{"energy": 0.0, "degeneracy": 3}]}
 
@@ -46,6 +42,25 @@ def parse_csv(text):
     rows = [line for line in text.strip().splitlines() if not line.startswith("#")]
     header, data = rows[0], rows[1:]
     return header.split(","), [row.split(",") for row in data]
+
+
+# ---------------------------------------------------------------------------
+# pinned output bytes (the table is tests/_pins.py)
+# ---------------------------------------------------------------------------
+
+# the merged level count of each pinned bound report
+PINNED_SLD_LEVELS = {"bound-lattice": 211, "bound-ties-drawn": 2050, "bound-ties-sorted": 2050}
+
+
+@pytest.mark.parametrize("pin", PINS, ids=[pin.id for pin in PINS])
+def test_command_output_bytes_pinned(tmp_path, pin):
+    code, out, err = run_pin(pin, tmp_path)
+    assert (code, err) == (0, "")
+    assert output_digest(out) == pin.digest
+    if pin.id in PINNED_SLD_LEVELS:
+        assert len(json.loads(out)["sld_eigenvalues"]) == PINNED_SLD_LEVELS[pin.id]
+    if pin.id == "tune-table":
+        assert json.loads(out)["bound_over_T2"] == 2.2767175312280727
 
 
 # ---------------------------------------------------------------------------
@@ -102,48 +117,6 @@ def test_bound_malformed_file_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "bound", "--spectrum", str(missing), "-T", "1.0")
     assert code == 2
     assert "levels" in err
-
-
-def test_bound_report_bytes_pinned(capsys, tmp_path):
-    # 300 levels on a 1/64 lattice, 89 energies repeated exactly (merged on load);
-    # the digest is that of the report written by json.dumps(report, indent=2)
-    levels = [{"energy": (i * 37 % 211) / 64, "degeneracy": 1 + i % 3} for i in range(300)]
-    path = tmp_path / "lattice.json"
-    path.write_text(json.dumps({"label": "lattice-300", "levels": levels}))
-    code, out, _ = run_cli(capsys, "bound", "--spectrum", str(path), "-T", "1.7", "-M", "250")
-    assert code == 0
-    assert len(json.loads(out)["sld_eigenvalues"]) == 211
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "6191f2c811bed6bb7c2c01d463a61b32f7a6cb61fb40fc582b1fbde48d13dc40"
-    )
-
-
-def _tied_levels():
-    # 2000 levels on a 2^-14 lattice, 100 exact repeats and 100 near-ties: 50 within the
-    # merge tolerance (1e-12 of the spread, about 6.4e-11), 50 kept as levels 2e-10 apart
-    rng = random.Random(22)
-    energies = [rng.randrange(2**20) / 2**14 for _ in range(2000)]
-    energies += rng.sample(energies, 100)
-    near = rng.sample(energies, 100)
-    energies += [e + 5e-12 for e in near[:50]] + [e + 2e-10 for e in near[50:]]
-    return [{"energy": e, "degeneracy": 1 + rng.randrange(3)} for e in energies]
-
-
-@pytest.mark.parametrize("order", ["drawn", "sorted"])
-def test_bound_report_with_ties_bytes_pinned(capsys, tmp_path, order):
-    # the digest is that of the report the per-level loop wrote; the input order changes
-    # nothing once levels are merged
-    levels = _tied_levels()
-    if order == "sorted":
-        levels.sort(key=lambda level: level["energy"])
-    path = tmp_path / "tied.json"
-    path.write_text(json.dumps({"label": "tied", "levels": levels}))
-    code, out, _ = run_cli(capsys, "bound", "--spectrum", str(path), "-T", "3.0", "-M", "77")
-    assert code == 0
-    assert len(json.loads(out)["sld_eigenvalues"]) == 2050
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "917c89341c5636988766c3c60b8656b5bfd2f8616461d4988a6d7af1694e51ec"
-    )
 
 
 NOT_A_LEVEL = "levels[{i}] must be an object with an 'energy' field"
@@ -323,14 +296,6 @@ def test_hfun_round_trips_losslessly(capsys):
         assert float(h_text) == three_level_factor(float(x_text), float(y_text))
 
 
-def test_hfun_default_grid_bytes_pinned(capsys):
-    code, out, _ = run_cli(capsys, "hfun")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "40051217c5a586e704b91a496e91502024eeb8b4731edff1b91f58e56f567322"
-    )
-
-
 @pytest.mark.parametrize("lo, hi, step, x", [
     ("1e160", "1.000001e160", "5e153", "1e+160"),
     ("1e200", "2e200", "5e199", "1e+200"),
@@ -366,15 +331,6 @@ def test_minima_report(capsys):
     assert float(fields["three_level_min"]) == pytest.approx(1.31, abs=0.01)
     assert fields["two_level_converged"] == "true"
     assert fields["three_level_converged"] == "true"
-
-
-def test_minima_bytes_pinned(capsys):
-    # both roots of s_m: m = 1 within 1.1e-15 of x_m, m = 2 within ROOT_TOL of x_h
-    code, out, _ = run_cli(capsys, "minima")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "aac7b76e15c2ea0941829044aa09798473e16816355fae739613e479a2633a11"
-    )
 
 
 def test_minima_is_deterministic(capsys):
@@ -468,56 +424,6 @@ def test_simulate_abort_policy_exits_4(capsys, tmp_path):
     )
 
 
-FIVE_LEVEL_SPECTRUM = {
-    "label": "five",
-    "levels": [
-        {"energy": 0.0, "degeneracy": 1},
-        {"energy": 0.5, "degeneracy": 2},
-        {"energy": 1.0, "degeneracy": 3},
-        {"energy": 1.5, "degeneracy": 2},
-        {"energy": 2.0, "degeneracy": 1},
-    ],
-}
-
-
-def _report_digest(out: str) -> str:
-    # the generator line names the numpy version; the report bits are what is pinned
-    return hashlib.sha256(out.replace(GENERATOR_ID, "<generator>").encode()).hexdigest()
-
-
-@pytest.mark.parametrize(
-    "config,digest",
-    [
-        (
-            {"spectrum": TWO_LEVEL_SPECTRUM, "true_temperature": 1.0 / 2.4,
-             "shots_per_trial": 200, "trials": 300, "estimator": "mle", "seed": 11,
-             "degenerate_sample_policy": "exclude_and_report"},
-            "bbd0814df08e43dc0243f714ae5d7e1c27db00628bef6e3655797ac48eefb975",
-        ),
-        (
-            {"spectrum": FIVE_LEVEL_SPECTRUM, "true_temperature": 0.4,
-             "shots_per_trial": 500, "trials": 100, "estimator": "bayes", "seed": 5,
-             "degenerate_sample_policy": "exclude_and_report", "bayes_grid_size": 1024},
-            "733cc4fb72476f7118ecc1ac4b62dde1c79b6133092d7822aaa43deefb8ef0a9",
-        ),
-        (
-            json.loads(BUNDLED_CONFIG.read_text(encoding="utf-8")),
-            "efe3ddd1f783c6082caf33a30e75d779ac6c6563abf691fb6c6471e15e67fd38",
-        ),
-    ],
-    ids=["mle", "bayes", "bundled"],
-)
-def test_simulate_report_bytes_pinned(capsys, tmp_path, config, digest):
-    # the MLE and bundled digests are those of the reports written by the one-trial-at-a-time
-    # implementation; the Bayes digest is that of the posterior taken from S and M alone,
-    # whose means differ from the per-level log-likelihood's by up to about 2.6e-15 relative
-    path = tmp_path / "run.cfg"
-    path.write_text(json.dumps(config))
-    code, out, _ = run_cli(capsys, "simulate", "--config", str(path))
-    assert code == 0
-    assert _report_digest(out) == digest
-
-
 @pytest.mark.parametrize("top, code, err", [
     (2.661268303156555e154, 3, "error: empirical_mse is beyond the float range\n"),
     (2.9848569586298445e77, 0, ""),
@@ -531,22 +437,6 @@ def test_simulate_errors_squared_past_the_float_range(capsys, tmp_path, top, cod
     path = tmp_path / "run.cfg"
     path.write_text(json.dumps(config))
     assert run_cli(capsys, "simulate", "--config", str(path))[::2] == (code, err)
-
-
-def test_sweep_csv_bytes_pinned(capsys, spectrum_file):
-    code, out, _ = run_cli(
-        capsys,
-        "sweep",
-        "--spectrum", spectrum_file,
-        "--temperatures", str(1.0 / 1.2), str(1.0 / 2.4), str(1.0 / 4.8),
-        "--shots", "50",
-        "--trials", "40",
-        "--seed", "7",
-    )
-    assert code == 0
-    assert _report_digest(out) == (
-        "24d3c9a430690c9c7a3440356ffc83493405cb86f6eba0946a273dddbe430842"
-    )
 
 
 def test_simulate_malformed_config_exits_2(capsys, tmp_path):
@@ -627,20 +517,6 @@ def test_tune_table_family(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["bound_over_T2"] == pytest.approx(2.2767175312280727, rel=1e-6)
-
-
-def test_tune_table_family_bytes_pinned(capsys, tmp_path):
-    # an interior optimum: the root of gap(lambda) = x_m T on the middle piece
-    path = tmp_path / "table.json"
-    path.write_text(
-        json.dumps({"kind": "table", "points": [[0.0, 0.5], [5.0, 2.4], [10.0, 9.0]]})
-    )
-    code, out, _ = run_cli(capsys, "tune", "--family", str(path), "-T", "1.0")
-    assert code == 0
-    assert json.loads(out)["bound_over_T2"] == 2.2767175312280727
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "d86301f7b973d3c5bac13c7e5458b3c88a79481557d6e339a643117341d7e741"
-    )
 
 
 @pytest.mark.parametrize("points", [[[None, 1], [1, 2]], [[0, 1], [1, [2]]]])
