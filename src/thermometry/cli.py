@@ -29,6 +29,7 @@ from .errors import (
     DegenerateExperimentError,
     InputFormatError,
     at_least,
+    int64,
     positive,
     positive_interval,
 )
@@ -174,7 +175,7 @@ def _cmd_minima(args) -> str:
 
 def _cmd_sweep(args) -> str:
     temps = [positive(T, "--temperatures") for T in args.temperatures]
-    shots = at_least(args.shots, 1, "--shots")
+    shots = int64(at_least(args.shots, 1, "--shots"), "--shots")
     trials = at_least(args.trials, 1, "--trials")
     spectrum = load_spectrum(args.spectrum)
     reports = sweep_saturation(

@@ -3,6 +3,8 @@
 import math
 import numbers
 
+INT64_MAX = (1 << 63) - 1
+
 
 class InputFormatError(ValueError):
     """A structured input (spectrum / gap-family / config / sample dict) is malformed.
@@ -53,6 +55,13 @@ def at_least(value: int, minimum: int, name: str) -> int:
     """``value`` if it is >= ``minimum``, else ValueError."""
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def int64(value: int, name: str) -> int:
+    """``value`` if it fits a signed 64-bit integer, else OverflowError naming ``name``."""
+    if value > INT64_MAX:
+        raise OverflowError(f"{name} must be <= {INT64_MAX}, got {value}")
     return value
 
 

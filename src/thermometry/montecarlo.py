@@ -8,22 +8,19 @@ into one (trials, levels) array and hands it to the batched estimators in
 :mod:`thermometry.estimation`, which estimate each distinct sufficient statistic
 once: the MLE each sample mean, Bayes each pair (S, M) of energy sum and shots.
 
-The sampling floor is reached in two steps, each bit for bit the same as
-the plain construction. Trial streams are built in bulk: the PCG64
+Trial streams are built in bulk, bit for bit the same as ``trial_rng``: the PCG64
 ``(state, inc)`` of ``trial_rng(seed, t)`` is derived for a block of
 trials at once, as uint64 arrays, by numpy's ``SeedSequence`` hash (the
 seed's pool taken from numpy once, the block's spawn words hashed as one
 array) and PCG64's seeding step in 64-bit halves. Each trial's four words
 are then written in place into one reused generator, through numpy's
 documented ``BitGenerator.ctypes.state_address``, after a check of that
-memory's layout. Levels are counted by thresholds: a block of uniforms is
-compared with each cumulative boundary, which makes the same float
-comparisons as ``searchsorted(side="right")``.
+memory's layout. Each trial then takes one multinomial draw of its counts
+from its stream, whose cost does not grow with the shot count.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator, Sequence
@@ -34,6 +31,7 @@ from .errors import (
     DegenerateExperimentError,
     InputFormatError,
     at_least,
+    int64,
     integer,
     number,
     positive,
@@ -84,13 +82,6 @@ BAYES = "bayes"
 EXCLUDE_AND_REPORT = "exclude_and_report"
 ABORT = "abort"
 
-# Uniforms are drawn in blocks of at most this many (several trials per block,
-# or several chunks per trial), so memory does not grow with the trial or shot
-# count; consecutive draws continue one PCG64 stream. On 2 vCPUs a block of 2^16
-# raised the benchmark's peak RSS by about 1 MB (of 38) and drew two-level trials
-# no faster. A block row thus holds at most 2^14 uniforms, so _level_counts counts
-# them in uint16 without wrapping.
-DRAW_CHUNK = 1 << 14
 # Trial streams whose PCG64 states are derived together.
 STREAM_BLOCK = 1024
 
@@ -145,6 +136,7 @@ class ExperimentConfig:
         for name, minimum in (("shots_per_trial", 1), ("trials", 1), ("seed", 0),
                               ("bayes_grid_size", MIN_GRID_SIZE)):
             store(self, name, at_least(integer(getattr(self, name), name), minimum, name))
+        int64(self.shots_per_trial, "shots_per_trial")  # numpy draws counts as int64
         for name in ("bayes_prior", "mle_bracket"):
             pair = getattr(self, name)
             if pair is not None:
@@ -328,65 +320,40 @@ def _trial_streams(seed: int, trials: int) -> Iterator[np.random.Generator]:
             yield rng
 
 
-def _level_counts(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    """Level counts of each row of uniforms ``u``: a uniform's level is the number of
-    boundaries of ``cum`` at or below it, as ``searchsorted(cum, u, side="right")`` places it.
-
-    The count at or above each boundary is taken by comparison (``cum`` is
-    non-decreasing) and differenced into levels: one pass over the block per boundary.
-    Each pass sums in uint16 (see ``DRAW_CHUNK``), faster than ``count_nonzero``'s intp.
-    """
-    rows, n = len(u), len(cum) + 1
-    at_or_above = np.zeros((rows, n + 1), dtype=np.int64)
-    at_or_above[:, 0] = u.shape[1]
-    for j, c in enumerate(cum):
-        at_or_above[:, j + 1] = (u >= c).sum(axis=1, dtype=np.uint16)
-    return at_or_above[:, :-1] - at_or_above[:, 1:]
-
-
 def draw_counts(
     spectrum: Spectrum, T: float, shots: int, rngs: Iterable[np.random.Generator]
 ) -> np.ndarray:
     """Multinomial counts of ``shots`` energy outcomes at ``T``, one row per stream.
 
-    Inverse-CDF sampling: each uniform is placed among the cumulative
-    occupations of all levels but the top one, so a uniform past every one
-    of those boundaries lands in the top level, even where the cumulative
-    sum ends a few ulp below 1. Uniforms are drawn in place, into one reused
-    block of at most ``DRAW_CHUNK``: whole streams' draws side by side, or one
-    stream's draw in chunks, which continue the stream exactly as one draw
-    would. A stream is used up before the next is taken.
+    Each row is ``rng.multinomial(shots, probs)`` of its stream, the conditional chain
+    k_n ~ Binomial(shots - sum_{j<n} k_j, p_n / (1 - sum_{j<n} p_j)) whose remainder goes to
+    the top level, even where the occupations sum a few ulp below 1. Each count is one
+    BTPE or inversion binomial draw, so the cost does not grow with ``shots``. A stream is
+    used up before the next is taken.
     """
-    shots = at_least(integer(shots, "shots"), 1, "shots")
+    shots = int64(at_least(integer(shots, "shots"), 1, "shots"), "shots")
     return _draw_counts(gibbs_state(spectrum, T), shots, rngs)
 
 
 def _draw_counts(
-    state: ThermalState, shots: int, rngs: Iterable[np.random.Generator]
+    state: ThermalState, shots: int, rngs: Iterable[np.random.Generator], count: int = -1
 ) -> np.ndarray:
-    """:func:`draw_counts` from the Gibbs state ``state`` and a checked ``shots``."""
-    cum = np.cumsum(state.probs)[:-1]
-    n = len(cum) + 1
-    rngs = iter(rngs)
-    if shots > DRAW_CHUNK:
-        rows = []
-        buffer = np.empty(DRAW_CHUNK)
-        for rng in rngs:
-            counts = np.zeros(n, dtype=np.int64)
-            for start in range(0, shots, DRAW_CHUNK):
-                u = rng.random(out=buffer[:min(DRAW_CHUNK, shots - start)])
-                counts += _level_counts(u[None], cum)[0]
-            rows.append(counts)
-        return np.array(rows, dtype=np.int64).reshape(-1, n)
-    block = np.empty((DRAW_CHUNK // shots, shots))
-    parts = []
-    while True:
-        k = 0
-        for k, rng in enumerate(itertools.islice(rngs, len(block)), 1):
-            rng.random(out=block[k - 1])
-        parts.append(_level_counts(block[:k], cum))
-        if k < len(block):
-            return np.concatenate(parts)
+    """:func:`draw_counts` from the Gibbs state ``state`` and a checked ``shots``, over
+    ``count`` streams where that is known (-1 where not).
+
+    On two levels the chain is one binomial of the ground level, with multinomial's bits
+    at less cost per call.
+    """
+    probs = state.probs
+    if len(probs) == 2:
+        p0 = float(probs[0])
+        ground = np.fromiter((rng.binomial(shots, p0) for rng in rngs), np.int64, count)
+        counts = np.empty((len(ground), 2), dtype=np.int64)
+        counts[:, 0] = ground
+        np.subtract(shots, ground, out=counts[:, 1])
+        return counts
+    return np.fromiter((rng.multinomial(shots, probs) for rng in rngs),
+                       (np.int64, len(probs)), count)
 
 
 def draw_sample(
@@ -440,7 +407,8 @@ def run_experiment(cfg: ExperimentConfig) -> SaturationReport:
         )
     crb = 1.0 / (cfg.shots_per_trial * fisher)
 
-    counts = _draw_counts(state, cfg.shots_per_trial, _trial_streams(cfg.seed, cfg.trials))
+    counts = _draw_counts(state, cfg.shots_per_trial, _trial_streams(cfg.seed, cfg.trials),
+                          cfg.trials)
     status, estimate = _estimate(cfg, counts)
     usable = status == INTERIOR
     if cfg.degenerate_sample_policy == ABORT and not usable.all():

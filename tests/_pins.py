@@ -106,17 +106,19 @@ PINS = [
     # every cell past the float range: inf, not an error; first pinned at f04528f
     Pin("hfun-inf", ("hfun", "--min", "800", "--max", "801", "--step", "0.5"), {},
         "478de726fa0c9c2637f159dc076c78ccf75c59a94371ef9e23f534fdb77b20ee"),
-    # every trial stream and MLE of the two runs
+    # every trial stream and MLE of the two runs; this and every other Monte Carlo digest
+    # below was taken with one multinomial draw per trial stream
     Pin("sweep-qubit", _QUBIT_SWEEP, {"qubit.json": QUBIT},
-        "40ba800dfb211869d0a6cdcd8af24d0accfec9660327eb1425f2b2b3fc1c6f8e"),
-    # the same streams through the posterior, first pinned at f04528f
+        "28ff81eb20730f10d23283157ac84f23c0ed2560f5a2ceb1fae5b6244359f1a1"),
+    # the same streams through the posterior, first pinned at f04528f; multinomial draw
     Pin("sweep-qubit-bayes", _QUBIT_SWEEP + ("--estimator", "bayes"), {"qubit.json": QUBIT},
-        "000dd69b26223ae637d7b531538096b3493420c12fd5cf3e4f092da6f3be4e4e"),
+        "345f5ac26c5ba548575099259f4cfdf2dd19f6f6700f3a721342e2626e18b5a6"),
+    # three temperatures at seed 7; multinomial draw
     Pin("sweep-seed-7", ("sweep", "--spectrum", "qubit.json", "--temperatures",
                          str(1.0 / 1.2), str(1.0 / 2.4), str(1.0 / 4.8),
                          "--shots", "50", "--trials", "40", "--seed", "7"),
         {"qubit.json": QUBIT},
-        "24d3c9a430690c9c7a3440356ffc83493405cb86f6eba0946a273dddbe430842"),
+        "05cc0745b62c1095002248858f787aa1c1d01b44db4d5085c44d92b60fa935e6"),
     # the qubit posterior, and (first pinned at f04528f) the qubit MLE
     Pin("estimate-bayes", ("estimate", "--sample", "sample.json", "--spectrum", "qubit.json",
                            "--prior", "0.2", "5.0", "--grid", "64"),
@@ -125,21 +127,21 @@ PINS = [
     Pin("estimate-mle", ("estimate", "--sample", "sample.json", "--spectrum", "qubit.json"),
         {"sample.json": SAMPLE, "qubit.json": QUBIT},
         "f34839b8cd9f761a5b6968eaf986eaa03da171698ae1ba5a7566371d986ea7a1"),
-    # the MLE and bundled reports written by the one-trial-at-a-time implementation; the
+    # the MLE, Bayes and bundled reports of the multinomial draw, one per trial stream; the
     # Bayes report is that of the posterior taken from S and M alone, whose means differ
     # from the per-level log-likelihood's by up to about 2.6e-15 relative
     Pin("simulate-mle", ("simulate", "--config", "run.cfg"),
         {"run.cfg": {"spectrum": QUBIT, "true_temperature": 1.0 / 2.4,
                      "shots_per_trial": 200, "trials": 300, "estimator": "mle", "seed": 11,
                      "degenerate_sample_policy": "exclude_and_report"}},
-        "bbd0814df08e43dc0243f714ae5d7e1c27db00628bef6e3655797ac48eefb975"),
+        "5621de56ab7f0d7cee28ebee8795f01842e1f0791a9f5db06aa8354834e9b016"),
     Pin("simulate-bayes", ("simulate", "--config", "run.cfg"),
         {"run.cfg": {"spectrum": FIVE_LEVELS, "true_temperature": 0.4,
                      "shots_per_trial": 500, "trials": 100, "estimator": "bayes", "seed": 5,
                      "degenerate_sample_policy": "exclude_and_report", "bayes_grid_size": 1024}},
-        "733cc4fb72476f7118ecc1ac4b62dde1c79b6133092d7822aaa43deefb8ef0a9"),
+        "1a6daa5d93fa83902340e390fe4665bce57801185b5c82f86adef4739ebe8a8d"),
     Pin("simulate-bundled", ("simulate", "--config", "run.cfg"), {"run.cfg": BUNDLED_CONFIG},
-        "efe3ddd1f783c6082caf33a30e75d779ac6c6563abf691fb6c6471e15e67fd38"),
+        "8a2425f7b5e9b9530016719081bd0f633e0428ff57a6dcbf4a74b798d381322b"),
 ]
 
 

@@ -420,7 +420,7 @@ def test_simulate_abort_policy_exits_4(capsys, tmp_path):
     assert "degenerate" in err
     # the first degenerate trial in trial order, with its counts
     assert err == (
-        "error: trial 3 produced a degenerate sample (status non_invertible, counts (3, 6))\n"
+        "error: trial 0 produced a degenerate sample (status non_invertible, counts (4, 5))\n"
     )
 
 
@@ -762,6 +762,26 @@ def test_sweep_rejects_negative_seed(capsys, spectrum_file):
     assert code == 3
     assert out == ""
     assert err == "error: seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("shots, code", [(2**63 - 1, 0), (2**63, 3)], ids=["int64_max", "past"])
+def test_shots_past_the_int64_range_exit_3(capsys, tmp_path, spectrum_file, command, shots, code):
+    # numpy draws each count as an int64; the largest one is drawn in O(1) like any other
+    if command == "simulate":
+        config = tmp_path / "run.cfg"
+        config.write_text(json.dumps({**BASE_CONFIG, "shots_per_trial": shots}))
+        argv, name = ["simulate", "--config", str(config)], "shots_per_trial"
+    else:
+        argv = ["sweep", "--spectrum", spectrum_file, "--temperatures", "0.4",
+                "--shots", str(shots), "--trials", "5"]
+        name = "--shots"
+    result, out, err = run_cli(capsys, *argv)
+    assert result == code
+    if code:
+        assert (out, err) == ("", f"error: {name} must be <= {2**63 - 1}, got {shots}\n")
+    else:
+        assert err == "" and str(shots) in out
 
 
 def test_estimate_label_mismatch_exits_2(capsys, tmp_path, spectrum_file):

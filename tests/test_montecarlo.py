@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -36,22 +37,22 @@ from thermometry import (
 from thermometry import fisher, montecarlo
 from thermometry.estimation import bayes_batch, mle_batch
 from thermometry.montecarlo import (
-    DRAW_CHUNK,
     STREAM_BLOCK,
     _estimate,
-    _level_counts,
     _stream_states,
     _trial_streams,
     draw_counts,
 )
 
-# far more levels than the Monte Carlo runs sample (2 to 5): one comparison pass per boundary
+# far more levels than the Monte Carlo runs sample (2 to 5): a chain of that many binomials
 MANY_LEVELS = 65
 
 BUNDLED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "saturation_x24.cfg"
 
 QUBIT = make_spectrum([(0.0, 1), (1.0, 1)], label="qubit")
 P1_UNIT = 0.2689414213699951
+# energies 0, 0.5, 1, 1.5 and 2 with degeneracies 1, 2, 3, 2 and 1
+FIVE_LEVELS = make_spectrum([(n / 2, m) for n, m in enumerate((1, 2, 3, 2, 1))], label="five")
 
 
 def saturation_config(**overrides):
@@ -111,40 +112,17 @@ def test_draw_counts_rows_equal_draw_sample():
         assert tuple(row.tolist()) == draw_sample(s, 0.6, 300, trial_rng(4, t)).counts
 
 
-def test_chunked_draw_equals_one_shot_draw():
-    # several chunks plus a remainder continue the stream exactly as one draw
-    shots = 200_000
-    assert shots > 3 * DRAW_CHUNK
-    s = make_spectrum([(0.0, 1), (0.2, 2), (0.5, 1), (1.0, 3)])
-    cum = np.cumsum(gibbs_state(s, 0.8).probs)
-    u = trial_rng(13, 2).random(shots)
-    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
-    expected = tuple(np.bincount(idx, minlength=len(cum)).tolist())
-    assert draw_sample(s, 0.8, shots, trial_rng(13, 2)).counts == expected
-
-
-def test_uniform_past_a_cumulative_sum_below_one_lands_in_the_top_level():
-    class LargestUniform:  # draw_counts draws in place, as Generator.random(out=...) does
-        def random(self, out):
-            out.fill(1.0 - 2.0**-53)
-            return out
-
-    s = make_spectrum([(e, 1) for e in (0.05, 0.12, 0.81, 1.82, 1.91, 2.19, 2.44, 2.74)])
-    T = 2.946
-    assert np.cumsum(gibbs_state(s, T).probs)[-1] < 1.0
-    counts = draw_counts(s, T, 5, [LargestUniform(), LargestUniform()])
-    assert counts.tolist() == [[0] * 7 + [5]] * 2
-
-
 def test_draw_sample_validation():
     with pytest.raises(ValueError):
         draw_sample(QUBIT, 1.0, 0, trial_rng(0, 0))
     with pytest.raises(InputFormatError, match="shots"):
         draw_sample(QUBIT, 0.4, 100.0, trial_rng(0, 0))
+    with pytest.raises(OverflowError, match="shots must be <= 9223372036854775807"):
+        draw_sample(QUBIT, 0.4, 2**63, trial_rng(0, 0))
 
 
 # ---------------------------------------------------------------------------
-# sampling kernel: bulk-seeded streams and threshold counting
+# sampling kernel: bulk-seeded streams and one multinomial draw per stream
 # ---------------------------------------------------------------------------
 
 # seeds of one to ten 32-bit words, and spawn keys of one and two words
@@ -207,78 +185,105 @@ def test_trial_streams_refuse_an_unknown_state_layout(monkeypatch, expected):
         next(_trial_streams(5, 3))
 
 
-def searchsorted_counts(spectrum, T, shots, rngs):
-    """The plain inverse-CDF draw: one searchsorted and bincount over each stream's draw."""
-    cum = np.cumsum(gibbs_state(spectrum, T).probs)[:-1]
-    rows = [np.bincount(np.searchsorted(cum, rng.random(shots), side="right"),
-                        minlength=len(cum) + 1) for rng in rngs]
-    return np.array(rows).reshape(-1, len(cum) + 1), cum
-
-
 @pytest.mark.parametrize(
     "levels,T,shots,edge",
     [
-        # exp(-800) underflows: zero occupations tie the top boundaries
-        ([(0.0, 1), (1.0, 2), (800.0, 1), (900.0, 1)], 1.0, 500, "tie"),
-        # occupations below the cumulative sum's ulp tie their boundaries
-        ([(0.0, 1), (5.0, 1), (50.0, 1), (51.0, 1)], 1.0, 500, "tie"),
+        # exp(-800) underflows: zero occupations, which no draw may reach
+        ([(0.0, 1), (1.0, 2), (800.0, 1), (900.0, 1)], 1.0, 500, "zero"),
+        # occupations below the cumulative sum's ulp
+        ([(0.0, 1), (5.0, 1), (50.0, 1), (51.0, 1)], 1.0, 500, "sub_ulp"),
         ([(e, 1) for e in (0.05, 0.12, 0.81, 1.82, 1.91, 2.19, 2.44, 2.74)], 2.946, 500,
          "sum_below_one"),
         ([(0.0, 1), (1.0, 1)], 0.4, 1, None),
-        ([(0.0, 1), (0.2, 2), (0.5, 1), (1.0, 3)], 0.8, 2 * DRAW_CHUNK + 7, None),
+        ([(0.0, 1), (0.2, 2), (0.5, 1), (1.0, 3)], 0.8, 10**6, None),
         ([(0.01 * k, 1) for k in range(MANY_LEVELS)], 0.3, 300, None),
-        ([(0.01 * k, 1) for k in range(MANY_LEVELS)], 0.3, DRAW_CHUNK + 1, None),
+        ([(0.01 * k, 1) for k in range(MANY_LEVELS)], 0.3, 10**6, None),
     ],
     ids=["zero_occupations", "sub_ulp_occupations", "sum_below_one", "one_shot",
-         "several_chunks", "many_levels", "many_levels_chunks"],
+         "large_shots", "many_levels", "many_levels_large_shots"],
 )
-def test_draw_counts_equal_the_searchsorted_draw(levels, T, shots, edge):
+def test_draw_counts_equal_the_multinomial_draw(levels, T, shots, edge):
     s = make_spectrum(levels)
     assert s.n_levels == len(levels)
-    streams = max(2, min(300, 3 * DRAW_CHUNK // shots))  # several blocks where they fit
-    expected, cum = searchsorted_counts(s, T, shots, (trial_rng(3, t) for t in range(streams)))
-    if edge == "tie":
-        assert (np.diff(cum) == 0).any()
+    probs = gibbs_state(s, T).probs
+    if edge == "zero":
+        assert (probs == 0.0).any()
+    if edge == "sub_ulp":
+        assert (probs < np.spacing(1.0)).any() and (probs > 0.0).all()
     if edge == "sum_below_one":
-        assert np.cumsum(gibbs_state(s, T).probs)[-1] < 1.0
-    assert draw_counts(s, T, shots, _trial_streams(3, streams)).tolist() == expected.tolist()
+        assert np.cumsum(probs)[-1] < 1.0
+    streams = 300
+    expected = [trial_rng(3, t).multinomial(shots, probs).tolist() for t in range(streams)]
+    counts = draw_counts(s, T, shots, _trial_streams(3, streams))
+    assert counts.dtype == np.int64 and counts.shape == (streams, len(levels))
+    assert counts.tolist() == expected
+    assert (counts.sum(axis=1) == shots).all()
+    assert (counts[:, probs == 0.0] == 0).all()
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_threshold_counts_equal_searchsorted_counts(data):
-    n = data.draw(st.sampled_from([2, 3, 5, 9, MANY_LEVELS]), "n")
-    # boundaries from a few values, so that they tie; uniforms on, next to and between them
-    values = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4), "values")
-    cum = np.sort(data.draw(st.lists(st.sampled_from(values), min_size=n - 1,
-                                     max_size=n - 1), "cum"))
-    near = values + [np.nextafter(v, 2.0) for v in values] + [np.nextafter(v, -1.0) for v in values]
-    uniform = st.one_of(st.sampled_from([x for x in near if 0.0 <= x < 1.0] or [0.0]),
-                        st.floats(0.0, 1.0, exclude_max=True), st.just(1.0 - 2.0**-53))
-    rows, width = data.draw(st.integers(1, 4), "rows"), data.draw(st.integers(1, 30), "width")
-    u = np.array(data.draw(st.lists(uniform, min_size=rows * width, max_size=rows * width),
-                           "u")).reshape(rows, width)
-    expected = [np.bincount(np.searchsorted(cum, row, side="right"), minlength=n) for row in u]
-    assert _level_counts(u, cum).tolist() == np.array(expected).tolist()
+@pytest.mark.parametrize("degeneracies", [(1, 1), (1, 3), (5, 2)], ids=["m1_1", "m1_3", "m5_2"])
+def test_two_level_draw_is_the_multinomial_draw_bit_for_bit(degeneracies):
+    # one binomial of the ground level, on both of numpy's binomial paths (inversion where
+    # the smaller of M p and M q is at most 30, BTPE above) and on both sides of p = 1/2
+    s = make_spectrum(list(zip((0.0, 1.0), degeneracies)))
+    for T in (0.05, 0.2, 1.0 / 2.4, 1.0, 5.0, 50.0):
+        probs = gibbs_state(s, T).probs
+        for shots in (1, 2, 31, 61, 1000, 10**5, 10**12, 2**63 - 1):
+            expected = [trial_rng(8, t).multinomial(shots, probs).tolist() for t in range(20)]
+            assert draw_counts(s, T, shots, _trial_streams(8, 20)).tolist() == expected
 
 
-def test_level_counts_of_a_full_block_row_do_not_wrap():
-    # the counts are summed in uint16, which holds a row of DRAW_CHUNK uniforms
-    u = np.full((1, DRAW_CHUNK), 0.75)
-    assert _level_counts(u, np.array([0.25, 0.5])).tolist() == [[0, 0, DRAW_CHUNK]]
+def log_binomial_pmf(k, n, p):
+    return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+            + k * math.log(p) + (n - k) * math.log1p(-p))
+
+
+def binomial_two_sided_p(x, n, p):
+    """Exact two-sided p-value of x under Binomial(n, p): twice the tail on the side of x
+    away from the mean, summed in log space from x outwards until the terms stop counting."""
+    step = 1 if x >= n * p else -1
+    log_tail = log_term = log_binomial_pmf(x, n, p)
+    k = x + step
+    while 0 <= k <= n and log_term > log_tail - 60.0:
+        log_term = log_binomial_pmf(k, n, p)
+        log_tail = max(log_tail, log_term) + math.log1p(math.exp(-abs(log_tail - log_term)))
+        k += step
+    return min(1.0, 2.0 * math.exp(log_tail))
+
+
+@pytest.mark.parametrize("spectrum,T,shots,trials", [
+    (QUBIT, 1.0 / 2.4, 1000, 4000),
+    (FIVE_LEVELS, 0.4, 500, 2000),
+], ids=["qubit", "five_levels"])
+def test_level_totals_pass_an_exact_binomial_tail_test(spectrum, T, shots, trials):
+    # summed over R trials, each level's count is Binomial(R M, p_n) whatever the others do
+    counts = draw_counts(spectrum, T, shots, _trial_streams(17, trials))
+    assert (counts.sum(axis=1) == shots).all()
+    for total, p in zip(counts.sum(axis=0).tolist(), gibbs_state(spectrum, T).probs):
+        assert binomial_two_sided_p(total, trials * shots, float(p)) > 1e-9
+
+
+def test_binomial_tail_test_rejects_a_shifted_total():
+    # the test above can fail: 6 standard deviations off the mean of Binomial(4e6, 0.083)
+    n, p = 4_000_000, 0.0831726964939
+    sigma = math.sqrt(n * p * (1.0 - p))
+    assert binomial_two_sided_p(round(n * p), n, p) == pytest.approx(1.0, abs=1e-3)
+    for sign in (1, -1):
+        assert binomial_two_sided_p(round(n * p + sign * 6.5 * sigma), n, p) < 1e-9
 
 
 def test_draw_memory_is_the_counts_plus_one_block():
-    draw_counts(QUBIT, 0.4, 1000, _trial_streams(3, 10))
-    tracemalloc.start()
-    try:
-        counts = draw_counts(QUBIT, 0.4, 1000, _trial_streams(3, 4000))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the counts, one block of uniforms and one block of stream states (about 0.66 MB in
-    # all); the 4000 x 1000 uniforms of the run would take 32 MB
-    assert peak < 2 * counts.nbytes + 2 * DRAW_CHUNK * 8 + STREAM_BLOCK * 1024
+    for spectrum in (QUBIT, FIVE_LEVELS):
+        draw_counts(spectrum, 0.4, 1000, _trial_streams(3, 10))
+        tracemalloc.start()
+        try:
+            counts = draw_counts(spectrum, 0.4, 1000, _trial_streams(3, 4000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the counts and one block of stream states, nothing per shot: one float for each of
+        # the 4000 x 1000 shots would take 32 MB
+        assert peak < 2 * counts.nbytes + STREAM_BLOCK * 1024, spectrum.label
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +366,7 @@ def test_abort_policy_raises_quickly():
         # a narrow bracket produces every status
         (dict(true_temperature=1.0, shots_per_trial=20, trials=2000, seed=9,
               mle_bracket=(0.5, 2.0)),
-         {AT_LOWER_BOUND: 124, AT_UPPER_BOUND: 234, NON_INVERTIBLE: 60}),
+         {AT_LOWER_BOUND: 123, AT_UPPER_BOUND: 234, NON_INVERTIBLE: 52}),
     ],
 )
 def test_excluded_by_status(overrides, expected):
@@ -420,26 +425,49 @@ def test_ratio_stderr_of_one_usable_trial_is_nan():
     assert math.isnan(run_experiment(saturation_config(trials=1)).ratio_stderr)
 
 
-def test_bundled_ratio_is_within_four_standard_errors_of_the_exact_ratio():
-    # exact finite-M ratio of the two-level MLE: k excited of M gives T(k) = gap/ln((M-k)/k);
-    # k = 0 and k >= M/2 have no interior estimate and are excluded
-    with open(BUNDLED_CONFIG, encoding="utf-8") as fh:
-        cfg = config_from_dict(json.load(fh))
-    report = run_experiment(cfg)
-    M, T = cfg.shots_per_trial, cfg.true_temperature
-    gap = cfg.spectrum.energies[1] - cfg.spectrum.energies[0]
+def exact_two_level_mle_ratio(M, T, gap):
+    """The exact finite-M ratio of the two-level MLE, and the crb: k excited of M gives
+    T(k) = gap/ln((M-k)/k); k = 0 and k >= M/2 have no interior estimate and are excluded."""
     p = 1.0 / (1.0 + math.exp(gap / T))
     mass = sq = 0.0
     for k in range(1, (M + 1) // 2):
-        pmf = math.exp(math.lgamma(M + 1) - math.lgamma(k + 1) - math.lgamma(M - k + 1)
-                       + k * math.log(p) + (M - k) * math.log1p(-p))
+        pmf = math.exp(log_binomial_pmf(k, M, p))
         mass += pmf
         sq += pmf * (gap / math.log((M - k) / k) - T) ** 2
     crb = T**4 / (M * p * (1.0 - p) * gap**2)
-    exact = sq / mass / crb
+    return sq / mass / crb, crb
+
+
+def test_bundled_ratio_is_within_four_standard_errors_of_the_exact_ratio():
+    with open(BUNDLED_CONFIG, encoding="utf-8") as fh:
+        cfg = config_from_dict(json.load(fh))
+    report = run_experiment(cfg)
+    gap = cfg.spectrum.energies[1] - cfg.spectrum.energies[0]
+    exact, crb = exact_two_level_mle_ratio(cfg.shots_per_trial, cfg.true_temperature, gap)
     assert exact == pytest.approx(1.00663, abs=5e-5)
     assert report.crb == pytest.approx(crb, rel=1e-12)
     assert abs(report.ratio - exact) < 4.0 * report.ratio_stderr
+
+
+def test_large_shot_ratio_is_within_four_standard_errors_of_the_exact_ratio():
+    # at M = 10^5 the exact ratio is within 1e-4 of the floor, and each trial one binomial
+    cfg = saturation_config(shots_per_trial=10**5, trials=4000, seed=41)
+    report = run_experiment(cfg)
+    exact, crb = exact_two_level_mle_ratio(cfg.shots_per_trial, cfg.true_temperature, 1.0)
+    assert exact == pytest.approx(1.0, abs=1e-4) and exact != 1.0
+    assert report.crb == pytest.approx(crb, rel=1e-12)
+    assert report.excluded_trials == 0
+    assert abs(report.ratio - exact) < 4.0 * report.ratio_stderr
+
+
+def test_a_million_shots_in_ten_thousand_trials_run_in_well_under_a_second():
+    # 10^10 shots: one draw per shot would take minutes
+    cfg = saturation_config(shots_per_trial=10**6, trials=10**4, seed=43)
+    start = time.perf_counter()
+    report = run_experiment(cfg)
+    elapsed = time.perf_counter() - start
+    assert report.trials_used == 10**4
+    assert elapsed < 0.5
 
 
 def test_zero_usable_trials_is_an_error():
@@ -467,6 +495,8 @@ def test_config_validation():
         saturation_config(degenerate_sample_policy="ignore")
     with pytest.raises(ValueError, match="seed"):
         saturation_config(seed=-1)
+    with pytest.raises(OverflowError, match="shots_per_trial must be <= 9223372036854775807"):
+        saturation_config(shots_per_trial=2**63)
 
 
 # ---------------------------------------------------------------------------
