@@ -65,21 +65,37 @@ def _json_text(data: dict) -> str:
     return _layout(data, "\n") + "\n"
 
 
-_SCALAR_TYPES = {float, int, str, bool, type(None)}
+def _float_text(value: float) -> str:
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+
+
+# the encoder's text of each scalar, by its exact type; any other value (numpy scalars, an
+# int or str subclass, empty containers) goes through ``json.dumps``
+_SCALAR_TEXT = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
 
 
 def _layout(value, newline: str) -> str:
     """``value`` as the indenting encoder writes it after ``newline`` (a newline + indent).
 
-    ``json.dumps`` with ``indent`` runs its pure-Python encoder; a flat list instead
-    goes through the C encoder in one call, with the indenter's item separator.
+    ``json.dumps`` with ``indent`` runs its pure-Python encoder; keys and scalars instead
+    take their text from ``_SCALAR_TEXT``, and a flat list goes through the C encoder in
+    one call, with the indenter's item separator.
     """
+    text = _SCALAR_TEXT.get(type(value))
+    if text is not None:
+        return text(value)
     inner = newline + "  "
     if isinstance(value, dict) and value:
-        items = [f"{json.dumps(key)}: {_layout(item, inner)}" for key, item in value.items()]
+        items = [f"{_layout(key, inner)}: {_layout(item, inner)}" for key, item in value.items()]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(value, (list, tuple)) and value:
-        if set(map(type, value)) <= _SCALAR_TYPES:
+        if set(map(type, value)) <= _SCALAR_TEXT.keys():
             flat = json.dumps(value, separators=("," + inner, ": "))
             return "[" + inner + flat[1:-1] + newline + "]"
         items = [_layout(item, inner) for item in value]

@@ -484,34 +484,40 @@ def _posterior_means(
 
     A sample enters the likelihood only through S and M: the log-likelihood is
     -S/T - M ln Z'(T) up to the T-independent sum_n k_n ln m_n, which the maximum shift
-    removes. Samples go through in blocks of at most ``BLOCK`` floats, in two buffers, so
-    memory does not grow with their number. A block's log-likelihood is two broadcast
-    products, S x basis and M x log Z', and its norm and first moment are one dot product
-    per sample with the trapezoid weights w and w t: no operation mixes samples, so each
-    gets the bits of its posterior alone, wherever it sits in a block.
+    removes. Samples go through in runs of equal M (one run per shot count where they come
+    sorted by M, as from :func:`bayes_batch`), and each run in blocks of at most ``BLOCK``
+    floats, in one buffer and one row, so the buffers do not grow with their number. A run
+    forms its row M x log Z' once; a block's log-likelihood is the broadcast product
+    S x basis less that row, each element the rounded product that a per-sample product
+    would give. The norm and first moment are one dot product per sample with the
+    trapezoid weights w and w t: no operation mixes samples, so each gets the bits of its
+    posterior alone, wherever it sits in a block.
     """
     temps, _, _, _, basis, logz, w, wt = grid
     step = max(1, BLOCK // len(temps))
     loglik = np.empty((min(step, len(S)), len(temps)))
-    terms = np.empty_like(loglik)
+    shared = np.empty(len(temps))  # M x log Z' of the current run
+    runs = (np.flatnonzero(M[1:] != M[:-1]) + 1).tolist()
+    bounds = [0, *runs, len(S)] if len(S) else []
     means = np.empty(len(S))
     with np.errstate(over="ignore"):  # each sample checks its maximum
-        for start in range(0, len(S), step):
-            stop = min(start + step, len(S))
-            block, term = loglik[:stop - start], terms[:stop - start]
-            np.multiply(S[start:stop, None], basis, out=block)
-            np.multiply(M[start:stop, None], logz, out=term)
-            block -= term
-            top = block.max(axis=1)
-            if not np.isfinite(top).all():  # a sample impossible (likelihood 0) everywhere
-                raise ValueError(f"prior interval {temps[[0, -1]].tolist()}: the sample's"
-                                 " log-likelihood has no finite maximum on the grid")
-            block -= top[:, None]
-            np.exp(block, out=block)
-            norm = np.vecdot(block, w)
-            np.divide(np.vecdot(block, wt), norm, out=means[start:stop])
-            if density is not None:
-                np.divide(block, norm[:, None], out=density[start:stop])
+        for run, end in zip(bounds, bounds[1:]):
+            np.multiply(M[run], logz, out=shared)
+            for start in range(run, end, step):
+                stop = min(start + step, end)
+                block = loglik[:stop - start]
+                np.multiply(S[start:stop, None], basis, out=block)
+                block -= shared
+                top = block.max(axis=1)
+                if not np.isfinite(top).all():  # a sample impossible (likelihood 0) everywhere
+                    raise ValueError(f"prior interval {temps[[0, -1]].tolist()}: the sample's"
+                                     " log-likelihood has no finite maximum on the grid")
+                block -= top[:, None]
+                np.exp(block, out=block)
+                norm = np.vecdot(block, w)
+                np.divide(np.vecdot(block, wt), norm, out=means[start:stop])
+                if density is not None:
+                    np.divide(block, norm[:, None], out=density[start:stop])
     return means
 
 
@@ -527,10 +533,11 @@ def bayes_batch(
     total M: its log-likelihood is -S/T - M ln Z'(T), less a constant, on the uniform grid
     (``grid_size`` >= ``MIN_GRID_SIZE`` points). It is shifted by its maximum before
     exponentiation, and normalised and averaged with trapezoid weights. Each distinct
-    (S, M) pair (:func:`_distinct`) takes one posterior, whose mean goes to every row with
-    it; no step mixes samples, so a row has the bits of its own posterior. Posteriors go
-    through in blocks of at most ``BLOCK`` floats (2^14), and past the float counts, which
-    are released once S and M are taken, memory is a few vectors per row. A row whose
+    (S, M) pair (:func:`_distinct`, sorted by M first) takes one posterior, whose mean goes
+    to every row with it; no step mixes samples, so a row has the bits of its own posterior.
+    The pairs of one M share one row M ln Z'(T) on the grid. Posteriors go through in
+    blocks of at most ``BLOCK`` floats (2^14), and past the float counts, which are
+    released once S and M are taken, memory is a few vectors per row. A row whose
     log-likelihood has no finite maximum on the grid raises ValueError.
     """
     grid = _bayes_grid(spectrum, prior, grid_size)

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -217,22 +218,24 @@ def test_bound_stdout_of_a_shifted_spectrum_is_that_of_its_gaps(tmp_path_factory
 
 
 _report_floats = st.floats() | st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324])
+# non-ASCII text takes the encoder's \u escapes; numpy floats, whose type has no entry of
+# its own in the scalar table, NaN and infinities included, go through json.dumps
+_report_text = st.text(max_size=6) | st.text(st.characters(min_codepoint=128), max_size=4)
+_report_keys = st.text(max_size=8) | st.text(st.characters(min_codepoint=128), max_size=3)
 _report_scalars = (
-    _report_floats | st.integers(-(10**20), 10**20) | st.text(max_size=6) | st.none()
-    | st.booleans()
+    _report_floats | _report_floats.map(np.float64) | st.integers(-(10**20), 10**20)
+    | _report_text | st.none() | st.booleans()
 )
 _report_lists = st.lists(_report_floats | st.integers(-(10**6), 10**6), max_size=40) | st.lists(
     _report_scalars, max_size=3
 )
 _report_nested = st.lists(_report_lists | _report_scalars, max_size=3) | st.dictionaries(
-    st.text(max_size=4), _report_scalars | _report_lists, max_size=3
+    _report_keys, _report_scalars | _report_lists, max_size=3
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.dictionaries(
-    st.text(max_size=8), _report_scalars | _report_lists | _report_nested, max_size=8
-))
+@given(st.dictionaries(_report_keys, _report_scalars | _report_lists | _report_nested, max_size=8))
 def test_json_text_matches_the_indenting_encoder(report):
     assert cli._json_text(report) == json.dumps(report, indent=2) + "\n"
 

@@ -678,6 +678,23 @@ def test_bayes_batch_rows_equal_single_posteriors_across_blocks(
     for i, row in enumerate(counts):
         post = bayes_posterior(SampleSet(spectrum=s, counts=tuple(row.tolist())), prior, grid)
         assert post.mean == means[i]
+    # then with a block and 2 rows (M2 - i, i, 0, ...) of a second shot total M2 > M after
+    # them, each its own pair: sorted by M, the run of M2 ends the run of M wherever it stops
+    # in a block and takes two blocks, both of which subtract M2's row M2 x log Z'
+    second = shots + block + 2
+    i = np.arange(block + 2)
+    extra = np.zeros((len(i), s.n_levels), dtype=counts.dtype)
+    extra[:, 0], extra[:, 1] = second - i, i
+    both = np.concatenate([extra, counts])
+    bayes = estimation._bayes_grid(s, prior, grid)
+    first, _ = estimation._distinct(*estimation._statistics(bayes, s, both))
+    totals = both[first].sum(axis=1).tolist()
+    assert totals[-len(i):] == [second] * len(i) and set(totals[:-len(i)]) == {shots}
+    both_means = bayes_batch(s, both, prior, grid)
+    assert both_means[len(i):].tobytes() == means.tobytes()
+    for k, row in enumerate(extra):
+        post = bayes_posterior(SampleSet(spectrum=s, counts=tuple(row.tolist())), prior, grid)
+        assert post.mean == both_means[k]
 
 
 def _reference_posterior_mean(s, counts, prior, grid):

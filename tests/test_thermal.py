@@ -293,6 +293,36 @@ def test_batched_gibbs_rows_equal_gibbs_state(s, temps):
         assert np.all(abs(np.exp(lp) - p) <= 1e-13 * np.maximum(1.0, abs(lp) / 100.0) * p)
 
 
+def _log_uniform_temperatures(args):
+    n, lo, span, seed = args
+    exponents = np.random.default_rng(seed).uniform(lo, min(lo + span, 300.0), n)
+    return 10.0 ** exponents
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 10**4), st.sampled_from([1, 2, 3, 10**12])),
+             min_size=1, max_size=300),
+    st.sampled_from([0.01, 1.0, 2.0**-20, 1e290]),
+    st.tuples(st.integers(1, 2048), st.floats(-300.0, 300.0), st.floats(0.0, 600.0),
+              st.integers(0, 2**32 - 1)).map(_log_uniform_temperatures),
+)
+# the excited entry above the ground's (log 3 - 0.1 > 0 = log m_0), and log weights of -inf
+@example(levels=[(0, 1), (1, 3)], unit=1.0, temps=np.array([10.0]))
+@example(levels=[(0, 1), (1, 2), (10**4, 1)], unit=1e290, temps=np.array([1e-300, 1.0, 1e300]))
+def test_log_weights_equal_the_short_axis_maximum_reference(levels, unit, temps):
+    # each row's maximum over the flat array's segments, against max(axis=1); energies up to
+    # 1e294 at T down to 1e-300 give levels whose log weight is -inf
+    s = make_spectrum([(k * unit, m) for k, m in levels])
+    with np.errstate(over="ignore"):
+        logw = -np.outer(1.0 / temps, s._shifted) + np.log(s._weights)
+    top = logw.max(axis=1, keepdims=True)
+    logz = top[:, 0] + np.log(np.exp(logw - top).sum(axis=1))
+    got = gibbs_log_weights(s, temps)
+    assert got[0].tobytes() == logw.tobytes()
+    assert got[1].tobytes() == logz.tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from([0.0, -3.7, 1e8, -2.0**40]),
