@@ -51,6 +51,17 @@ def tied_spectrum(sort=False):
     return {"label": "tied", "levels": levels}
 
 
+def large_spectrum():
+    # 20 000 levels on a 2^-24 grid of the width, 1 000 of them repeated exactly (merged on
+    # load), degeneracies 1-3: the shape of the bound spectrum of perfbench's bounds_scan
+    rng = random.Random(31)
+    width = 200.0
+    energies = [width * rng.randrange(2**24) / 2**24 for _ in range(20000)]
+    energies += rng.sample(energies, 1000)
+    levels = [{"energy": e, "degeneracy": rng.randint(1, 3)} for e in energies]
+    return {"label": "large", "levels": levels}
+
+
 class Pin(NamedTuple):
     id: str
     argv: tuple
@@ -96,6 +107,10 @@ PINS = [
         {"tied.json": tied_spectrum()}, TIED_DIGEST),
     Pin("bound-ties-sorted", ("bound", "--spectrum", "tied.json", "-T", "3.0", "-M", "77"),
         {"tied.json": tied_spectrum(sort=True)}, TIED_DIGEST),
+    # the report the per-level loop wrote, taken before the array merge of many levels existed
+    Pin("bound-large", ("bound", "--spectrum", "large.json", "-T", "7.5", "-M", "500"),
+        {"large.json": large_spectrum()},
+        "77c5d4ae9830f642c73f1a7dcf123a777e0e5a18e1c59bc8ae59735647ee8ca3"),
     # both factor tables on small grids
     Pin("gfun", ("gfun", "--min", "1", "--max", "3", "--step", "0.5"), {},
         "ac5e21ed8bd6aa145af57d9fc8bd582892a82587898101afedb4801a1b71819d"),

@@ -132,6 +132,7 @@ LEVEL_FAULTS = [
     ({"energy": True}, 2, "levels[{i}].energy must be a number, got True"),
     ({"energy": 10**400}, 3, "levels[{i}].energy is beyond the float range"),
     ({"energy": 0.5, "degeneracy": 2.0}, 2, "levels[{i}].degeneracy must be an integer, got 2.0"),
+    ({"energy": 0.5, "degeneracy": 10**400}, 3, "levels[{i}].degeneracy is beyond the float range"),
     ({"energy": 0.5, "degeneracy": None}, 2,
      "levels[{i}].degeneracy must be an integer, got None"),
     ({"energy": 0.5, "degeneracy": False}, 2,
@@ -161,6 +162,40 @@ def test_one_bad_level_is_named_whatever_its_neighbours(capsys, tmp_path, levels
     assert run_cli(capsys, "bound", "--spectrum", str(path), "-T", "1.0") == (
         code, "", f"error: {message.format(i=i)}\n"
     )
+
+
+def _degenerate_pair(degeneracy):
+    levels = [{"energy": 0.0}, {"energy": 1.0, "degeneracy": degeneracy}]
+    return {"label": "wide-m", "levels": levels}
+
+
+def _pair_argv(command, tmp_path, degeneracy, T):
+    spectrum = _degenerate_pair(degeneracy)
+    if command == "bound":
+        path = tmp_path / "spectrum.json"
+        path.write_text(json.dumps(spectrum))
+        return ["bound", "--spectrum", str(path), "-T", repr(T), "-M", "3"]
+    path = tmp_path / "run.cfg"
+    path.write_text(json.dumps({"spectrum": spectrum, "true_temperature": T,
+                                "shots_per_trial": 20, "trials": 10, "estimator": "mle",
+                                "seed": 1, "degenerate_sample_policy": "exclude_and_report"}))
+    return ["simulate", "--config", str(path)]
+
+
+@pytest.mark.parametrize("command", ["bound", "simulate"])
+def test_a_degeneracy_past_the_float_range_exits_3_and_is_named(capsys, tmp_path, command):
+    argv = _pair_argv(command, tmp_path, 10**400, 1.0)
+    message = "error: levels[1].degeneracy is beyond the float range\n"
+    assert run_cli(capsys, *argv) == (3, "", message)
+
+
+@pytest.mark.parametrize("command", ["bound", "simulate"])
+def test_a_degeneracy_of_1e300_reports(capsys, tmp_path, command):
+    # at T = 1/690 the excited level, 1e300-fold, holds about half of the weight
+    code, out, err = run_cli(capsys, *_pair_argv(command, tmp_path, 10**300, 1 / 690.0))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert 0.0 < report["crb_m_shots" if command == "bound" else "crb"] < math.inf
 
 
 def test_bound_overflowing_sld_eigenvalue_prints_infinity(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,15 @@ from thermometry import (
     spectrum_to_dict,
 )
 from thermometry.errors import temperature_power
-from thermometry.thermal import _shifted_mean, gibbs_log_weights, gibbs_probs, shifted_means
+from thermometry.thermal import (
+    ARRAY_LEVELS,
+    MERGE_RTOL,
+    Spectrum,
+    _shifted_mean,
+    gibbs_log_weights,
+    gibbs_probs,
+    shifted_means,
+)
 
 # e^-1 / (1 + e^-1): excited-state occupation of a unit-gap system at T = 1
 P1_UNIT = 0.2689414213699951
@@ -93,6 +102,101 @@ def test_gap_accessors():
 def test_construction_errors(levels):
     with pytest.raises(ValueError):
         make_spectrum(levels)
+
+
+# ---------------------------------------------------------------------------
+# the array merge of many levels against the per-level loop
+# ---------------------------------------------------------------------------
+
+def _loop_merge(levels):
+    """The per-level merge: sort (stable, so ties keep their input order), then each level
+    joins the current cluster if it lies within tol of that cluster's lowest energy."""
+    ordered = sorted(levels, key=lambda level: level[0])
+    tol = MERGE_RTOL * (ordered[-1][0] - ordered[0][0])
+    energies, mults = [ordered[0][0]], [ordered[0][1]]
+    for energy, mult in ordered[1:]:
+        if energy - energies[-1] <= tol:
+            mults[-1] += mult
+        else:
+            energies.append(energy)
+            mults.append(mult)
+    return energies, mults
+
+
+# the first two add in int64 to sums that the float cast rounds; the others take Python ints
+_HUGE_MULTIPLICITIES = (2**53 - 1, 2**53 + 1, 2**62 + 1, 2**63 + 7, 3 * 2**64 + 1)
+
+
+@st.composite
+def _many_levels(draw):
+    """At least ARRAY_LEVELS levels on a grid, with drawn exact repeats, near-ties (within
+    tol or just past it), chains of sub-tol steps wider than tol, 0.0 and -0.0 together at
+    a cluster start in either input order, and repeated levels whose multiplicities pass
+    2^53, 2^62 or 2^63."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    unit = 2.0 ** draw(st.integers(-30, 30))
+    low = draw(st.sampled_from([0, -(2**19), 2**20]))  # a ground at, below or above zero
+    energies = [unit * (low + rng.randrange(2**20)) for _ in range(ARRAY_LEVELS)]
+    energies += [energies[rng.randrange(len(energies))] for _ in range(draw(st.integers(0, 20)))]
+    tol = MERGE_RTOL * (max(energies) - min(energies))
+    for _ in range(draw(st.integers(0, 6))):  # near-ties
+        offset = draw(st.sampled_from([0.3, 0.99, 1.0, 1.01, 3.0])) * tol
+        energies.append(rng.choice(energies) + offset)
+    for _ in range(draw(st.integers(0, 3))):  # chains
+        step = draw(st.sampled_from([0.4, 0.6, 0.9])) * tol
+        start = rng.choice(energies)
+        energies += [start + j * step for j in range(1, draw(st.integers(2, 8)))]
+    if draw(st.booleans()):
+        energies += draw(st.sampled_from([[0.0, -0.0], [-0.0, 0.0], [-0.0, 0.0, -0.0]]))
+    rng.shuffle(energies)
+    levels = [(energy, rng.randint(1, 3)) for energy in energies]
+    for _ in range(draw(st.integers(0, 3))):  # a huge multiplicity, and one more at its energy
+        big = draw(st.sampled_from(_HUGE_MULTIPLICITIES))
+        i = rng.randrange(len(levels))
+        levels[i] = (levels[i][0], big)
+        levels.insert(rng.randrange(len(levels) + 1), (levels[i][0], big + 1))
+    return levels
+
+
+@settings(max_examples=150, deadline=None)
+@given(_many_levels())
+# 2^62 + 2^62 wraps in int64, though each multiplicity fits one
+@example([(0.0, 2**62), (0.0, 2**62)] + [(float(k), 1) for k in range(1, ARRAY_LEVELS)])
+def test_array_merge_is_the_loop_merge_bit_for_bit(levels):
+    want_e, want_m = _loop_merge(levels)
+    loaded = spectrum_from_dict({"levels": [{"energy": e, "degeneracy": m} for e, m in levels]})
+    for spectrum in (make_spectrum(levels), loaded):
+        assert [e.hex() for e in spectrum.energies] == [e.hex() for e in want_e]
+        assert all(type(m) is int for m in spectrum.multiplicities)
+        assert list(spectrum.multiplicities) == want_m
+        # the arrays kept from the merge are the ones the tuples give
+        assert {"_shifted", "_weights"} <= vars(spectrum).keys()
+        lazy = Spectrum(spectrum.energies, spectrum.multiplicities)
+        for name in ("_shifted", "_weights"):
+            kept, built = getattr(spectrum, name), getattr(lazy, name)
+            assert kept.dtype == built.dtype and kept.tobytes() == built.tobytes()
+            assert not kept.flags.writeable
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0])
+def test_the_first_zero_in_the_input_is_kept(first):
+    zeros = [(first, 1), (-first, 2)]
+    for n in (1, ARRAY_LEVELS):  # the loop, then the arrays
+        grid = [(float(k), 1) for k in range(1, n + 1)]
+        for levels in (zeros + grid, grid + zeros):
+            s = make_spectrum(levels)
+            assert (s.energies[0].hex(), s.multiplicities[0]) == (first.hex(), 3)
+
+
+def test_a_chain_of_near_ties_splits_where_the_loop_splits():
+    # steps of 0.6 tol: each level is within tol of the one before, not of its cluster's lowest
+    tol = MERGE_RTOL * ARRAY_LEVELS
+    chain = [(j * 0.6 * tol, 1) for j in range(5)]
+    for top in (ARRAY_LEVELS, 1):  # the arrays, then the loop; the spread is the same
+        levels = chain + [(float(k), 1) for k in range(ARRAY_LEVELS, 0, -top)]
+        s = make_spectrum(levels)
+        assert s.energies[:3] == (0.0, 2 * 0.6 * tol, 4 * 0.6 * tol)
+        assert s.multiplicities[:3] == (2, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +589,11 @@ def _with_levels(replacements, label="large"):
          "levels[20000].energy is beyond the float range"),
         ({20000: {"energy": 1.0, "degeneracy": 2.0}}, "large", InputFormatError,
          "levels[20000].degeneracy must be an integer, got 2.0"),
+        ({20000: {"energy": 1.0, "degeneracy": 10**400}}, "large", OverflowError,
+         "levels[20000].degeneracy is beyond the float range"),
+        # each degeneracy fits a float, their sum at energy 0.0 does not
+        ({0: {"energy": 0.0, "degeneracy": 10**308}, 1: {"energy": 0.0, "degeneracy": 10**308}},
+         "large", OverflowError, "the multiplicity at energy 0.0 is beyond the float range"),
         ({20000: {"degeneracy": 1}}, "large", InputFormatError,
          "levels[20000] must be an object with an 'energy' field"),
         ({20000: [1.0]}, "large", InputFormatError,
@@ -497,15 +606,18 @@ def _with_levels(replacements, label="large"):
         ({5: {"energy": math.inf}, 20000: {"energy": "x"}}, "large", InputFormatError,
          "levels[20000].energy must be a number, got 'x'"),
         ({5: {"energy": math.inf}}, 7, InputFormatError, "'label' must be a string, got 7"),
+        # a degeneracy past the float range is a format problem, as an energy's is
+        ({5: {"energy": math.nan}, 20000: {"energy": 1.0, "degeneracy": 10**400}}, 7,
+         OverflowError, "levels[20000].degeneracy is beyond the float range"),
         # value problems: the first failing level, energy before multiplicity
         ({5: {"energy": 1.0, "degeneracy": 0}, 20000: {"energy": math.nan}}, "large",
          InputFormatError, "invalid spectrum: multiplicity must be >= 1, got 0"),
         ({5: {"energy": math.nan, "degeneracy": -1}}, "large", InputFormatError,
          "invalid spectrum: energy must be finite, got nan"),
     ],
-    ids=["string", "bool", "huge-int", "float-degeneracy", "no-energy", "not-object",
-         "infinite", "zero-degeneracy", "format-first", "label", "first-level",
-         "energy-first"],
+    ids=["string", "bool", "huge-int", "float-degeneracy", "huge-degeneracy",
+         "huge-merged-degeneracy", "no-energy", "not-object", "infinite", "zero-degeneracy", "format-first", "label",
+         "degeneracy-range-first", "first-level", "energy-first"],
 )
 def test_large_spectrum_error_messages(replacements, label, error, message):
     with pytest.raises(error) as info:
@@ -598,9 +710,19 @@ def test_non_float_number_error_messages(level, error, message):
          "multiplicity must be an integer, got 1.5"),
         ([(-1e308, 1), (1e308, 1)], ValueError,
          "energies must span a finite range, got spread inf"),
+        # multiplicities past the float range, alone or merged, on a loop and on arrays
+        ([(0.0, 1), (1.0, 10**400)], OverflowError,
+         "the multiplicity at energy 1.0 is beyond the float range"),
+        ([(1.0, 10**308), (0.0, 1), (1.0, 10**308)], OverflowError,
+         "the multiplicity at energy 1.0 is beyond the float range"),
+        ([(0.0, 1), (1.0, 10**400)] + [(k + 1.0, 1) for k in range(1, ARRAY_LEVELS)],
+         OverflowError, "the multiplicity at energy 1.0 is beyond the float range"),
+        ([(-1e308, 1), (1e308, 1)] + [(float(k), 1) for k in range(ARRAY_LEVELS)], ValueError,
+         "energies must span a finite range, got spread inf"),
     ],
     ids=["empty", "infinite", "float-multiplicity", "zero-multiplicity", "energy-first",
-         "multiplicity-first", "format-first", "spread"],
+         "multiplicity-first", "format-first", "spread", "huge-multiplicity",
+         "huge-merged-multiplicity", "huge-multiplicity-arrays", "spread-arrays"],
 )
 def test_make_spectrum_error_messages(levels, error, message):
     with pytest.raises(error) as info:
