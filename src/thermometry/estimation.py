@@ -1,36 +1,34 @@
 """Temperature estimators operating on energy-measurement counts.
 
-Energy outcomes are exchangeable, so per-level counts are a sufficient
-statistic for the multinomial likelihood; raw outcome sequences are
-collapsed on ingestion. The likelihood is maximized by moment matching:
-the stationarity condition is <H>_T = (sample mean energy), and <H>_T is
-strictly increasing in T, so a bracketed bisection always converges.
-Samples whose mean energy falls at or below the ground energy, or at or
-above the infinite-temperature mean, admit no positive-T maximizer and
-are surfaced as explicit statuses instead of being clamped.
+Energy outcomes are exchangeable, so per-level counts are a sufficient statistic for the
+multinomial likelihood, and each estimator reads a sample only through a smaller one: the
+MLE through the sample mean of E - E_0, Bayes through S = sum_n k_n (E_n - E_0) and the
+shot count M. :func:`mle_of_means` and :func:`bayes_of_statistics` take those statistics.
+:func:`mle_batch` and :func:`bayes_batch` are adapters over the same kernels: they take a
+(trials, levels) array of counts, as floats (exact for row totals below 2^53), form each
+row's statistic and estimate each distinct one once. :func:`mle_temperature` and
+:func:`bayes_posterior` are batches of one.
 
-Both estimators work on a batch: a (trials, levels) array of counts, taken as
-floats (exact for row totals below 2^53). :func:`mle_batch` reads a row only
-through its sample mean and bisects each distinct mean once. A batch of at most
-``SCALAR_ROWS`` such rows walks each row in turn, in Python floats, with decisions
-guessed from a root guess (a closed form for two levels, a table otherwise, then Newton
-steps); once the walked rows hold a block of midpoints, every guessed decision among them
-is checked, one mean evaluation per block. A row whose guesses all hold has the bits of
-the plain bisection, and any other row is bisected again with the real decision. Larger
-batches, and batches too large for 8 steps of every row in a check block, are bisected
-plainly, one mean evaluation per step. On two levels every mean, the checked midpoints, the
-bisection steps, the bracket edges and the Newton steps of the guess, takes the closed form
-of :func:`shifted_means`, about 5 ns a midpoint where the Gibbs rows took about 50; more
-levels take the Gibbs rows. The walk and the plain bisection cost the same at 77-82 rows of
-2 or of 5 levels.
-:func:`bayes_batch` builds the posterior grid once for all rows. A row enters
-it only through S = sum_n k_n (E_n - E_0) and M, so each distinct pair (S, M)
-takes one posterior, in blocks of at most 2^14 floats, and its memory does not
-grow with the trial count; no step mixes samples, so a row has the bits of its
-posterior alone wherever its pair sits in a block. The single-sample functions
-:func:`mle_temperature` and :func:`bayes_posterior` are batches of one.
-Energies enter only through E - E_0, so shifting the whole spectrum by a
-constant leaves every estimate unchanged.
+The likelihood is maximized by moment matching: the stationarity condition is <H>_T =
+(sample mean energy), and <H>_T is strictly increasing in T, so a bracketed bisection
+always converges. Means at or below the ground energy, or at or above the
+infinite-temperature mean, admit no positive-T maximizer and are surfaced as explicit
+statuses instead of being clamped. A batch of at most ``SCALAR_ROWS`` means walks each in
+turn, in Python floats, with decisions guessed from a root guess (a closed form for two
+levels, a table otherwise, then Newton steps); once the walked rows hold a block of
+midpoints, every guessed decision among them is checked, one mean evaluation per block. A
+row whose guesses all hold has the bits of the plain bisection, and any other row is
+bisected again with the real decision. Larger batches, and batches too large for 8 steps
+of every row in a check block, are bisected plainly, one mean evaluation per step. On two
+levels every mean, the checked midpoints, the bisection steps, the bracket edges and the
+Newton steps of the guess, takes the closed form of :func:`shifted_means`, about 5 ns a
+midpoint where the Gibbs rows took about 50; more levels take the Gibbs rows. The walk
+and the plain bisection cost the same at 77-82 rows of 2 or of 5 levels.
+The Bayes grid is built once for all pairs (S, M), which take their posteriors in blocks
+of at most 2^14 floats, so memory does not grow with their number; no step mixes
+samples, so a pair has the bits of its posterior alone wherever it sits in a block, and
+each posterior mean lies in its prior. Energies enter only through E - E_0, so shifting
+the whole spectrum by a constant leaves every estimate unchanged.
 """
 
 from __future__ import annotations
@@ -39,6 +37,7 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +61,8 @@ __all__ = [
     "EstimateResult",
     "Posterior",
     "default_bracket",
+    "mle_of_means",
+    "bayes_of_statistics",
     "mle_temperature",
     "bayes_posterior",
     "sample_to_dict",
@@ -141,6 +142,14 @@ def default_bracket(spectrum: Spectrum) -> tuple[float, float]:
             "default bracket undefined for a single-level spectrum; pass an explicit bracket"
         )
     return (BRACKET_SPAN[0] * span, BRACKET_SPAN[1] * span)
+
+
+def _finite(values, name: str) -> np.ndarray:
+    """``values`` as a float vector, else ValueError naming ``name`` if one is not finite."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or not np.isfinite(values).all():
+        raise ValueError(f"{name} must be a vector of finite numbers")
+    return values
 
 
 def _counts_matrix(spectrum: Spectrum, counts) -> np.ndarray:
@@ -350,14 +359,10 @@ def _solve(spectrum: Spectrum, target: np.ndarray, lo0: float, hi0: float) -> np
     return found
 
 
-def _mle_of_means(
-    spectrum: Spectrum, ebar: np.ndarray, lo0: float, hi0: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Status and maximum-likelihood temperature on the bracket (lo0, hi0) for each sample
-    mean ``ebar`` of E - E_0, as :func:`mle_batch` gives them to a row with that mean.
-
-    Every mean is solved, equal ones too: :func:`mle_batch` passes each distinct mean once.
-    """
+def _mle_of_means(spectrum: Spectrum, ebar: np.ndarray, bracket) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`mle_of_means` of the finite means ``ebar``, past the check on them."""
+    bracket = default_bracket(spectrum) if bracket is None else bracket
+    lo0, hi0 = positive_interval(bracket, "bracket")
     de = spectrum._shifted
     m = spectrum._weights
     # -(E_n - E_0)/T past the float range at a tiny T is an occupation of exactly 0
@@ -375,39 +380,44 @@ def _mle_of_means(
     return status, estimate
 
 
-def mle_batch(
-    spectrum: Spectrum,
-    counts,
-    bracket: tuple[float, float] | None = None,
+def mle_of_means(
+    spectrum: Spectrum, means, bracket: tuple[float, float] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Maximum-likelihood temperatures for every row of a (trials, levels) count array.
+    """Status and maximum-likelihood temperature for each sample mean of E - E_0.
 
-    Solves <H - E_0>_T = (shifted sample mean) by one bisection over all rows
-    on the monotone moment-matching equation; the default bracket is
-    :func:`default_bracket`. Each row stops when its bracket is narrower
-    than ``BISECT_RTOL`` times its midpoint or the midpoint stops moving.
-    Returns ``(status, estimate)``: status per row (object array of
-    INTERIOR / AT_LOWER_BOUND / AT_UPPER_BOUND / NON_INVERTIBLE) and the
-    estimate, NaN wherever the status is not INTERIOR. Counts are taken as
-    floats, exact for row totals below 2^53. Status and estimate follow from
-    the sample mean alone (:func:`_sample_means`), so each distinct mean is
-    solved once (:func:`_mle_of_means`) and its result goes to every row with it.
+    Solves <H - E_0>_T = mean on the bracket, :func:`default_bracket` by default. A mean at or
+    below 0 is AT_LOWER_BOUND; else one at or above the infinite-temperature mean is
+    NON_INVERTIBLE; else one at or past <H - E_0> at a bracket end is AT_LOWER_BOUND or
+    AT_UPPER_BOUND. Returns ``(status, estimate)``: the status of each mean (object array of
+    INTERIOR / AT_LOWER_BOUND / AT_UPPER_BOUND / NON_INVERTIBLE) and its estimate, NaN
+    wherever the status is not INTERIOR. Every mean is solved, equal ones too, and an
+    estimate depends on nothing but its mean and the bracket.
 
     The bisection is guessed, then checked (:func:`_solve`); every estimate has the bits of
-    the plain bisection that calls :func:`shifted_means` once per step. Memory past the
-    per-row vectors (the float counts, the sample means, and the index vectors of
-    :func:`_distinct`) is one step's Gibbs occupations (distinct means x
-    levels floats) or the walk's unchecked midpoints: at most one block (``BLOCK`` //
-    levels) plus one row's steps, each with its row index and decision, and the
-    occupations of at most a block of them. It grows with the step count (about 57 on the
-    default bracket, over 1000 on (5e-324, 1e300)) only by one row's, never by steps x rows.
+    the plain bisection that calls :func:`shifted_means` once per step and stops where the
+    bracket is narrower than ``BISECT_RTOL`` times its midpoint or the midpoint stops moving.
+    Memory past the per-mean vectors is one step's Gibbs occupations (means x levels floats)
+    or the walk's unchecked midpoints: at most one block (``BLOCK`` // levels) plus one
+    mean's steps, each with its index and decision, and the occupations of at most a block
+    of them. It grows with the step count (about 57 on the default bracket, over 1000 on
+    (5e-324, 1e300)) only by one mean's, never by steps x means. A mean that is not finite,
+    or a bracket that is not 0 < lo < hi, raises ValueError.
     """
-    if bracket is None:
-        bracket = default_bracket(spectrum)
-    lo0, hi0 = positive_interval(bracket, "bracket")
+    return _mle_of_means(spectrum, _finite(means, "sample means"), bracket)
+
+
+def mle_batch(
+    spectrum: Spectrum, counts, bracket: tuple[float, float] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`mle_of_means` of every row of a (trials, levels) count array.
+
+    Each distinct sample mean (:func:`_sample_means`, :func:`_distinct`) is solved once, and
+    its result goes to every row with it. Past the float counts, the means and the index
+    vectors, memory is that of :func:`mle_of_means`.
+    """
     means = _sample_means(spectrum, _counts_matrix(spectrum, counts))
     first, inverse = _distinct(means)
-    status, estimate = _mle_of_means(spectrum, means[first], lo0, hi0)
+    status, estimate = _mle_of_means(spectrum, means[first], bracket)
     return status[inverse], estimate[inverse]
 
 
@@ -437,19 +447,29 @@ class Posterior:
     density: np.ndarray
 
 
-def _bayes_grid(spectrum: Spectrum, prior: tuple[float, float], grid_size: int):
-    """Uniform temperature grid, the same grid t in units of ``unit``, ``unit``, the energies
-    E_n - E_0 in units of ``scale``, the basis -``scale``/T and log Z' on the grid, and the
-    trapezoid weights w and w t of the grid t: dt/2 at the two ends, (dt_(i-1) + dt_i)/2
-    inside.
+class _Grid(NamedTuple):
+    """A Bayes posterior grid (:func:`_bayes_grid`)."""
 
-    ``unit`` is the power of two at or below the prior's upper end. ``scale`` is the one at or
-    below the spectrum spread, or below lo * max / 2 where that is smaller, so the basis is
-    finite on the whole grid; S / ``scale`` is below 2 M, or below 4 M spread / (lo max) in
-    the second case, finite unless lo is within a factor 4 M of 1/max. Scaling by a power
-    of two is exact, so S/T = (S / ``scale``) (``scale``/T) has the same bits for any such
-    ``scale`` wherever both factors are normal floats, and the posterior moments stay finite
-    and nonzero where T^2 would not.
+    temps: np.ndarray  # uniform temperatures on the prior
+    t: np.ndarray  # the same grid in units of ``unit``
+    unit: float  # the power of two at or below the prior's upper end
+    scale: float  # the power of two S and the energies are taken in
+    energies: np.ndarray  # E_n - E_0 in units of ``scale``
+    basis: np.ndarray  # -``scale``/T on the grid
+    logz: np.ndarray  # log Z' on the grid
+    w: np.ndarray  # trapezoid weights of t: dt/2 at the two ends, (dt_(i-1) + dt_i)/2 inside
+    wt: np.ndarray  # w t
+
+
+def _bayes_grid(spectrum: Spectrum, prior: tuple[float, float], grid_size: int) -> _Grid:
+    """The posterior grid of ``grid_size`` points on ``prior``.
+
+    ``scale`` is the power of two at or below the spectrum spread, or below lo * max / 2
+    where that is smaller, so the basis is finite on the whole grid; S / ``scale`` is below
+    2 M, or below 4 M spread / (lo max) in the second case, finite unless lo is within a
+    factor 4 M of 1/max. Scaling by a power of two is exact, so S/T = (S / ``scale``)
+    (``scale``/T) has the same bits for any such ``scale`` wherever both factors are normal
+    floats, and the posterior moments stay finite and nonzero where T^2 would not.
     """
     lo, hi = positive_interval(prior, "prior interval")
     temperature_power(lo, -1, "prior interval lower end")
@@ -464,36 +484,36 @@ def _bayes_grid(spectrum: Spectrum, prior: tuple[float, float], grid_size: int):
     w[1:] += dt
     w /= 2.0
     logz = gibbs_log_weights(spectrum, temps)[1]
-    return temps, t, unit, spectrum._shifted / scale, -scale / temps, logz, w, w * t
+    return _Grid(temps, t, unit, scale, spectrum._shifted / scale, -scale / temps, logz, w, w * t)
 
 
-def _statistics(grid, spectrum: Spectrum, counts) -> tuple[np.ndarray, np.ndarray]:
+def _statistics(grid: _Grid, spectrum: Spectrum, counts) -> tuple[np.ndarray, np.ndarray]:
     """S = sum_n k_n (E_n - E_0), in units of the grid's ``scale``, and M of every row of a
     (trials, levels) count array; the float counts are released on return."""
     counts = _counts_matrix(spectrum, counts)
     with np.errstate(over="ignore"):  # an S past the float range has no finite maximum
-        return np.vecdot(counts, grid[3]), counts.sum(axis=1)
+        return np.vecdot(counts, grid.energies), counts.sum(axis=1)
 
 
 def _posterior_means(
-    grid, S: np.ndarray, M: np.ndarray, density: np.ndarray | None = None
+    grid: _Grid, S: np.ndarray, M: np.ndarray, density: np.ndarray | None = None
 ) -> np.ndarray:
     """Posterior mean per ``unit`` of every sample given by its statistics S (in units of
-    ``scale``, see :func:`_statistics`) and M, on a prebuilt grid; with ``density``, of shape
-    (samples, grid size), each sample's normalised density per ``unit`` goes there too.
+    ``scale``) and M, on a prebuilt grid; with ``density``, of shape (samples, grid size),
+    each sample's normalised density per ``unit`` goes there too.
 
     A sample enters the likelihood only through S and M: the log-likelihood is
     -S/T - M ln Z'(T) up to the T-independent sum_n k_n ln m_n, which the maximum shift
     removes. Samples go through in runs of equal M (one run per shot count where they come
-    sorted by M, as from :func:`bayes_batch`), and each run in blocks of at most ``BLOCK``
-    floats, in one buffer and one row, so the buffers do not grow with their number. A run
-    forms its row M x log Z' once; a block's log-likelihood is the broadcast product
-    S x basis less that row, each element the rounded product that a per-sample product
-    would give. The norm and first moment are one dot product per sample with the
-    trapezoid weights w and w t: no operation mixes samples, so each gets the bits of its
-    posterior alone, wherever it sits in a block.
+    sorted by M), and each run in blocks of at most ``BLOCK`` floats, in one buffer and one
+    row, so the buffers do not grow with their number. A run forms its row M x log Z' once;
+    a block's log-likelihood is the broadcast product S x basis less that row, each element
+    the rounded product that a per-sample product would give. The norm and first moment are
+    one dot product per sample with the trapezoid weights w and w t: no operation mixes
+    samples, so each gets the bits of its posterior alone, wherever it sits in a block. Only
+    rounding takes a mean, an average over t, past an end of t: it is clipped to t's ends.
     """
-    temps, _, _, _, basis, logz, w, wt = grid
+    temps, basis, logz, w, wt = grid.temps, grid.basis, grid.logz, grid.w, grid.wt
     step = max(1, BLOCK // len(temps))
     loglik = np.empty((min(step, len(S)), len(temps)))
     shared = np.empty(len(temps))  # M x log Z' of the current run
@@ -518,33 +538,51 @@ def _posterior_means(
                 np.divide(np.vecdot(block, wt), norm, out=means[start:stop])
                 if density is not None:
                     np.divide(block, norm[:, None], out=density[start:stop])
-    return means
+    return np.clip(means, grid.t[0], grid.t[-1], out=means)
+
+
+def bayes_of_statistics(
+    spectrum: Spectrum, S, M, prior: tuple[float, float], grid_size: int
+) -> np.ndarray:
+    """Flat-prior posterior mean for each pair (S, M): S = sum_n k_n (E_n - E_0) in energy
+    units and M the shot count of a sample.
+
+    A sample's log-likelihood is -S/T - M ln Z'(T), less a constant, on the uniform grid of
+    ``grid_size`` >= ``MIN_GRID_SIZE`` points on ``prior``. It is shifted by its maximum
+    before exponentiation, and normalised and averaged with trapezoid weights
+    (:func:`_posterior_means`). Every pair takes its own posterior, equal ones too, and its
+    mean lies in the prior. S is divided by a power of two, the grid's ``scale``, which is
+    exact wherever the quotient is normal. Pairs sorted by M share one row M ln Z'(T) per
+    shot count. A statistic that is not finite, an M below 1, a bad prior or grid size, or
+    a pair whose log-likelihood has no finite maximum on the grid raises ValueError.
+
+    Equal S give equal means, but S formed from counts need not be equal where the exact
+    sums are: on levels E_n - E_0 = j_n u of an integer lattice whose unit u is not a power
+    of two, counts with one integer sum sum_n k_n j_n can round to S a few ulps apart. Exact
+    code forms S as that integer lattice sum times the unit u, one rounding, so each lattice
+    point has one S and one mean.
+    """
+    grid = _bayes_grid(spectrum, prior, grid_size)
+    S, M = _finite(S, "S"), _finite(M, "M")
+    if len(S) != len(M) or not (M >= 1.0).all():
+        raise ValueError("S and M must have one length, and every M must be >= 1")
+    return _posterior_means(grid, S / grid.scale, M) * grid.unit
 
 
 def bayes_batch(
-    spectrum: Spectrum,
-    counts,
-    prior: tuple[float, float],
-    grid_size: int,
+    spectrum: Spectrum, counts, prior: tuple[float, float], grid_size: int
 ) -> np.ndarray:
-    """Flat-prior posterior mean for every row of a (trials, levels) count array.
+    """:func:`bayes_of_statistics` of every row of a (trials, levels) count array.
 
-    The grid is built once. A row enters only through S = sum_n k_n (E_n - E_0) and its
-    total M: its log-likelihood is -S/T - M ln Z'(T), less a constant, on the uniform grid
-    (``grid_size`` >= ``MIN_GRID_SIZE`` points). It is shifted by its maximum before
-    exponentiation, and normalised and averaged with trapezoid weights. Each distinct
-    (S, M) pair (:func:`_distinct`, sorted by M first) takes one posterior, whose mean goes
-    to every row with it; no step mixes samples, so a row has the bits of its own posterior.
-    The pairs of one M share one row M ln Z'(T) on the grid. Posteriors go through in
-    blocks of at most ``BLOCK`` floats (2^14), and past the float counts, which are
-    released once S and M are taken, memory is a few vectors per row. A row whose
-    log-likelihood has no finite maximum on the grid raises ValueError.
+    Each row's S, in units of the grid's ``scale`` (:func:`_statistics`), and M are taken,
+    and the float counts released; each distinct pair (:func:`_distinct`, sorted by M first)
+    takes one posterior, whose mean goes to every row with it.
     """
     grid = _bayes_grid(spectrum, prior, grid_size)
     S, M = _statistics(grid, spectrum, counts)
     first, inverse = _distinct(S, M)
     means = _posterior_means(grid, S[first], M[first])
-    means *= grid[2]
+    means *= grid.unit
     return means[inverse]
 
 
@@ -555,18 +593,19 @@ def bayes_posterior(
 ) -> Posterior:
     """Posterior mean/sd and density under a flat prior on ``prior``.
 
-    The posterior of one sample on the grid of :func:`bayes_batch`, as its batch of one.
+    The posterior of one sample on the grid of :func:`bayes_of_statistics`, a batch of one.
     """
-    temps, t, unit, *_ = grid = _bayes_grid(sample.spectrum, prior, grid_size)
+    grid = _bayes_grid(sample.spectrum, prior, grid_size)
     density = np.empty((1, grid_size))
     S, M = _statistics(grid, sample.spectrum, [sample.counts])
     mean = float(_posterior_means(grid, S, M, density)[0])
     density = density[0]
+    t, unit = grid.t, grid.unit
     with np.errstate(over="ignore"):  # a density beyond the float range is inf
         sd = math.sqrt(max(float(np.trapezoid((t - mean) ** 2 * density, t)), 0.0))
         density /= unit  # per unit temperature, not per ``unit``
     density.flags.writeable = False
-    return Posterior(mean=mean * unit, sd=sd * unit, temperatures=temps, density=density)
+    return Posterior(mean=mean * unit, sd=sd * unit, temperatures=grid.temps, density=density)
 
 
 # ---------------------------------------------------------------------------

@@ -661,6 +661,20 @@ def test_estimate_with_posterior(capsys, tmp_path, spectrum_file):
     assert report["posterior_sd"] == pytest.approx(0.07434260732264761, rel=1e-9)
 
 
+def test_estimate_posterior_collapsed_on_the_prior_end_lies_in_the_prior(capsys, tmp_path,
+                                                                         spectrum_file):
+    # every outcome on the upper level: the posterior sits on the grid's upper end, which
+    # rounding once took one ulp past the prior (1.0000000000000001e-299)
+    sample_path = tmp_path / "sample.json"
+    sample_path.write_text(json.dumps({"spectrum_label": "qubit", "counts": [0, 1000]}))
+    code, out, _ = run_cli(
+        capsys, "estimate", "--sample", str(sample_path), "--spectrum", spectrum_file,
+        "--prior", "1e-300", "1e-299", "--grid", "64",
+    )
+    assert code == 0
+    assert 1e-300 <= json.loads(out)["posterior_mean"] <= 1e-299
+
+
 @pytest.mark.parametrize(
     "prior, message",
     [

@@ -1,10 +1,11 @@
+import itertools
 import math
 import statistics
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from _strategies import multi_level_spectra, spectra
@@ -16,8 +17,10 @@ from thermometry import (
     NON_INVERTIBLE,
     InputFormatError,
     SampleSet,
+    bayes_of_statistics,
     bayes_posterior,
     make_spectrum,
+    mle_of_means,
     mle_temperature,
     sample_from_dict,
     sample_to_dict,
@@ -686,11 +689,10 @@ def test_bayes_batch_rows_equal_single_posteriors_across_blocks(
     extra = np.zeros((len(i), s.n_levels), dtype=counts.dtype)
     extra[:, 0], extra[:, 1] = second - i, i
     both = np.concatenate([extra, counts])
-    bayes = estimation._bayes_grid(s, prior, grid)
-    first, _ = estimation._distinct(*estimation._statistics(bayes, s, both))
-    totals = both[first].sum(axis=1).tolist()
-    assert totals[-len(i):] == [second] * len(i) and set(totals[:-len(i)]) == {shots}
+    S, M = np.vecdot(both.astype(float), s._shifted), both.sum(axis=1)
+    assert len(set(S[:len(i)].tolist())) == len(i) and set(M.tolist()) == {shots, second}
     both_means = bayes_batch(s, both, prior, grid)
+    assert bayes_of_statistics(s, S, M, prior, grid).tobytes() == both_means.tobytes()
     assert both_means[len(i):].tobytes() == means.tobytes()
     for k, row in enumerate(extra):
         post = bayes_posterior(SampleSet(spectrum=s, counts=tuple(row.tolist())), prior, grid)
@@ -817,3 +819,130 @@ def test_posterior_validation():
         bayes_posterior(sample, (5.0, 1.0), 256)
     with pytest.raises(ValueError):
         bayes_posterior(sample, (0.5, 1.0), 32)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(st.integers(min_value=0, max_value=10_000),
+              st.integers(min_value=0, max_value=10_000)).filter(lambda c: sum(c) > 0),
+    st.tuples(st.floats(min_value=-3.0, max_value=2.0),
+              st.floats(min_value=0.01, max_value=3.0)).map(
+        lambda p: (10.0 ** p[0], 10.0 ** (p[0] + p[1]))),
+    st.sampled_from([MIN_GRID_SIZE, 128, 1024]),
+)
+# a posterior collapsed onto an end of the grid: before the mean was clipped to the grid's
+# ends, rounding took each of these one ulp past its prior
+@example(counts=(9999, 1), prior=(7.430309162450986, 105.82325392165191), grid=128)
+@example(counts=(1, 9999), prior=(0.7676041928872599, 1.3185868745720237), grid=64)
+@example(counts=(0, 1000), prior=(1e-300, 1e-299), grid=64)
+def test_posterior_mean_lies_in_its_prior(counts, prior, grid):
+    mean = bayes_posterior(SampleSet(spectrum=QUBIT, counts=counts), prior, grid).mean
+    assert prior[0] <= mean <= prior[1]
+    assert bayes_batch(QUBIT, [counts], prior, grid).tolist() == [mean]
+    assert bayes_of_statistics(QUBIT, [counts[1]], [sum(counts)], prior, grid).tolist() == [mean]
+
+
+# ---------------------------------------------------------------------------
+# the statistic-level functions under the count adapters
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(
+    multi_level_spectra(max_levels=6),
+    st.integers(min_value=1, max_value=5000),
+    st.integers(min_value=1, max_value=120),
+    st.floats(min_value=0.05, max_value=5.0),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_statistic_functions_equal_the_count_adapters(s, shots, rows, scale, explicit, seed):
+    # each row's sample mean and (S, M), formed as the adapters form them, give the adapters'
+    # bits: on the default bracket or an explicit one, on the default prior [T/5, 5T] of a
+    # run or an explicit one
+    T = scale * s.spread
+    counts = np.random.default_rng(seed).multinomial(shots, gibbs_state(s, T).probs, size=rows)
+    S, M = np.vecdot(counts.astype(float), s._shifted), counts.sum(axis=1)
+    bracket = (T / 30.0, 30.0 * T) if explicit else None
+    _same_bits(mle_of_means(s, S / M, bracket), mle_batch(s, counts, bracket))
+    prior, grid = ((T / 2.0, 3.0 * T), 300) if explicit else ((T / 5.0, 5.0 * T), 1024)
+    means = bayes_of_statistics(s, S, M, prior, grid)
+    assert means.tobytes() == bayes_batch(s, counts, prior, grid).tobytes()
+
+
+def _rows_by_lattice_sum(s, unit, shots):
+    """Every count row of ``shots`` outcomes on ``s``, grouped by its integer lattice sum
+    sum_n k_n j_n, where E_n - E_0 = j_n ``unit``: {lattice sum: rows}."""
+    j = [round(e / unit) for e in s._shifted.tolist()]
+    assert np.array_equal(np.array(j) * unit, s._shifted)
+    groups = {}
+    for k in itertools.product(range(shots + 1), repeat=s.n_levels - 1):
+        if sum(k) <= shots:
+            row = (shots - sum(k), *k)
+            groups.setdefault(sum(c * jn for c, jn in zip(row, j)), []).append(row)
+    return groups
+
+
+def test_one_lattice_sum_gives_one_statistic_on_a_dyadic_lattice():
+    # unit 1/8: every partial sum is a multiple of 1/8 far below 2^53 of them, so exact, and
+    # rows with one lattice sum have one S, one sample mean and one estimate of each kind
+    s = make_spectrum([(0.0, 1), (0.125, 2), (0.375, 1), (0.5, 3)])
+    for rows in _rows_by_lattice_sum(s, 0.125, 6).values():
+        counts = np.array(rows)
+        for values in (np.vecdot(counts.astype(float), s._shifted),
+                       bayes_batch(s, counts, (0.05, 2.0), 256), mle_batch(s, counts)[1]):
+            assert len({x.hex() for x in values.tolist()}) == 1  # NaN included
+
+
+def test_one_lattice_sum_can_give_two_statistics_on_a_non_dyadic_lattice():
+    # unit 0.1 is no power of two: counts (7, 3, 0) and (9, 0, 1) have the lattice sum 3, but
+    # 3 x 0.1 and 1 x 0.3 round to S an ulp apart, so Bayes takes two posteriors. The two
+    # sample means are an ulp apart too, and the MLE's bisection stops at one midpoint
+    s = make_spectrum([(0.0, 1), (0.1, 1), (0.3, 1)])
+    counts = [[7, 3, 0], [9, 0, 1]]
+    prior = (0.05, 2.0)
+    S = np.vecdot(np.array(counts, dtype=float), s._shifted)
+    # in units of the grid's scale, the power of two 1/4 at or below the spread 0.3
+    assert [x.hex() for x in S / 0.25] == ["0x1.3333333333334p+0", "0x1.3333333333333p+0"]
+    means = bayes_batch(s, counts, prior, 1024)
+    assert means[0] != means[1]  # 0.37535193748138 and 0.37535193748137985
+    assert means[0] == pytest.approx(means[1], rel=1e-15, abs=0.0)
+    assert bayes_of_statistics(s, S, [10, 10], prior, 1024).tolist() == means.tolist()
+    # exact code forms S as the lattice sum times the unit: one S, the first row's mean
+    assert bayes_of_statistics(s, [3 * 0.1], [10], prior, 1024).tolist() == [means[0]]
+    status, estimate = mle_batch(s, counts)
+    assert status.tolist() == [INTERIOR, INTERIOR] and estimate[0] == estimate[1]
+    assert S[0] / 10 != S[1] / 10
+    _same_bits(mle_of_means(s, S / 10), (status, estimate))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_statistic_functions_reject_a_statistic_that_is_not_finite(bad):
+    with pytest.raises(ValueError, match="sample means must be a vector of finite numbers"):
+        mle_of_means(QUBIT, [0.2, bad])
+    with pytest.raises(ValueError, match="S must be a vector of finite numbers"):
+        bayes_of_statistics(QUBIT, [3.0, bad], [10, 10], (0.2, 5.0), 256)
+    with pytest.raises(ValueError, match="M must be a vector of finite numbers"):
+        bayes_of_statistics(QUBIT, [3.0, 3.0], [10, bad], (0.2, 5.0), 256)
+
+
+@pytest.mark.parametrize("S, M", [
+    ([3.0], [0]), ([3.0], [0.5]), ([3.0], [-10]), ([3.0, 4.0], [10]), ([[3.0]], [[10]]),
+], ids=["M-0", "M-half", "M-negative", "lengths-differ", "not-vectors"])
+def test_bayes_of_statistics_rejects_m_below_1_and_shapes_that_differ(S, M):
+    with pytest.raises(ValueError):
+        bayes_of_statistics(QUBIT, S, M, (0.2, 5.0), 256)
+
+
+def test_statistic_functions_reject_a_bad_bracket_or_prior():
+    for bracket in [(1.0, 0.5), (0.0, 1.0), (math.nan, 1.0), (0.1, math.inf)]:
+        with pytest.raises(ValueError, match="bracket must satisfy"):
+            mle_of_means(QUBIT, [0.2], bracket)
+    flat = make_spectrum([(0.0, 2)])
+    with pytest.raises(ValueError, match="default bracket undefined"):
+        mle_of_means(flat, [0.0])
+    for prior, grid in [((5.0, 1.0), 256), ((0.0, 1.0), 256), ((0.2, math.inf), 256),
+                        ((1e-320, 1.0), 256), ((0.2, 5.0), MIN_GRID_SIZE - 1)]:
+        with pytest.raises(ValueError):
+            bayes_of_statistics(QUBIT, [3.0], [10], prior, grid)
+    with pytest.raises(ValueError, match="sample means must be a vector"):
+        mle_of_means(QUBIT, 0.2)
