@@ -5,9 +5,9 @@ multinomial likelihood, and each estimator reads a sample only through a smaller
 MLE through the sample mean of E - E_0, Bayes through S = sum_n k_n (E_n - E_0) and the
 shot count M. :func:`mle_of_means` and :func:`bayes_of_statistics` take those statistics.
 :func:`mle_batch` and :func:`bayes_batch` are adapters over the same kernels: they take a
-(trials, levels) array of counts, as floats (exact for row totals below 2^53), form each
-row's statistic and estimate each distinct one once. :func:`mle_temperature` and
-:func:`bayes_posterior` are batches of one.
+(trials, levels) array of counts, form each row's statistic in one checked step (a row with
+a negative or non-finite count, or with no outcome, raises ValueError) and estimate each
+distinct one once. :func:`mle_temperature` and :func:`bayes_posterior` are batches of one.
 
 The likelihood is maximized by moment matching: the stationarity condition is <H>_T =
 (sample mean energy), and <H>_T is strictly increasing in T, so a bracketed bisection
@@ -108,6 +108,8 @@ class SampleSet:
             )
         if any(c < 0 for c in self.counts):
             raise ValueError(f"counts must be non-negative, got {self.counts}")
+        if not all(c < math.inf for c in self.counts):  # NaN compares False
+            raise ValueError(f"counts must be finite, got {self.counts}")
         if self.total < 1:
             raise ValueError("sample must contain at least one outcome")
 
@@ -118,8 +120,7 @@ class SampleSet:
     @property
     def mean_energy(self) -> float:
         """Sample mean energy, E_0 plus the mean of E - E_0 (exact under a shift)."""
-        k = _counts_matrix(self.spectrum, [self.counts])
-        return self.spectrum.ground_energy + float(_sample_means(self.spectrum, k)[0])
+        return self.spectrum.ground_energy + float(_sample_means(self.spectrum, [self.counts])[0])
 
 
 @dataclass(frozen=True)
@@ -152,23 +153,32 @@ def _finite(values, name: str) -> np.ndarray:
     return values
 
 
-def _counts_matrix(spectrum: Spectrum, counts) -> np.ndarray:
-    """Counts as a float (trials, levels) array: row sums are exact below 2^53 and never wrap."""
-    counts = np.asarray(counts, dtype=float)
-    if counts.ndim != 2 or counts.shape[1] != spectrum.n_levels:
-        raise ValueError(
-            f"counts must have shape (trials, {spectrum.n_levels}), got {counts.shape}"
-        )
-    return counts
-
-
 def _power_of_two_below(x: float) -> float:
     """The power of two at or below ``x`` > 0 (1/2 for 0)."""
     return math.ldexp(1.0, math.frexp(x)[1] - 1)
 
 
-def _sample_means(spectrum: Spectrum, counts: np.ndarray) -> np.ndarray:
-    """Sample mean of E - E_0 of each row of a float (rows, levels) count array.
+def _statistics(spectrum: Spectrum, counts, scale: float) -> tuple[np.ndarray, ...]:
+    """The float counts of a (trials, levels) count array, each row's S = sum_n k_n (E_n - E_0)
+    in units of ``scale`` (inf past the float range) and its M, exact below 2^53. Any other
+    shape, or a row with a negative or non-finite count or with M < 1, raises ValueError.
+    """
+    counts = np.asarray(counts, dtype=float)
+    if counts.ndim != 2 or counts.shape[1] != spectrum.n_levels:
+        raise ValueError(f"counts must have shape (trials, {spectrum.n_levels}),"
+                         f" got {counts.shape}")
+    least, most = np.minimum.reduce, np.maximum.reduce  # past ndarray.min's Python wrapper
+    with np.errstate(over="ignore"):
+        M = counts.sum(axis=1)
+        # NaN fails every comparison; checked before S, where inf x 0 would warn
+        if len(M) and not (least(counts, None) >= 0.0 and least(M) >= 1.0 and most(M) < math.inf):
+            raise ValueError("counts must be finite and non-negative, each row with M >= 1")
+        return counts, np.vecdot(counts, spectrum._shifted / scale), M
+
+
+def _sample_means(spectrum: Spectrum, counts) -> np.ndarray:
+    """Sample mean of E - E_0 of each row of a (trials, levels) count array, checked and
+    summed by :func:`_statistics`.
 
     Above a spread of 1 the energies are summed in units of the power of two at or below it,
     as Bayes sums S, so the sum stays below 2 M. Levels within ``MERGE_RTOL`` spreads are
@@ -178,9 +188,7 @@ def _sample_means(spectrum: Spectrum, counts: np.ndarray) -> np.ndarray:
     power of two, below M; every finite sum keeps its bits.
     """
     scale = max(1.0, _power_of_two_below(spectrum.spread))
-    with np.errstate(over="ignore"):
-        totals = counts.sum(axis=1)
-        sums = np.vecdot(counts, spectrum._shifted / scale)
+    counts, sums, totals = _statistics(spectrum, counts, scale)
     means = sums / totals * scale
     over = np.isinf(sums)
     if over.any():
@@ -415,7 +423,7 @@ def mle_batch(
     its result goes to every row with it. Past the float counts, the means and the index
     vectors, memory is that of :func:`mle_of_means`.
     """
-    means = _sample_means(spectrum, _counts_matrix(spectrum, counts))
+    means = _sample_means(spectrum, counts)
     first, inverse = _distinct(means)
     status, estimate = _mle_of_means(spectrum, means[first], bracket)
     return status[inverse], estimate[inverse]
@@ -448,13 +456,12 @@ class Posterior:
 
 
 class _Grid(NamedTuple):
-    """A Bayes posterior grid (:func:`_bayes_grid`)."""
+    """A Bayes posterior grid (:func:`_bayes_grid`); :func:`_statistics` takes S in ``scale``."""
 
     temps: np.ndarray  # uniform temperatures on the prior
     t: np.ndarray  # the same grid in units of ``unit``
     unit: float  # the power of two at or below the prior's upper end
     scale: float  # the power of two S and the energies are taken in
-    energies: np.ndarray  # E_n - E_0 in units of ``scale``
     basis: np.ndarray  # -``scale``/T on the grid
     logz: np.ndarray  # log Z' on the grid
     w: np.ndarray  # trapezoid weights of t: dt/2 at the two ends, (dt_(i-1) + dt_i)/2 inside
@@ -484,15 +491,7 @@ def _bayes_grid(spectrum: Spectrum, prior: tuple[float, float], grid_size: int) 
     w[1:] += dt
     w /= 2.0
     logz = gibbs_log_weights(spectrum, temps)[1]
-    return _Grid(temps, t, unit, scale, spectrum._shifted / scale, -scale / temps, logz, w, w * t)
-
-
-def _statistics(grid: _Grid, spectrum: Spectrum, counts) -> tuple[np.ndarray, np.ndarray]:
-    """S = sum_n k_n (E_n - E_0), in units of the grid's ``scale``, and M of every row of a
-    (trials, levels) count array; the float counts are released on return."""
-    counts = _counts_matrix(spectrum, counts)
-    with np.errstate(over="ignore"):  # an S past the float range has no finite maximum
-        return np.vecdot(counts, grid.energies), counts.sum(axis=1)
+    return _Grid(temps, t, unit, scale, -scale / temps, logz, w, w * t)
 
 
 def _posterior_means(
@@ -574,12 +573,13 @@ def bayes_batch(
 ) -> np.ndarray:
     """:func:`bayes_of_statistics` of every row of a (trials, levels) count array.
 
-    Each row's S, in units of the grid's ``scale`` (:func:`_statistics`), and M are taken,
-    and the float counts released; each distinct pair (:func:`_distinct`, sorted by M first)
-    takes one posterior, whose mean goes to every row with it.
+    Each row's S, in units of the grid's ``scale``, and M are checked and taken by
+    :func:`_statistics`, and the float counts released; each distinct pair
+    (:func:`_distinct`, sorted by M first) takes one posterior, whose mean goes to every row
+    with it.
     """
     grid = _bayes_grid(spectrum, prior, grid_size)
-    S, M = _statistics(grid, spectrum, counts)
+    S, M = _statistics(spectrum, counts, grid.scale)[1:]
     first, inverse = _distinct(S, M)
     means = _posterior_means(grid, S[first], M[first])
     means *= grid.unit
@@ -597,7 +597,7 @@ def bayes_posterior(
     """
     grid = _bayes_grid(sample.spectrum, prior, grid_size)
     density = np.empty((1, grid_size))
-    S, M = _statistics(grid, sample.spectrum, [sample.counts])
+    S, M = _statistics(sample.spectrum, [sample.counts], grid.scale)[1:]
     mean = float(_posterior_means(grid, S, M, density)[0])
     density = density[0]
     t, unit = grid.t, grid.unit

@@ -2,6 +2,7 @@ import itertools
 import math
 import statistics
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from thermometry.estimation import (
     MIN_GRID_SIZE,
     SCALAR_ROWS,
     _bisect,
-    _counts_matrix,
     _posterior_means,
     _scalar_walk,
     _solve,
@@ -63,6 +63,9 @@ def test_sample_validation():
         SampleSet(spectrum=QUBIT, counts=(-1, 2))
     with pytest.raises(ValueError):
         SampleSet(spectrum=QUBIT, counts=(0, 0))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            SampleSet(spectrum=QUBIT, counts=(bad, 3))
 
 
 def test_sample_statistics():
@@ -282,6 +285,37 @@ def test_mle_batch_rejects_wrong_shape():
         mle_batch(QUBIT, np.array([[1, 2, 3]]))
 
 
+@pytest.mark.parametrize("row", [(0, 0), (-5, 1), (math.nan, 3), (math.inf, 3), (1, 2, 3)],
+                         ids=["no outcome", "negative", "nan", "inf", "wrong shape"])
+def test_every_count_entry_point_rejects_a_bad_row(row):
+    # a ValueError, not an estimate, with no RuntimeWarning first; alone or among good rows
+    batches = [[row]] if len(row) != QUBIT.n_levels else [[row], [(700, 300), row, (1, 1)]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for counts in batches:
+            with pytest.raises(ValueError):
+                mle_batch(QUBIT, counts)
+            with pytest.raises(ValueError):
+                bayes_batch(QUBIT, counts, (0.2, 5.0), 64)
+        # mle_temperature, bayes_posterior and mean_energy take a sample, which refuses it
+        with pytest.raises(ValueError):
+            SampleSet(spectrum=QUBIT, counts=row)
+
+
+def test_count_entry_points_reject_a_shot_count_beyond_the_float_range():
+    # each count is finite, but M is inf, which would read as a mean of 0
+    sample = SampleSet(spectrum=QUBIT, counts=(1e308, 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for estimate in (lambda: mle_batch(QUBIT, [sample.counts]),
+                         lambda: bayes_batch(QUBIT, [sample.counts], (0.2, 5.0), 64),
+                         lambda: mle_temperature(sample),
+                         lambda: bayes_posterior(sample, (0.2, 5.0), 64),
+                         lambda: sample.mean_energy):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                estimate()
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.lists(st.integers(min_value=-4096, max_value=4096), min_size=2, max_size=5, unique=True),
@@ -353,11 +387,11 @@ def _plain_mle_batch(spectrum, counts, bracket=None):
     if bracket is None:
         bracket = default_bracket(spectrum)
     lo0, hi0 = positive_interval(bracket, "bracket")
-    counts = _counts_matrix(spectrum, counts)
+    counts = np.asarray(counts, dtype=float)
     de = spectrum._shifted
     m = spectrum._weights
     with np.errstate(over="ignore"):
-        ebar = np.vecdot(counts.astype(float), de) / counts.sum(axis=1)
+        ebar = np.vecdot(counts, de) / counts.sum(axis=1)
         edges = _row_major_means(spectrum, np.array((lo0, hi0)))
         status = np.full(len(ebar), INTERIOR, dtype=object)
         status[edges[1] <= ebar] = AT_UPPER_BOUND
